@@ -28,6 +28,7 @@ from .functions import (
     DoublingCertificate,
     FunctionModel,
     GevreyCertificate,
+    GridField,
     UcpCertificate,
 )
 from .geometry import (
@@ -156,52 +157,6 @@ def master_bound(log_propagation: float, poly: PolyBound, log_remainder: float) 
 
 
 # ---------------------------------------------------------------------------
-# Grid field cache
-# ---------------------------------------------------------------------------
-
-class FieldCache:
-    """|f| over the grid, exterior masked, with window sup helpers."""
-
-    def __init__(self, f: FunctionModel, grid: Grid):
-        self.f = f
-        self.grid = grid
-        vals = np.abs(f.evaluate(grid.points))
-        vals[~grid.interior] = -1.0
-        self.values = vals
-
-    def sup_domain(self) -> tuple[float, np.ndarray]:
-        i = int(np.argmax(self.values))
-        idx = np.unravel_index(i, self.values.shape)
-        return float(self.values[idx]), self.grid.points[idx]
-
-    def sup_mask(self, mask: np.ndarray) -> tuple[float, np.ndarray]:
-        masked = np.where(mask, self.values, -1.0)
-        i = int(np.argmax(masked))
-        idx = np.unravel_index(i, masked.shape)
-        if masked[idx] < 0.0:
-            raise InfeasibleError("region contains no grid sample points")
-        return float(masked[idx]), self.grid.points[idx]
-
-    def sup_ball(
-        self, center: np.ndarray, radius: float, extra_points: Sequence[np.ndarray] = ()
-    ) -> tuple[float, np.ndarray]:
-        """Sup over grid centres in the ball plus any explicit extra points."""
-        dist = self.grid.domain.distance(self.grid.points, np.asarray(center))
-        masked = np.where(dist <= radius, self.values, -1.0)
-        i = int(np.argmax(masked))
-        idx = np.unravel_index(i, masked.shape)
-        best_val = float(masked[idx])
-        best_pt = self.grid.points[idx]
-        for p in extra_points:
-            v = float(np.abs(self.f.evaluate(np.asarray(p))))
-            if v > best_val:
-                best_val, best_pt = v, np.asarray(p)
-        if best_val < 0.0:
-            raise InfeasibleError("ball contains no sample points")
-        return best_val, best_pt
-
-
-# ---------------------------------------------------------------------------
 # Propagation helpers
 # ---------------------------------------------------------------------------
 
@@ -287,7 +242,7 @@ def _run_geometry(
     mset: MeasurableSet,
     domain: Domain,
     grid: Grid,
-    cache: FieldCache,
+    grid_field: GridField,
     gc: GevreyCertificate,
     n: int,
     r: float,
@@ -324,7 +279,10 @@ def _run_geometry(
 
     x = np.asarray(ball.center)
     rho = r / 10.0
-    sup_rho, w = cache.sup_ball(x, rho, extra_points=[x])
+    sup_rho, w = grid_field.sup_ball(x, rho)
+    x_val = float(np.abs(f.evaluate(x)))
+    if x_val > sup_rho:  # the ball's own centre competes with its cells
+        sup_rho, w = x_val, x
     if sup_rho <= 0.0:
         raise InfeasibleError("function vanishes on the near-maximiser ball")
 
@@ -418,7 +376,7 @@ def _doubling_run(
     mset: MeasurableSet,
     domain: Domain,
     grid: Grid,
-    cache: FieldCache,
+    grid_field: GridField,
     dc: DoublingCertificate,
     gc: GevreyCertificate,
     n: int,
@@ -436,13 +394,15 @@ def _doubling_run(
     if exponent >= 1.0:
         raise InfeasibleError(f"degree {n} too small for doubling constant {dc.kappa}")
 
-    geo = _run_geometry(f, mset, domain, grid, cache, gc, n, r, sup_set, n_directions)
+    geo = _run_geometry(f, mset, domain, grid, grid_field, gc, n, r, sup_set, n_directions)
     steps = ([radius_step] if radius_step is not None else []) + list(geo.steps)
 
     chain = chain_of_balls(domain, x_bar, np.asarray(geo.ball.center), hat_radius(dc, geo.rho)[0])
     prop = propagate_doubling(dc, geo.rho, chain)
 
-    sup_rhat, _ = cache.sup_ball(np.asarray(geo.ball.center), prop.r_hat)
+    (sup_rhat,) = grid_field.ball_maxima(geo.ball.center, [prop.r_hat])
+    if sup_rhat < 0.0:
+        raise InfeasibleError("ball contains no sample points")
     steps.append(
         TraceStep(
             "global-max-slack",
@@ -681,9 +641,9 @@ def certify_sigma1(
     if abs(gc.sigma - 1.0) > 1e-12:
         raise ConfigError("sigma-1 branch requires a sigma = 1 certificate")
     grid = grid or mset.grid
-    cache = FieldCache(f, grid)
-    sup_domain, x_bar = cache.sup_domain()
-    sup_set, _ = cache.sup_mask(mset.mask)
+    grid_field = GridField(f, grid)
+    sup_domain, x_bar = grid_field.sup_domain()
+    sup_set, _ = grid_field.sup_mask(mset.mask)
     if sup_set <= 0.0:
         raise InfeasibleError("observability from a null-data set is vacuous")
     r0_eff = _effective_r0(dc.r0, domain)
@@ -700,7 +660,7 @@ def certify_sigma1(
             {"r": r},
         )
         return _doubling_run(
-            f, mset, domain, grid, cache, dc, gc, n, r,
+            f, mset, domain, grid, grid_field, dc, gc, n, r,
             sup_domain, sup_set, x_bar, n_directions, radius_step=step,
         )
 
@@ -738,9 +698,9 @@ def certify_sigma_gt1(
     if gc.sigma <= 1.0:
         raise ConfigError("sigma-gt1 branch requires sigma > 1")
     grid = grid or mset.grid
-    cache = FieldCache(f, grid)
-    sup_domain, x_bar = cache.sup_domain()
-    sup_set, _ = cache.sup_mask(mset.mask)
+    grid_field = GridField(f, grid)
+    sup_domain, x_bar = grid_field.sup_domain()
+    sup_set, _ = grid_field.sup_mask(mset.mask)
     if sup_set <= 0.0:
         raise InfeasibleError("observability from a null-data set is vacuous")
     r0_eff = _effective_r0(dc.r0, domain)
@@ -761,7 +721,7 @@ def certify_sigma_gt1(
             {"r": r, "lhs_log": math.log(r), "rhs_log": math.log(r0_eff)},
         )
         return _doubling_run(
-            f, mset, domain, grid, cache, dc, gc, n, r,
+            f, mset, domain, grid, grid_field, dc, gc, n, r,
             sup_domain, sup_set, x_bar, n_directions, radius_step=step,
         )
 
@@ -832,9 +792,9 @@ def certify_ucp(
             f"{1.0 + 1.0 / uc.b}"
         )
     grid = grid or mset.grid
-    cache = FieldCache(f, grid)
-    sup_domain, _ = cache.sup_domain()
-    sup_set, _ = cache.sup_mask(mset.mask)
+    grid_field = GridField(f, grid)
+    sup_domain, _ = grid_field.sup_domain()
+    sup_set, _ = grid_field.sup_mask(mset.mask)
     if sup_set <= 0.0:
         raise InfeasibleError("observability from a null-data set is vacuous")
     log_sup_domain = to_log(sup_domain)
@@ -860,7 +820,7 @@ def certify_ucp(
         if r > r0_eff * (1 + 1e-9):
             raise RuntimeError("internal: threshold rule failed to force r <= r0")
         geo = _run_geometry(
-            f, mset, domain, grid, cache, gc, n0, r, sup_set, n_directions
+            f, mset, domain, grid, grid_field, gc, n0, r, sup_set, n_directions
         )
         # polynomial-term conversion: 2 * PB <= C0^(n+1) (|O|/|E|)^n supE
         lhs1 = LOG2 + geo.poly.log_value
@@ -1081,9 +1041,9 @@ def empirical_ratio(
     """Same-grid sup ratio sup_domain / sup_set, the oracle a certificate
     must dominate."""
     grid = grid or mset.grid
-    cache = FieldCache(f, grid)
-    sup_d, arg_d = cache.sup_domain()
-    sup_e, arg_e = cache.sup_mask(mset.mask)
+    grid_field = GridField(f, grid)
+    sup_d, arg_d = grid_field.sup_domain()
+    sup_e, arg_e = grid_field.sup_mask(mset.mask)
     if sup_e <= 0.0:
         raise InfeasibleError("empirical ratio undefined: sup over the set is zero")
     return EmpiricalRatio(sup_d, sup_e, sup_d / sup_e, arg_d, arg_e)

@@ -494,6 +494,15 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path) -> Report:
     # empirical ratio column is monotone
     perm = np.random.default_rng(cfg.seed).permutation(np.flatnonzero(grid.interior.ravel()))
 
+    # f is the same on every fraction and degree row, so those rows share one
+    # set of hypotheses, and its failure is every row's failure
+    shared: Hypotheses | ObscertError | None = None
+    if axis != "mode-scale":
+        try:
+            shared = build_hypotheses(cfg, base_f, domain, grid, kmax)
+        except ObscertError as exc:
+            shared = exc
+
     def run_row(value: float) -> dict[str, Any]:
         row: dict[str, Any] = {"axis": axis, "value": value}
         try:
@@ -504,7 +513,9 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path) -> Report:
                 mset = MeasurableSet.nested_random(grid, value, perm)
             else:
                 mset = build_set(cfg, grid, np.random.default_rng(cfg.seed))
-            hyp = build_hypotheses(cfg, f, domain, grid, kmax)
+            if isinstance(shared, ObscertError):
+                raise shared
+            hyp = shared if shared is not None else build_hypotheses(cfg, f, domain, grid, kmax)
             if axis == "degree":
                 if hyp.ucp is not None:
                     raise ConfigError("degree sweeps apply to the doubling branches only")

@@ -305,31 +305,64 @@ class Polynomial1D(FunctionModel):
 
 class SupResult(NamedTuple):
     value: float
-    argmax: np.ndarray
+    argmax: np.ndarray | None
+
+
+class GridField:
+    """|f| at the grid's cell centres, exterior cells at -1.
+
+    The one place that evaluates |f| on the grid and takes its sup over the
+    domain, a mask or a ball.  Ties resolve to the first cell in row-major
+    order.
+    """
+
+    def __init__(self, f: FunctionModel, grid: Grid):
+        self.grid = grid
+        values = np.abs(f.evaluate(grid.points))
+        values[~grid.interior] = -1.0
+        self.values = values
+
+    def sup_domain(self) -> SupResult:
+        return self.sup_mask(self.grid.interior)
+
+    def sup_mask(self, mask: np.ndarray) -> SupResult:
+        masked = np.where(mask, self.values, -1.0)
+        idx = np.unravel_index(int(np.argmax(masked)), masked.shape)
+        if masked[idx] < 0.0:
+            raise InfeasibleError("region contains no grid sample points")
+        return SupResult(float(masked[idx]), self.grid.points[idx])
+
+    def ball_maxima(self, center: Sequence[float], radii: Sequence[float]) -> list[float]:
+        """Max over the cells of each ball of the given radii about `center`;
+        -1 for a ball that holds no interior cell."""
+        return [float(self.values[bc.window].max(initial=-1.0, where=bc.inside))
+                for bc in self.grid.ball_cells(center, radii)]
+
+    def sup_ball(self, center: Sequence[float], radius: float) -> SupResult:
+        """The ball's maximum with the centre of the first cell attaining it."""
+        (bc,) = self.grid.ball_cells(center, [radius])
+        masked = np.where(bc.inside, self.values[bc.window], -1.0)
+        if masked.size == 0:
+            return SupResult(-1.0, None)
+        local = np.unravel_index(int(np.argmax(masked)), masked.shape)
+        idx = tuple(k[i] for k, i in zip(bc.indices, local))
+        return SupResult(float(masked[local]), self.grid.points[idx])
 
 
 def sup_norm(f: FunctionModel, region, grid: Grid) -> SupResult:
-    """max |f| over the region's grid sample points, with the argmax point.
-
-    Deterministic under a fixed grid: ties resolve to the first cell in
-    row-major order.
-    """
+    """max |f| over the region's grid sample points, with the argmax point."""
     if isinstance(region, Domain):
-        sel = grid.interior
-    elif isinstance(region, Ball):
-        sel = grid.ball_field(region)
-    elif isinstance(region, MeasurableSet):
+        return GridField(f, grid).sup_domain()
+    if isinstance(region, MeasurableSet):
         if region.grid is not grid and region.grid != grid:
             raise ConfigError("measurable set lives on a different grid")
-        sel = region.mask
-    else:
+        return GridField(f, grid).sup_mask(region.mask)
+    if not isinstance(region, Ball):
         raise ConfigError(f"unsupported region type {type(region).__name__}")
-    if not np.any(sel):
+    res = GridField(f, grid).sup_ball(region.center, region.radius)
+    if res.value < 0.0:
         raise InfeasibleError("region contains no grid sample points")
-    pts = grid.points[sel]
-    vals = np.abs(f.evaluate(pts))
-    i = int(np.argmax(vals))
-    return SupResult(float(vals[i]), pts[i])
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +381,9 @@ def derive_gevrey(f: FunctionModel, domain: Domain, grid: Grid) -> GevreyCertifi
         raise HypothesisError("the zero function carries no certificate")
     if isinstance(f, TrigSum):
         m = max(1.0, f.amplitude_sum / sup)
-        return GevreyCertificate(m, 1.0 / (TWO_PI * f.max_freq_norm), 1.0)
+        # all frequencies zero: f is constant and every derivative vanishes
+        delta = 1.0 / (TWO_PI * f.max_freq_norm) if f.max_freq_norm > 0 else 1.0
+        return GevreyCertificate(m, delta, 1.0)
     if isinstance(f, Gaussian):
         m = max(1.0, HERMITE_ENVELOPE * abs(f.amplitude) / sup)
         return GevreyCertificate(m, f.width, 1.0)
@@ -520,16 +555,17 @@ def estimate_doubling(
     if any(r <= 0 for r in radii):
         raise ConfigError("radii must be positive")
 
-    field_vals = np.abs(f.evaluate(grid.points))
-    field_vals[~grid.interior] = -1.0
+    grid_field = GridField(f, grid)
+    # on a dyadic ladder the outer ball at r is the inner ball at 2r: take
+    # each distinct sup once
+    distinct = sorted(set(radii) | {2.0 * r for r in radii})
 
     samples: list[DoublingSample] = []
     worst: DoublingSample | None = None
     for x in np.atleast_2d(centers):
-        dist = domain.distance(grid.points, x)
+        sups = dict(zip(distinct, grid_field.ball_maxima(x, distinct)))
         for r in radii:
-            inner = float(np.max(np.where(dist <= r, field_vals, -1.0)))
-            outer = float(np.max(np.where(dist <= 2.0 * r, field_vals, -1.0)))
+            inner, outer = sups[r], sups[2.0 * r]
             if inner < 0.0 or outer < 0.0:
                 continue  # ball too small for this grid
             if inner == 0.0:
@@ -565,22 +601,18 @@ def verify_ucp(
 ) -> UcpReport:
     """Check sup over the domain <= exp(a / r^b) * ball sup at all samples."""
     radii = list(radii) if radii is not None else default_radii(domain, cert.r0)
+    radii = [r for r in radii if r <= cert.r0 + 1e-12]
     if centers is None:
         centers = halton_points(domain, 64)
 
-    field_vals = np.abs(f.evaluate(grid.points))
-    field_vals[~grid.interior] = -1.0
-    log_sup = math.log(float(np.max(field_vals)))
+    grid_field = GridField(f, grid)
+    log_sup = math.log(grid_field.sup_domain().value)
 
     worst_margin = -math.inf
     min_a = 0.0
     n = 0
     for x in np.atleast_2d(centers):
-        dist = domain.distance(grid.points, x)
-        for r in radii:
-            if r > cert.r0 + 1e-12:
-                continue
-            inner = float(np.max(np.where(dist <= r, field_vals, -1.0)))
+        for r, inner in zip(radii, grid_field.ball_maxima(x, radii)):
             if inner < 0.0:
                 continue
             n += 1

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -219,10 +219,58 @@ class Grid:
             idx.append(i)
         return tuple(idx)
 
+    def ball_cells(self, center: Sequence[float], radii: Sequence[float]) -> list[BallCells]:
+        """The cells whose centre lies in each ball of the given radii about
+        `center`.
+
+        The distance is built from per-axis offsets, wrapped per axis on the
+        torus and summed in axis order as ``Domain.distance`` sums them, so
+        membership equals ``domain.distance(points, center) <= radius`` bit
+        for bit.  An offset never exceeds the distance, so the window of
+        cells near the centre on every axis holds the ball.  The offsets are
+        shared by all the radii.
+        """
+        offsets, roots = [], []
+        for c, axis, ext in zip(center, self.axis_centers, self.domain.extent):
+            d = np.abs(c - axis)
+            if self.domain.kind == "torus":
+                d = np.minimum(d, ext - d)
+            offsets.append(d * d)
+            roots.append(np.sqrt(offsets[-1]))
+        balls = []
+        for radius in radii:
+            indices = tuple((root <= radius).nonzero()[0] for root in roots)
+            if all(k.size and k[-1] - k[0] == k.size - 1 for k in indices):
+                window = tuple(slice(k[0], k[-1] + 1) for k in indices)
+            else:
+                window = np.ix_(*indices)
+            inside = True  # one axis, an empty window, or its far corner is in
+            if len(indices) == 2 and indices[0].size and indices[1].size:
+                ox, oy = offsets[0][indices[0]], offsets[1][indices[1]]
+                if math.sqrt(ox.max() + oy.max()) > radius:
+                    total = ox[:, None] + oy
+                    inside = np.sqrt(total, out=total) <= radius
+            balls.append(BallCells(indices, window, inside))
+        return balls
+
     def ball_field(self, ball: "Ball") -> np.ndarray:
         """Boolean field: interior cells whose centre lies in the ball."""
-        dist = self.domain.distance(self.points, np.asarray(ball.center))
-        return (dist <= ball.radius) & self.interior
+        (bc,) = self.ball_cells(ball.center, [ball.radius])
+        mask = np.zeros(self.cells, dtype=bool)
+        mask[bc.window] = bc.inside
+        return mask & self.interior
+
+
+class BallCells(NamedTuple):
+    """A ball's cells: the sorted per-axis indices of a window holding it,
+    the index selecting that window (basic slices, so a view, unless the
+    ball wraps on the torus), and the membership mask on the window, or
+    True when every window cell lies in the ball.  Sorted indices keep the
+    window in row-major order, so ties still resolve to the first cell."""
+
+    indices: tuple[np.ndarray, ...]
+    window: tuple
+    inside: np.ndarray | bool
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +534,8 @@ def cover_count_bound(domain: Domain, r: float) -> int:
 
 def intersection_cells(mset: MeasurableSet, ball: Ball) -> int:
     """Number of true cells whose centre lies in the ball."""
-    grid = mset.grid
-    dist = grid.domain.distance(grid.points, np.asarray(ball.center))
-    return int(np.count_nonzero(mset.mask & (dist <= ball.radius)))
+    (bc,) = mset.grid.ball_cells(ball.center, [ball.radius])
+    return int(np.count_nonzero(mset.mask[bc.window] & bc.inside))
 
 
 def densest_ball(mset: MeasurableSet, cover: Sequence[Ball]) -> tuple[Ball, float]:
@@ -502,16 +549,12 @@ def densest_ball(mset: MeasurableSet, cover: Sequence[Ball]) -> tuple[Ball, floa
         raise InfeasibleError("densest_ball requires a set of positive measure")
     if not cover:
         raise ConfigError("empty cover")
-    grid = mset.grid
-    hd = grid.h ** grid.dimension
     best_idx, best_count = -1, -1
-    true_points = grid.points[mset.mask]
     for i, ball in enumerate(cover):
-        dist = grid.domain.distance(true_points, np.asarray(ball.center))
-        count = int(np.count_nonzero(dist <= ball.radius))
+        count = intersection_cells(mset, ball)
         if count > best_count:
             best_idx, best_count = i, count
-    return cover[best_idx], best_count * hd
+    return cover[best_idx], best_count * mset.grid.h ** mset.grid.dimension
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +659,7 @@ def restrict_to_segment(mset: MeasurableSet, seg: Segment) -> IntervalSet:
     if t_max <= 0.0:
         return IntervalSet(())
 
-    cuts = [0.0, t_max]
+    cuts = [np.array([0.0, t_max])]
     for axis in range(grid.dimension):
         m = mu[axis]
         if abs(m) < 1e-15:
@@ -629,24 +672,16 @@ def restrict_to_segment(mset: MeasurableSet, seg: Segment) -> IntervalSet:
         if k1 >= k0:
             ks = np.arange(k0, k1 + 1)
             ts = (ks * h - x0) / m
-            cuts.extend(float(t) for t in ts if 0.0 < t < t_max)
-    ts = np.unique(np.asarray(cuts, dtype=float))
+            cuts.append(ts[(ts > 0.0) & (ts < t_max)])
+    ts = np.unique(np.concatenate(cuts))
     mids = (ts[:-1] + ts[1:]) / 2.0
     pts = w[None, :] + mids[:, None] * mu[None, :]
     idx = grid.point_to_cell(pts)
     included = mset.mask[idx]
 
-    runs: list[tuple[float, float]] = []
-    start = None
-    for i, ok in enumerate(included):
-        if ok and start is None:
-            start = ts[i]
-        elif not ok and start is not None:
-            runs.append((start, ts[i]))
-            start = None
-    if start is not None:
-        runs.append((start, ts[-1]))
-    return IntervalSet.from_runs(runs)
+    # a run starts where `included` turns true and ends where it turns false
+    edges = np.diff(np.concatenate(([False], included, [False])).astype(np.int8))
+    return IntervalSet.from_runs(zip(ts[edges == 1], ts[edges == -1]))
 
 
 def ray_directions(dimension: int, n_directions: int = N_DIRECTIONS_2D) -> np.ndarray:

@@ -12,9 +12,11 @@ from obscert.cli import (
     build_domain,
     build_function,
     build_grid,
+    build_hypotheses,
     build_set,
     main,
 )
+from obscert.errors import HypothesisError
 from obscert.functions import Gaussian, Product, TrigSum
 from obscert.geometry import MeasurableSet, write_mask_raster, Grid, Domain
 
@@ -315,6 +317,34 @@ gevrey = 1.0, 0.159154943091895, 1.0
     assert main(["verify", str(cfg_bad), "--output-dir", str(tmp_path / "b")]) == EXIT_HYPOTHESIS
 
 
+def test_verify_zero_frequency_trig_sum(tmp_path, capsys):
+    # every mode has frequency 0, so f is the constant sin(0.5): all its
+    # derivatives vanish and any delta certifies it
+    text = """
+[run]
+seed = 1
+[domain]
+kind = box
+extent = 1.0
+[grid]
+cells = 256
+[function]
+kind = trig
+modes = 0:1.0:0.5
+[hypotheses]
+gevrey = auto
+doubling = estimate
+"""
+    cfg_path = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["verify", str(cfg_path), "--output-dir", str(out)]) == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+    gevrey = json.loads((out / "report.json").read_text())["hypotheses"]["gevrey"]
+    assert gevrey["verified"] is True
+    assert gevrey["delta"] == 1.0
+    assert gevrey["max_ratio"] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # sweep command
 # ---------------------------------------------------------------------------
@@ -381,6 +411,67 @@ def test_sweep_degree_axis(tmp_path):
     report = json.loads((out / "sweep.json").read_text())
     ns = [row["n"] for row in report["rows"]]
     assert ns == [4, 6, 8, 10]
+
+
+SMALL_SWEEP = SWEEP_CONFIG.replace("cells = 512", "cells = 128")
+AXES = {
+    "fraction": "values = 0.5, 0.25, 0.125, 0.0625",
+    "degree": "values = 4, 6, 8, 10",
+    "mode-scale": "values = 1, 2, 3",
+}
+
+
+def _sweep_config(tmp_path, axis, name, workers=1, extra=()):
+    text = (SMALL_SWEEP.replace("axis = fraction", f"axis = {axis}")
+            .replace("values = 0.5, 0.25, 0.125, 0.0625", AXES[axis])
+            .replace("seed = 17", f"seed = 17\nworkers = {workers}"))
+    for old, new in extra:
+        text = text.replace(old, new)
+    return write_config(tmp_path, text, name=name)
+
+
+@pytest.mark.parametrize("axis, calls", [("fraction", 1), ("degree", 1), ("mode-scale", 3)])
+def test_sweep_shares_hypotheses_across_rows_of_one_function(tmp_path, monkeypatch, axis, calls):
+    import obscert.cli as cli
+
+    counted = []
+    build = cli.build_hypotheses
+
+    def counting(*args, **kwargs):
+        counted.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_hypotheses", counting)
+    outs = []
+    for workers in (1, 2):
+        counted.clear()
+        run_dir = tmp_path / f"workers-{workers}"
+        run_dir.mkdir()
+        cfg = _sweep_config(run_dir, axis, "sweep.cfg", workers)
+        out = run_dir / "out"
+        assert main(["sweep", str(cfg), "--output-dir", str(out)]) == EXIT_OK
+        assert len(counted) == calls
+        outs.append(out)
+    for name in ("sweep.json", "sweep.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_sweep_shared_hypothesis_failure_is_every_rows_error(tmp_path):
+    # a delta far too large fails verification; the 0.0 fraction row fails
+    # earlier, on its set, as it does when each row builds its own hypotheses
+    cfg_path = _sweep_config(tmp_path, "fraction", "bad.cfg", workers=2, extra=[
+        ("gevrey = auto", "gevrey = 1.0, 1.0, 1.0"),
+        ("values = 0.5, 0.25, 0.125, 0.0625", "values = 0.5, 0.0, 0.25"),
+    ])
+    cfg = RunConfig.load(cfg_path)
+    domain = build_domain(cfg)
+    with pytest.raises(HypothesisError) as exc:
+        build_hypotheses(cfg, build_function(cfg, domain), domain, build_grid(cfg, domain), 12)
+    out = tmp_path / "out"
+    assert main(["sweep", str(cfg_path), "--output-dir", str(out)]) == EXIT_INFEASIBLE
+    statuses = [row["status"] for row in json.loads((out / "sweep.json").read_text())["rows"]]
+    assert statuses[0] == statuses[2] == f"error: {exc.value}"
+    assert statuses[1] == "error: fraction must lie in (0, 1]"
 
 
 def test_sweep_empty_axis_is_config_error(tmp_path):

@@ -392,6 +392,60 @@ def test_trace_total_reversal_invariance():
         assert tf == pytest.approx(tb, abs=grid.h)
 
 
+def _restrict_reference(mset, seg):
+    """The loop form of `restrict_to_segment`: a Python filter over the cut
+    parameters and a Python scan over the included pieces."""
+    grid = mset.grid
+    h = grid.h
+    w = np.asarray(seg.origin, dtype=float)
+    mu = np.asarray(seg.direction, dtype=float)
+    t_max = seg.t_max
+    if t_max <= 0.0:
+        return IntervalSet(())
+    cuts = [0.0, t_max]
+    for axis in range(grid.dimension):
+        m = mu[axis]
+        if abs(m) < 1e-15:
+            continue
+        x0 = w[axis]
+        x1 = w[axis] + t_max * m
+        lo, hi = (x0, x1) if x0 <= x1 else (x1, x0)
+        k0 = math.floor(lo / h) + 1
+        k1 = math.ceil(hi / h) - 1
+        if k1 >= k0:
+            ts = (np.arange(k0, k1 + 1) * h - x0) / m
+            cuts.extend(float(t) for t in ts if 0.0 < t < t_max)
+    ts = np.unique(np.asarray(cuts, dtype=float))
+    mids = (ts[:-1] + ts[1:]) / 2.0
+    included = mset.mask[grid.point_to_cell(w[None, :] + mids[:, None] * mu[None, :])]
+    runs = []
+    start = None
+    for i, ok in enumerate(included):
+        if ok and start is None:
+            start = ts[i]
+        elif not ok and start is not None:
+            runs.append((start, ts[i]))
+            start = None
+    if start is not None:
+        runs.append((start, ts[-1]))
+    return IntervalSet.from_runs(runs)
+
+
+@pytest.mark.parametrize("domain", [Domain.box([1.0, 1.0]), Domain.torus([1.0, 1.0]),
+                                    Domain.disk(0.5)], ids=lambda d: d.kind)
+def test_restrict_matches_loop_reference(domain):
+    rng = np.random.default_rng(23)
+    grid = Grid(domain, (128, 128))
+    directions = [(1.0, 0.0), (0.0, -1.0)]
+    for _ in range(60):
+        e = MeasurableSet.random(grid, float(rng.uniform(0.05, 0.9)), rng)
+        w = rng.uniform(0.05, 0.95, size=2)
+        ang = float(rng.uniform(0.0, 2 * math.pi))
+        mu = directions.pop() if directions else (math.cos(ang), math.sin(ang))
+        seg = Segment(tuple(w), mu, float(rng.uniform(0.0, 1.4)))
+        assert restrict_to_segment(e, seg).intervals == _restrict_reference(e, seg).intervals
+
+
 def test_interval_set_invariants():
     with pytest.raises(ConfigError):
         IntervalSet(((0.5, 0.2),))

@@ -1,0 +1,199 @@
+"""Equivalence of the grid-field layer with brute-force full-grid references.
+
+Every reference below measures distance with `Domain.distance` over all of
+`grid.points`, the way ball membership was decided before ball windows, and
+must agree with the windowed code cell for cell.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from obscert.errors import HypothesisError
+from obscert.functions import (
+    Gaussian,
+    GridField,
+    TrigSum,
+    UcpCertificate,
+    default_radii,
+    estimate_doubling,
+    halton_points,
+    verify_ucp,
+)
+from obscert.geometry import Ball, Domain, Grid, MeasurableSet, cover_domain, densest_ball
+
+GRIDS = {
+    "box": Grid(Domain.box([1.0, 1.0]), (96, 96)),
+    "torus": Grid(Domain.torus([1.0, 1.0]), (96, 96)),
+    "disk": Grid(Domain.disk(0.5), (96, 96)),
+    "wide-box": Grid(Domain.box([2.0, 1.0]), (128, 64)),
+    "box-1d": Grid(Domain.box([1.0]), (256,)),
+    "torus-1d": Grid(Domain.torus([1.0]), (256,)),
+}
+RADII = (0.013, 0.05, 0.11, 0.25, 0.6, 1.5)
+
+
+def _model(dim):
+    if dim == 1:
+        return TrigSum.of([([1], 1.0, 0.3), ([4], 0.4, 1.1)], 1)
+    return TrigSum.of([([1, 2], 1.0, 0.3), ([3, -1], 0.5, 0.9)], 2)
+
+
+def _centers(grid):
+    """Low-discrepancy centres plus centres within a small radius of every
+    torus seam (and of the box edges elsewhere)."""
+    domain = grid.domain
+    pts = list(halton_points(domain, 24))
+    if domain.kind != "disk":
+        ext = np.asarray(domain.extent)
+        for frac in ([0.004] * domain.dimension, [0.996] * domain.dimension,
+                     [0.003, 0.5][: domain.dimension], [0.5, 0.998][-domain.dimension:]):
+            pts.append(np.asarray(frac) * ext)
+    return pts
+
+
+def _reference_values(f, grid):
+    vals = np.abs(f.evaluate(grid.points))
+    vals[~grid.interior] = -1.0
+    return vals
+
+
+def _reference_sup_ball(vals, grid, center, radius):
+    dist = grid.domain.distance(grid.points, np.asarray(center))
+    masked = np.where(dist <= radius, vals, -1.0)
+    idx = np.unravel_index(int(np.argmax(masked)), masked.shape)
+    return float(masked[idx]), grid.points[idx]
+
+
+def _radii(grid, c):
+    """The fixed radii plus radii equal to the distance of some cell centre,
+    which put cells exactly on the sphere."""
+    dist = np.sort(grid.domain.distance(grid.points, np.asarray(c)).ravel())
+    return RADII + tuple(float(dist[k]) for k in (1, 40, dist.size // 3))
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_ball_field_and_sup_ball_match_full_grid_distance(name):
+    grid = GRIDS[name]
+    gf = GridField(_model(grid.dimension), grid)
+    vals = _reference_values(_model(grid.dimension), grid)
+    assert np.array_equal(gf.values, vals)
+    for c in _centers(grid):
+        radii = _radii(grid, c)
+        assert gf.ball_maxima(c, radii) == [
+            _reference_sup_ball(vals, grid, c, r)[0] for r in radii]
+        for r in radii:
+            dist = grid.domain.distance(grid.points, np.asarray(c))
+            expected = (dist <= r) & grid.interior
+            assert np.array_equal(grid.ball_field(Ball.at(c, r)), expected)
+            value, point = gf.sup_ball(c, r)
+            ref_value, ref_point = _reference_sup_ball(vals, grid, c, r)
+            assert value == ref_value
+            if ref_value >= 0.0:
+                assert np.array_equal(point, ref_point)
+
+
+@pytest.mark.parametrize("name", ["box", "torus", "box-1d", "torus-1d"])
+def test_sup_ball_ties_resolve_to_first_cell_in_row_major_order(name):
+    grid = GRIDS[name]
+    # a zero-frequency sum is constant: every cell of a ball ties
+    f = TrigSum.of([([0] * grid.dimension, 1.0, 0.5)], grid.dimension)
+    gf = GridField(f, grid)
+    for c in _centers(grid):
+        for r in _radii(grid, c):
+            dist = grid.domain.distance(grid.points, np.asarray(c))
+            first = np.unravel_index(int(np.argmax(dist <= r)), grid.cells)
+            value, point = gf.sup_ball(c, r)
+            assert value == abs(math.sin(0.5))
+            assert np.array_equal(point, grid.points[first])
+
+
+def test_sup_ball_of_an_empty_ball_is_negative():
+    grid = GRIDS["disk"]
+    gf = GridField(_model(2), grid)
+    assert gf.sup_ball((0.001, 0.001), 0.01).value == -1.0   # exterior corner
+    assert gf.sup_ball((0.5, 0.5), 1e-6).value == -1.0      # between cell centres
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_densest_ball_matches_brute_force_counts(name):
+    grid = GRIDS[name]
+    rng = np.random.default_rng(5)
+    for r in (0.07, 0.2, 0.45):
+        e = MeasurableSet.random(grid, float(rng.uniform(0.05, 0.5)), rng)
+        cover = cover_domain(grid.domain, r)
+        counts = [
+            int(np.count_nonzero(
+                e.mask & (grid.domain.distance(grid.points, np.asarray(b.center)) <= b.radius)))
+            for b in cover
+        ]
+        best = int(np.argmax(counts))
+        ball, inter = densest_ball(e, cover)
+        assert ball == cover[best]
+        assert inter == counts[best] * grid.h ** grid.dimension
+
+
+def _reference_doubling_samples(f, grid, radii, centers):
+    """The full-grid loop the doubling estimate replaced."""
+    vals = _reference_values(f, grid)
+    samples = []
+    for x in centers:
+        dist = grid.domain.distance(grid.points, x)
+        for r in radii:
+            inner = float(np.max(np.where(dist <= r, vals, -1.0)))
+            outer = float(np.max(np.where(dist <= 2.0 * r, vals, -1.0)))
+            if inner < 0.0 or outer < 0.0:
+                continue
+            if inner == 0.0:
+                raise HypothesisError("vanishes")
+            samples.append((tuple(x), float(r), outer / inner))
+    return samples
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_estimate_doubling_samples_equal_brute_force(name):
+    grid = GRIDS[name]
+    domain = grid.domain
+    f = _model(grid.dimension)
+    # a ladder radius below the cell size exercises the empty-ball skip
+    for radii in (default_radii(domain), [0.004, 0.03, 0.09]):
+        centers = np.stack(_centers(grid))
+        _, rep = estimate_doubling(f, domain, grid, radii=radii, centers=centers)
+        got = [(tuple(s.center), s.radius, s.ratio) for s in rep.samples]
+        assert got == _reference_doubling_samples(f, grid, radii, centers)
+
+
+def test_estimate_doubling_gaussian_2d_equals_brute_force():
+    grid = GRIDS["disk"]
+    f = Gaussian((0.4, 0.55), 0.2, 1.3)
+    centers = halton_points(grid.domain, 64)
+    radii = default_radii(grid.domain)
+    _, rep = estimate_doubling(f, grid.domain, grid, centers=centers)
+    got = [(tuple(s.center), s.radius, s.ratio) for s in rep.samples]
+    assert got == _reference_doubling_samples(f, grid, radii, centers)
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_verify_ucp_equals_brute_force(name):
+    grid = GRIDS[name]
+    domain = grid.domain
+    f = _model(grid.dimension)
+    cert = UcpCertificate(0.5, 1.0, 0.3)
+    # radii above r0 are skipped
+    radii = default_radii(domain, cert.r0) + [0.45]
+    centers = halton_points(domain, 64)
+    vals = _reference_values(f, grid)
+    log_sup = math.log(float(np.max(vals)))
+    min_a, n = 0.0, 0
+    for x in centers:
+        dist = domain.distance(grid.points, x)
+        for r in radii:
+            inner = float(np.max(np.where(dist <= r, vals, -1.0)))
+            if inner < 0.0 or r > cert.r0:
+                continue
+            n += 1
+            min_a = max(min_a, r ** cert.b * (log_sup - math.log(inner)))
+    rep = verify_ucp(f, cert, domain, grid, radii=radii)
+    assert rep.n_samples == n
+    assert rep.min_sufficient_a == min_a
