@@ -1066,9 +1066,11 @@ def certify_auto(
     branch: str = "auto",
     search: int = 16,
     n_directions: int = 64,
+    n_override: int | None = None,
 ) -> ObservabilityCertificate:
     """Dispatch on the certificate kinds: an explicit unique-continuation
-    certificate selects that branch, otherwise sigma decides."""
+    certificate selects that branch, otherwise sigma decides.  `n_override`
+    pins the starting degree of the doubling branches."""
     if branch == "auto":
         if uc is not None:
             branch = BRANCH_UCP
@@ -1083,7 +1085,7 @@ def certify_auto(
     if dc is None:
         raise ConfigError("doubling branches require a doubling certificate")
     if branch == BRANCH_SIGMA1:
-        return certify_sigma1(f, mset, dc, gc, domain, grid, search, n_directions)
+        return certify_sigma1(f, mset, dc, gc, domain, grid, search, n_directions, n_override)
     if branch == BRANCH_SIGMA_GT1:
-        return certify_sigma_gt1(f, mset, dc, gc, domain, grid, search, n_directions)
+        return certify_sigma_gt1(f, mset, dc, gc, domain, grid, search, n_directions, n_override)
     raise ConfigError(f"unknown branch {branch!r}")

@@ -355,19 +355,24 @@ def _finite(x: float) -> float | None:
     return x if math.isfinite(x) else None
 
 
-def _describe(cfg: RunConfig, domain: Domain, grid: Grid, mset: MeasurableSet) -> dict[str, Any]:
-    return {
+def _describe(
+    cfg: RunConfig, domain: Domain, grid: Grid, mset: MeasurableSet | None = None
+) -> dict[str, Any]:
+    """The run's header; the set block only when one set serves the run."""
+    out: dict[str, Any] = {
         "label": cfg.label,
         "seed": cfg.seed,
         "generator": GENERATOR_NAME,
         "domain": {"kind": domain.kind, "extent": list(domain.extent)},
         "grid": {"cells": list(grid.cells), "h": grid.h},
-        "set": {
+    }
+    if mset is not None:
+        out["set"] = {
             "cells": mset.cell_count,
             "measure": mset.measure,
             "fraction": mset.fraction,
-        },
-    }
+        }
+    return out
 
 
 def _certificate_summary(cert: ObservabilityCertificate) -> dict[str, Any]:
@@ -516,16 +521,19 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path) -> Report:
             if isinstance(shared, ObscertError):
                 raise shared
             hyp = shared if shared is not None else build_hypotheses(cfg, f, domain, grid, kmax)
+            pinned = None
             if axis == "degree":
                 if hyp.ucp is not None:
                     raise ConfigError("degree sweeps apply to the doubling branches only")
-                cert = _degree_pinned(f, mset, hyp, domain, grid, branch, directions, int(value))
-            else:
-                cert = certify_auto(
-                    f, mset, hyp.gevrey, domain, grid,
-                    dc=hyp.doubling, uc=hyp.ucp, branch=branch,
-                    search=search, n_directions=directions,
-                )
+                if hyp.doubling is None:
+                    raise ConfigError("degree sweeps need a doubling certificate")
+                pinned = int(value)
+            cert = certify_auto(
+                f, mset, hyp.gevrey, domain, grid,
+                dc=hyp.doubling, uc=hyp.ucp, branch=branch,
+                search=search if pinned is None else 0, n_directions=directions,
+                n_override=pinned,
+            )
             ratio = empirical_ratio(f, mset, domain, grid)
             sound = soundness_check(cert, ratio)
             row.update(
@@ -552,35 +560,13 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path) -> Report:
     else:
         rows = [run_row(v) for v in values]
 
-    payload = _describe_sweep(cfg, domain, grid)
+    payload = _describe(cfg, domain, grid)
     payload.update({"command": "sweep", "rows": rows})
     report = Report(payload, runtime_seconds=time.monotonic() - t0, rows=rows)
     report.write(out_dir / cfg.get("output", "sweep_report", fallback="sweep.json"))
     csv_path = out_dir / cfg.get("output", "csv", fallback="sweep.csv")
     _write_sweep_csv(csv_path, rows)
     return report
-
-
-def _degree_pinned(f, mset, hyp, domain, grid, branch, directions, n):
-    from .certify import certify_sigma1, certify_sigma_gt1
-
-    if branch == "auto":
-        branch = "sigma1" if hyp.gevrey.sigma <= 1.0 else "sigma-gt1"
-    if hyp.doubling is None:
-        raise ConfigError("degree sweeps need a doubling certificate")
-    fn = certify_sigma1 if branch == "sigma1" else certify_sigma_gt1
-    return fn(f, mset, hyp.doubling, hyp.gevrey, domain, grid,
-              search=0, n_directions=directions, n_override=n)
-
-
-def _describe_sweep(cfg, domain, grid) -> dict[str, Any]:
-    return {
-        "label": cfg.label,
-        "seed": cfg.seed,
-        "generator": GENERATOR_NAME,
-        "domain": {"kind": domain.kind, "extent": list(domain.extent)},
-        "grid": {"cells": list(grid.cells), "h": grid.h},
-    }
 
 
 CSV_COLUMNS = ["axis", "value", "C_log10", "C", "ratio", "slack_log10", "n", "r", "branch", "status"]

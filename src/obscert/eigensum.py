@@ -25,8 +25,8 @@ from .functions import (
     GevreyCertificate,
     TrigMode,
     TrigSum,
+    derive_gevrey,
     estimate_doubling,
-    sup_norm,
 )
 from .geometry import Domain, Grid, MeasurableSet
 
@@ -283,13 +283,10 @@ def doubling_growth_study(
 # ---------------------------------------------------------------------------
 
 def derive_eigensum_gevrey(es: EigenSum, domain: Domain, grid: Grid) -> GevreyCertificate:
-    """sigma = 1 certificate from mode data: delta = 1/(2 pi max|k|) and
-    M = amplitude mass over the grid sup."""
-    sup = sup_norm(es.model, domain, grid).value
-    if sup == 0.0:
-        raise HypothesisError("the zero function carries no certificate")
-    m_const = max(1.0, es.model.amplitude_sum / sup)
-    return GevreyCertificate(m_const, 1.0 / (TWO_PI * es.max_freq_norm), 1.0)
+    """sigma = 1 certificate from mode data: delta = 1/(2 pi max|k|) (1 when
+    every frequency is 0) and M = amplitude mass over the grid sup, the
+    certificate `derive_gevrey` gives the sum's trigonometric model."""
+    return derive_gevrey(es.model, domain, grid)
 
 
 def shape_constant(log_c: float, gamma: float, set_measure: float) -> float:

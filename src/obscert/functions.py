@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, HypothesisError, InfeasibleError
-from .geometry import Ball, Domain, Grid, MeasurableSet
+from .geometry import BLOCK, Ball, Domain, Grid, MeasurableSet
 from .logspace import log_factorial
 
 TWO_PI = 2.0 * math.pi
@@ -48,15 +49,6 @@ class GevreyCertificate:
             raise ConfigError("certificate requires delta > 0")
         if self.sigma < 1.0:
             raise ConfigError("certificate requires sigma >= 1")
-
-    def log_derivative_bound(self, k: int, log_sup: float) -> float:
-        """ln of the claimed bound on sup|f^(k)|."""
-        return (
-            math.log(self.M)
-            + self.sigma * log_factorial(k)
-            - k * math.log(self.delta)
-            + log_sup
-        )
 
 
 @dataclass(frozen=True)
@@ -332,11 +324,39 @@ class GridField:
             raise InfeasibleError("region contains no grid sample points")
         return SupResult(float(masked[idx]), self.grid.points[idx])
 
+    @cached_property
+    def block_max(self) -> np.ndarray:
+        """The field's maximum over each block of a 2D grid."""
+        return self.grid.block_reduce(np.maximum, self.values)
+
     def ball_maxima(self, center: Sequence[float], radii: Sequence[float]) -> list[float]:
         """Max over the cells of each ball of the given radii about `center`;
-        -1 for a ball that holds no interior cell."""
-        return [float(self.values[bc.window].max(initial=-1.0, where=bc.inside))
-                for bc in self.grid.ball_cells(center, radii)]
+        -1 for a ball that holds no interior cell.
+
+        A 1D ball is one window.  In 2D the maximum starts from the inside
+        blocks' maxima; boundary blocks are then visited in descending order
+        of their maxima, testing their cells, until a block's maximum cannot
+        beat the best value so far.
+        """
+        if self.grid.dimension == 1:
+            return [float(self.values[bc.window].max(initial=-1.0, where=bc.inside))
+                    for bc in self.grid.ball_cells(center, radii)]
+        rows, cols = self.grid.block_starts
+        maxima = []
+        for bb in self.grid.ball_blocks(center, radii):
+            ox, oy = bb.offsets
+            best = float(self.block_max.max(initial=-1.0, where=bb.inside))
+            bi, bj = bb.boundary.nonzero()
+            peaks = self.block_max[bi, bj]
+            for k in np.argsort(peaks)[::-1]:
+                if peaks[k] <= best:
+                    break
+                r = slice(rows[bi[k]], rows[bi[k]] + BLOCK)
+                c = slice(cols[bj[k]], cols[bj[k]] + BLOCK)
+                in_ball = np.sqrt(ox[r, None] + oy[c]) <= bb.radius
+                best = max(best, float(self.values[r, c].max(initial=-1.0, where=in_ball)))
+            maxima.append(best)
+        return maxima
 
     def sup_ball(self, center: Sequence[float], radius: float) -> SupResult:
         """The ball's maximum with the centre of the first cell attaining it."""

@@ -9,7 +9,6 @@ deterministic.
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 import numpy as np
 
@@ -28,32 +27,6 @@ def log_factorial(n: int) -> float:
 def log_add(a: float, b: float) -> float:
     """ln(e^a + e^b), safe for -inf arguments."""
     return float(np.logaddexp(a, b))
-
-
-def log_sum(values: Iterable[float]) -> float:
-    """ln(sum of e^v) over an iterable of log-values."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        return NEG_INF
-    m = float(np.max(arr))
-    if m == NEG_INF:
-        return NEG_INF
-    return m + math.log(float(np.sum(np.exp(arr - m))))
-
-
-def log_pow(log_x: float, p: float) -> float:
-    """ln(x^p) given ln(x)."""
-    return p * log_x
-
-
-def from_log(log_x: float) -> float:
-    """e^log_x, returning inf on overflow instead of raising."""
-    if log_x == NEG_INF:
-        return 0.0
-    try:
-        return math.exp(log_x)
-    except OverflowError:
-        return float("inf")
 
 
 def to_log(x: float) -> float:

@@ -474,6 +474,21 @@ def test_sweep_shared_hypothesis_failure_is_every_rows_error(tmp_path):
     assert statuses[1] == "error: fraction must lie in (0, 1]"
 
 
+@pytest.mark.parametrize("hypotheses, status", [
+    ("gevrey = auto\n", "error: degree sweeps need a doubling certificate"),
+    ("gevrey = auto\nucp = 5.0, 1.0, 0.2\n",
+     "error: degree sweeps apply to the doubling branches only"),
+])
+def test_sweep_degree_rows_without_a_doubling_branch_fail(tmp_path, hypotheses, status):
+    cfg_path = _sweep_config(tmp_path, "degree", "sweep.cfg", extra=[
+        ("gevrey = auto\ndoubling = estimate\n", hypotheses)])
+    out = tmp_path / "out"
+    assert main(["sweep", str(cfg_path), "--output-dir", str(out)]) == EXIT_INFEASIBLE
+    report = json.loads((out / "sweep.json").read_text())
+    assert "set" not in report
+    assert [row["status"] for row in report["rows"]] == [status] * 4
+
+
 def test_sweep_empty_axis_is_config_error(tmp_path):
     text = SWEEP_CONFIG.replace("values = 0.5, 0.25, 0.125, 0.0625", "values =")
     cfg_path = write_config(tmp_path, text)

@@ -265,6 +265,14 @@ def test_derived_gevrey_for_eigensum():
     assert gc.M >= 1.0
 
 
+def test_derived_gevrey_for_constant_eigensum():
+    # every frequency 0: every derivative vanishes, so delta = 1 as for a TrigSum
+    es = build_eigensum([([0], 1.0, 0.5)], 1, allow_constant=True)
+    gc = derive_eigensum_gevrey(es, TORUS_1D, torus_grid(256))
+    assert (gc.delta, gc.sigma) == (1.0, 1.0)
+    assert gc.M == pytest.approx(1.0 / math.sin(0.5), rel=1e-12)
+
+
 def test_shape_constant_monotone():
     assert shape_constant(0.5, 10.0, 0.5) >= 1.0
     small = shape_constant(5.0, 10.0, 0.25)

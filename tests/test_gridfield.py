@@ -1,8 +1,9 @@
 """Equivalence of the grid-field layer with brute-force full-grid references.
 
 Every reference below measures distance with `Domain.distance` over all of
-`grid.points`, the way ball membership was decided before ball windows, and
-must agree with the windowed code cell for cell.
+`grid.points`, the way ball membership was decided before ball windows and
+block summaries, and must agree with the windowed and blocked code cell for
+cell.
 """
 
 import math
@@ -10,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from obscert.errors import HypothesisError
+from obscert.errors import HypothesisError, InfeasibleError
 from obscert.functions import (
     Gaussian,
     GridField,
@@ -21,13 +22,25 @@ from obscert.functions import (
     halton_points,
     verify_ucp,
 )
-from obscert.geometry import Ball, Domain, Grid, MeasurableSet, cover_domain, densest_ball
+from obscert.geometry import (
+    BLOCK,
+    Ball,
+    Domain,
+    Grid,
+    MeasurableSet,
+    _block_counts,
+    cover_domain,
+    densest_ball,
+)
 
 GRIDS = {
     "box": Grid(Domain.box([1.0, 1.0]), (96, 96)),
     "torus": Grid(Domain.torus([1.0, 1.0]), (96, 96)),
     "disk": Grid(Domain.disk(0.5), (96, 96)),
     "wide-box": Grid(Domain.box([2.0, 1.0]), (128, 64)),
+    # cell counts that are not multiples of the block side: short last blocks
+    "ragged-box": Grid(Domain.box([2.0, 1.0]), (200, 100)),
+    "ragged-torus": Grid(Domain.torus([1.0, 1.0]), (90, 90)),
     "box-1d": Grid(Domain.box([1.0]), (256,)),
     "torus-1d": Grid(Domain.torus([1.0]), (256,)),
 }
@@ -66,11 +79,27 @@ def _reference_sup_ball(vals, grid, center, radius):
     return float(masked[idx]), grid.points[idx]
 
 
+def _block_slices(grid):
+    """The cells of every block of a 2D grid, as (block index, row slice,
+    column slice)."""
+    rows, cols = grid.block_starts
+    return [((i, j), slice(r, r + BLOCK), slice(c, c + BLOCK))
+            for i, r in enumerate(rows) for j, c in enumerate(cols)]
+
+
 def _radii(grid, c):
     """The fixed radii plus radii equal to the distance of some cell centre,
-    which put cells exactly on the sphere."""
-    dist = np.sort(grid.domain.distance(grid.points, np.asarray(c)).ravel())
-    return RADII + tuple(float(dist[k]) for k in (1, 40, dist.size // 3))
+    which put cells exactly on the sphere.  In 2D these include the nearest
+    and farthest cell distance of a few blocks, which put a block's first or
+    last cell on the sphere."""
+    dist = grid.domain.distance(grid.points, np.asarray(c))
+    ordered = np.sort(dist.ravel())
+    radii = RADII + tuple(float(ordered[k]) for k in (1, 40, ordered.size // 3))
+    if grid.dimension == 2:
+        blocks = _block_slices(grid)
+        picks = [blocks[k] for k in (0, len(blocks) // 3, len(blocks) // 2, -1)]
+        radii += tuple(float(f(dist[r, s])) for _, r, s in picks for f in (np.min, np.max))
+    return radii
 
 
 @pytest.mark.parametrize("name", sorted(GRIDS))
@@ -114,24 +143,34 @@ def test_sup_ball_of_an_empty_ball_is_negative():
     gf = GridField(_model(2), grid)
     assert gf.sup_ball((0.001, 0.001), 0.01).value == -1.0   # exterior corner
     assert gf.sup_ball((0.5, 0.5), 1e-6).value == -1.0      # between cell centres
+    assert gf.ball_maxima((0.001, 0.001), [0.01, 0.05]) == [-1.0, -1.0]
+    assert gf.ball_maxima((0.5, 0.5), [1e-6]) == [-1.0]
+    assert gf.ball_maxima((0.999, 0.02), [0.03]) == [-1.0]
+
+
+def _reference_counts(mset, balls):
+    grid = mset.grid
+    return [int(np.count_nonzero(
+        mset.mask & (grid.domain.distance(grid.points, np.asarray(b.center)) <= b.radius)))
+        for b in balls]
 
 
 @pytest.mark.parametrize("name", sorted(GRIDS))
 def test_densest_ball_matches_brute_force_counts(name):
     grid = GRIDS[name]
     rng = np.random.default_rng(5)
+    with pytest.raises(InfeasibleError):
+        densest_ball(MeasurableSet.empty(grid), cover_domain(grid.domain, 0.2))
     for r in (0.07, 0.2, 0.45):
-        e = MeasurableSet.random(grid, float(rng.uniform(0.05, 0.5)), rng)
-        cover = cover_domain(grid.domain, r)
-        counts = [
-            int(np.count_nonzero(
-                e.mask & (grid.domain.distance(grid.points, np.asarray(b.center)) <= b.radius)))
-            for b in cover
-        ]
-        best = int(np.argmax(counts))
-        ball, inter = densest_ball(e, cover)
-        assert ball == cover[best]
-        assert inter == counts[best] * grid.h ** grid.dimension
+        # on the full mask many balls tie: the first of them wins
+        for e in (MeasurableSet.random(grid, float(rng.uniform(0.05, 0.5)), rng),
+                  MeasurableSet.full(grid)):
+            cover = cover_domain(grid.domain, r)
+            counts = _reference_counts(e, cover)
+            best = int(np.argmax(counts))
+            ball, inter = densest_ball(e, cover)
+            assert ball == cover[best]
+            assert inter == counts[best] * grid.h ** grid.dimension
 
 
 def _reference_doubling_samples(f, grid, radii, centers):
@@ -197,3 +236,83 @@ def test_verify_ucp_equals_brute_force(name):
     rep = verify_ucp(f, cert, domain, grid, radii=radii)
     assert rep.n_samples == n
     assert rep.min_sufficient_a == min_a
+
+
+# ---------------------------------------------------------------------------
+# Block summaries of 2D grids
+# ---------------------------------------------------------------------------
+
+GRIDS_2D = sorted(name for name, grid in GRIDS.items() if grid.dimension == 2)
+
+
+@pytest.mark.parametrize("name", GRIDS_2D)
+def test_ball_blocks_class_exactly_by_full_grid_distance(name):
+    # a block's far (near) corner is one of its cells, so inside means every
+    # cell is in the ball, outside means none is, and boundary means some are
+    grid = GRIDS[name]
+    for c in _centers(grid):
+        dist = grid.domain.distance(grid.points, np.asarray(c))
+        radii = _radii(grid, c)
+        for r, bb in zip(radii, grid.ball_blocks(c, radii)):
+            assert bb.radius == r
+            for k, rows, cols in _block_slices(grid):
+                in_ball = dist[rows, cols] <= r
+                assert bb.inside[k] == in_ball.all()
+                assert bb.boundary[k] == (in_ball.any() and not in_ball.all())
+
+
+@pytest.mark.parametrize("name", GRIDS_2D)
+def test_block_summary_reduces_every_cell_of_a_short_last_block(name):
+    grid = GRIDS[name]
+    vals = _reference_values(_model(2), grid)
+    mask = MeasurableSet.random(grid, 0.3, np.random.default_rng(3)).mask
+    maxima = grid.block_reduce(np.maximum, vals)
+    counts = grid.block_reduce(np.add, mask, dtype=np.int64)
+    blocks = _block_slices(grid)
+    assert maxima.size == counts.size == len(blocks)
+    for k, rows, cols in blocks:
+        assert maxima[k] == vals[rows, cols].max()
+        assert counts[k] == np.count_nonzero(mask[rows, cols])
+    assert counts.sum() == np.count_nonzero(mask)
+
+
+@pytest.mark.parametrize("name", GRIDS_2D)
+def test_ball_maxima_of_a_constant_field_read_no_boundary_block(name):
+    # every block maximum ties, so once an inside block holds an interior
+    # cell no boundary block can raise the maximum and none is read
+    class CountingField(np.ndarray):
+        reads = 0
+
+        def __getitem__(self, key):
+            CountingField.reads += 1
+            return super().__getitem__(key)
+
+    grid = GRIDS[name]
+    f = TrigSum.of([([0, 0], 1.0, 0.5)], 2)
+    gf = GridField(f, grid)
+    vals = _reference_values(f, grid)
+    summary = gf.block_max
+    gf.values = gf.values.view(CountingField)
+    pruned = 0
+    for c in _centers(grid):
+        radii = _radii(grid, c)
+        for r, bb in zip(radii, grid.ball_blocks(c, radii)):
+            CountingField.reads = 0
+            (value,) = gf.ball_maxima(c, [r])
+            assert value == _reference_sup_ball(vals, grid, c, r)[0]
+            assert CountingField.reads <= np.count_nonzero(bb.boundary)
+            if np.any(bb.inside & (summary >= 0.0)):
+                assert value == abs(math.sin(0.5))
+                assert CountingField.reads == 0
+                pruned += 1
+    assert pruned > 0
+
+
+@pytest.mark.parametrize("name", GRIDS_2D)
+def test_block_counts_equal_brute_force_on_random_empty_and_full_masks(name):
+    grid = GRIDS[name]
+    masks = [MeasurableSet.random(grid, 0.2, np.random.default_rng(11)),
+             MeasurableSet.empty(grid), MeasurableSet.full(grid)]
+    balls = [Ball.at(c, r) for c in _centers(grid)[::3] for r in _radii(grid, c)]
+    for e in masks:
+        assert list(_block_counts(e, balls)) == _reference_counts(e, balls)
