@@ -641,7 +641,7 @@ def certify_sigma1(
     if abs(gc.sigma - 1.0) > 1e-12:
         raise ConfigError("sigma-1 branch requires a sigma = 1 certificate")
     grid = grid or mset.grid
-    grid_field = GridField(f, grid)
+    grid_field = GridField.of(f, grid)
     sup_domain, x_bar = grid_field.sup_domain()
     sup_set, _ = grid_field.sup_mask(mset.mask)
     if sup_set <= 0.0:
@@ -698,7 +698,7 @@ def certify_sigma_gt1(
     if gc.sigma <= 1.0:
         raise ConfigError("sigma-gt1 branch requires sigma > 1")
     grid = grid or mset.grid
-    grid_field = GridField(f, grid)
+    grid_field = GridField.of(f, grid)
     sup_domain, x_bar = grid_field.sup_domain()
     sup_set, _ = grid_field.sup_mask(mset.mask)
     if sup_set <= 0.0:
@@ -792,7 +792,7 @@ def certify_ucp(
             f"{1.0 + 1.0 / uc.b}"
         )
     grid = grid or mset.grid
-    grid_field = GridField(f, grid)
+    grid_field = GridField.of(f, grid)
     sup_domain, _ = grid_field.sup_domain()
     sup_set, _ = grid_field.sup_mask(mset.mask)
     if sup_set <= 0.0:
@@ -1041,7 +1041,7 @@ def empirical_ratio(
     """Same-grid sup ratio sup_domain / sup_set, the oracle a certificate
     must dominate."""
     grid = grid or mset.grid
-    grid_field = GridField(f, grid)
+    grid_field = GridField.of(f, grid)
     sup_d, arg_d = grid_field.sup_domain()
     sup_e, arg_e = grid_field.sup_mask(mset.mask)
     if sup_e <= 0.0:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -100,8 +100,17 @@ class FunctionModel:
     ) -> np.ndarray:
         raise NotImplementedError
 
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        return self.evaluate(points)
+    def derivative_orders(
+        self, points: np.ndarray, directions: np.ndarray, kmax: int
+    ) -> Iterator[list[np.ndarray]]:
+        """For k = 1..kmax, the k-th directional derivatives at `points`, one
+        array per direction, bit-equal to `directional_derivative`.
+
+        One order is yielded at a time; the built-in models share the work
+        that depends on neither the order nor the direction.
+        """
+        for k in range(1, kmax + 1):
+            yield [self.directional_derivative(points, mu, k) for mu in directions]
 
 
 def _as_points(points: np.ndarray, dimension: int) -> np.ndarray:
@@ -188,6 +197,28 @@ class TrigSum(FunctionModel):
             out += m.amplitude * rate ** order * np.sin(arg + m.phase + shift)
         return out
 
+    def derivative_orders(self, points, directions, kmax: int) -> Iterator[list[np.ndarray]]:
+        """Each mode's phase once, its sine once per order, then each
+        direction's term `amplitude * rate**k * sine`, added in mode order."""
+        p = _as_points(points, self.dimension)
+        mus = [_unit(mu) for mu in directions]
+        modes = []
+        for m in self.modes:
+            k = np.asarray(m.freq, dtype=float)
+            rates = [TWO_PI * float(np.dot(k, mu)) for mu in mus]
+            if any(rate != 0.0 for rate in rates):
+                modes.append((m.amplitude, rates,
+                              TWO_PI * np.tensordot(p, k, axes=([-1], [0])) + m.phase))
+        for order in range(1, kmax + 1):
+            shift = order * math.pi / 2.0
+            outs = [np.zeros(p.shape[:-1]) for _ in mus]
+            for amplitude, rates, arg in modes:
+                s = np.sin(arg + shift)
+                for out, rate in zip(outs, rates):
+                    if rate != 0.0:
+                        out += amplitude * rate ** order * s
+            yield outs
+
 
 def _hermite_phys(order: int, z: np.ndarray) -> np.ndarray:
     """Physicists' Hermite polynomial H_order(z) by the three-term recurrence."""
@@ -237,6 +268,30 @@ class Gaussian(FunctionModel):
         scale = (-1.0 / (s * math.sqrt(2.0))) ** order
         return self.amplitude * np.exp(-np.maximum(perp_sq, 0.0) / (2.0 * s * s)) * scale * radial
 
+    def derivative_orders(self, points, directions, kmax: int) -> Iterator[list[np.ndarray]]:
+        """Per direction the envelope and exp(-z^2) once; the Hermite
+        recurrence advances one order per step for every direction."""
+        p = _as_points(points, self.dimension)
+        v = p - np.asarray(self.center)
+        s = self.width
+        per_dir = []
+        for mu in directions:
+            tau = np.tensordot(v, _unit(mu), axes=([-1], [0]))
+            perp_sq = np.sum(v * v, axis=-1) - tau * tau
+            z = tau / (s * math.sqrt(2.0))
+            envelope = self.amplitude * np.exp(-np.maximum(perp_sq, 0.0) / (2.0 * s * s))
+            per_dir.append((z, envelope, np.exp(-z * z)))
+        # physicists' Hermite H_{k-1}, H_k per direction, as in _hermite_phys
+        hermite = [(np.ones_like(z), 2.0 * z) for z, _, _ in per_dir]
+        for order in range(1, kmax + 1):
+            if order > 1:
+                k = order - 1
+                hermite = [(h, 2.0 * z * h - 2.0 * k * h_prev)
+                           for (h_prev, h), (z, _, _) in zip(hermite, per_dir)]
+            scale = (-1.0 / (s * math.sqrt(2.0))) ** order
+            yield [envelope * scale * (h * ez)
+                   for (_, h), (_, envelope, ez) in zip(hermite, per_dir)]
+
 
 @dataclass(frozen=True)
 class Product(FunctionModel):
@@ -268,6 +323,24 @@ class Product(FunctionModel):
             )
             out = term if out is None else out + term
         return out
+
+    def derivative_orders(self, points, directions, kmax: int) -> Iterator[list[np.ndarray]]:
+        """Leibniz over the factors' passes; keeps every order seen so far."""
+        d1 = [[self.first.directional_derivative(points, mu, 0) for mu in directions]]
+        d2 = [[self.second.directional_derivative(points, mu, 0) for mu in directions]]
+        passes = zip(self.first.derivative_orders(points, directions, kmax),
+                     self.second.derivative_orders(points, directions, kmax))
+        for order, (a, b) in enumerate(passes, start=1):
+            d1.append(a)
+            d2.append(b)
+            outs = []
+            for i in range(len(a)):
+                out = None
+                for j in range(order + 1):
+                    term = math.comb(order, j) * d1[j][i] * d2[order - j][i]
+                    out = term if out is None else out + term
+                outs.append(out)
+            yield outs
 
 
 @dataclass(frozen=True)
@@ -313,6 +386,23 @@ class GridField:
         values = np.abs(f.evaluate(grid.points))
         values[~grid.interior] = -1.0
         self.values = values
+
+    @classmethod
+    def of(cls, f: FunctionModel, grid: Grid) -> "GridField":
+        """The field `f` holds for `grid`, built and stored on `f` if it holds
+        none or one for another grid.
+
+        The model keeps the field for the grid it was last asked for, so a
+        model used on many grids keeps one field.  The field refers to the
+        grid but not to the model: it goes with the model, without a cycle.
+        Models and grids are immutable, so a held field never goes stale.
+        Two threads may both build it; the builds are equal.
+        """
+        held = getattr(f, "_grid_field", None)
+        if held is None or held.grid is not grid:
+            held = cls(f, grid)
+            object.__setattr__(f, "_grid_field", held)
+        return held
 
     def sup_domain(self) -> SupResult:
         return self.sup_mask(self.grid.interior)
@@ -372,14 +462,14 @@ class GridField:
 def sup_norm(f: FunctionModel, region, grid: Grid) -> SupResult:
     """max |f| over the region's grid sample points, with the argmax point."""
     if isinstance(region, Domain):
-        return GridField(f, grid).sup_domain()
+        return GridField.of(f, grid).sup_domain()
     if isinstance(region, MeasurableSet):
         if region.grid is not grid and region.grid != grid:
             raise ConfigError("measurable set lives on a different grid")
-        return GridField(f, grid).sup_mask(region.mask)
+        return GridField.of(f, grid).sup_mask(region.mask)
     if not isinstance(region, Ball):
         raise ConfigError(f"unsupported region type {type(region).__name__}")
-    res = GridField(f, grid).sup_ball(region.center, region.radius)
+    res = GridField.of(f, grid).sup_ball(region.center, region.radius)
     if res.value < 0.0:
         raise InfeasibleError("region contains no grid sample points")
     return res
@@ -442,11 +532,10 @@ class GevreyReport:
 
 
 def _sample_points(grid: Grid, max_points: int) -> np.ndarray:
-    pts = grid.points[grid.interior]
-    if pts.shape[0] <= max_points:
-        return pts
-    stride = int(math.ceil(pts.shape[0] / max_points))
-    return pts[::stride]
+    idx = np.flatnonzero(grid.interior)
+    if idx.size > max_points:
+        idx = idx[:: int(math.ceil(idx.size / max_points))]
+    return grid.points.reshape(-1, grid.dimension)[idx]
 
 
 def _direction_fan(dimension: int, count: int) -> np.ndarray:
@@ -481,11 +570,11 @@ def verify_gevrey(
     log_delta = math.log(cert.delta)
     worst = (-math.inf, 1, pts[0], dirs[0])
     ratios: dict[int, float] = {}
-    for k in range(1, kmax + 1):
+    for k, derivs in enumerate(f.derivative_orders(pts, dirs, kmax), start=1):
         best_k = 0.0
         best_at = (pts[0], dirs[0])
-        for mu in dirs:
-            vals = np.abs(f.directional_derivative(pts, mu, k))
+        for mu, deriv in zip(dirs, derivs):
+            vals = np.abs(deriv)
             i = int(np.argmax(vals))
             if vals[i] > best_k:
                 best_k = float(vals[i])
@@ -575,7 +664,7 @@ def estimate_doubling(
     if any(r <= 0 for r in radii):
         raise ConfigError("radii must be positive")
 
-    grid_field = GridField(f, grid)
+    grid_field = GridField.of(f, grid)
     # on a dyadic ladder the outer ball at r is the inner ball at 2r: take
     # each distinct sup once
     distinct = sorted(set(radii) | {2.0 * r for r in radii})
@@ -625,7 +714,7 @@ def verify_ucp(
     if centers is None:
         centers = halton_points(domain, 64)
 
-    grid_field = GridField(f, grid)
+    grid_field = GridField.of(f, grid)
     log_sup = math.log(grid_field.sup_domain().value)
 
     worst_margin = -math.inf

@@ -17,7 +17,7 @@ from obscert.cli import (
     main,
 )
 from obscert.errors import HypothesisError
-from obscert.functions import Gaussian, Product, TrigSum
+from obscert.functions import Gaussian, Product, TrigSum, derive_gevrey
 from obscert.geometry import MeasurableSet, write_mask_raster, Grid, Domain
 
 BASE_CONFIG = """
@@ -550,3 +550,84 @@ def test_seed_override_changes_mask(tmp_path):
     a = json.loads((out1 / "report.json").read_text())
     b = json.loads((out2 / "report.json").read_text())
     assert a["seed"] != b["seed"]
+
+
+# ---------------------------------------------------------------------------
+# One |f| field per model and grid
+# ---------------------------------------------------------------------------
+
+CONFIG_2D = """
+[run]
+seed = 5
+[domain]
+kind = box
+extent = 1.0, 1.0
+[grid]
+cells = 128, 128
+[function]
+kind = trig
+modes = 1 2:1.0:0.3; 2 -1:0.5:0.9
+[set]
+kind = random
+fraction = 0.1
+[hypotheses]
+gevrey = auto
+doubling = estimate
+[certify]
+search = 2
+"""
+
+
+def _count_full_grid_evaluations(monkeypatch, cells):
+    """Wrap TrigSum.evaluate; return the list of models it evaluated on the
+    full grid of the given cell counts."""
+    seen = []
+    evaluate = TrigSum.evaluate
+
+    def counting(self, points):
+        if np.shape(points)[:-1] == cells:
+            seen.append(self)
+        return evaluate(self, points)
+
+    monkeypatch.setattr(TrigSum, "evaluate", counting)
+    return seen
+
+
+def test_certify_2d_evaluates_f_on_the_full_grid_once(tmp_path, monkeypatch):
+    # hypothesis derivation and checks, the doubling estimate, the certifier
+    # and the oracle all read one field
+    seen = _count_full_grid_evaluations(monkeypatch, (128, 128))
+    cfg = write_config(tmp_path, CONFIG_2D)
+    out = tmp_path / "out"
+    assert main(["certify", str(cfg), "--output-dir", str(out)]) == EXIT_OK
+    assert json.loads((out / "report.json").read_text())["soundness"]["passed"] is True
+    assert len(seen) == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_mode_scale_sweep_evaluates_each_rows_own_model(tmp_path, monkeypatch, workers):
+    seen = _count_full_grid_evaluations(monkeypatch, (128,))
+    cfg = _sweep_config(tmp_path, "mode-scale", "sweep.cfg", workers)
+    out = tmp_path / "out"
+    assert main(["sweep", str(cfg), "--output-dir", str(out)]) == EXIT_OK
+    # one full-grid evaluation per row, each of that row's scaled model
+    assert sorted(f.modes[0].freq for f in seen) == [(1,), (2,), (3,)]
+
+
+@pytest.mark.parametrize("function", [
+    "kind = trig\nmodes = 1 2:1.0:0.3; 2 -1:0.5:0.9",
+    "kind = gaussian\ncenter = 0.45, 0.55\nwidth = 0.15",
+], ids=["trig", "gaussian"])
+def test_verify_rejects_a_delta_inflated_tenfold_2d(tmp_path, function):
+    # negative control: the derived certificate passes, delta x10 must exit 3
+    text = CONFIG_2D.replace("kind = trig\nmodes = 1 2:1.0:0.3; 2 -1:0.5:0.9", function)
+    cfg = RunConfig.load(write_config(tmp_path, text, name="derive.cfg"))
+    domain = build_domain(cfg)
+    gc = derive_gevrey(build_function(cfg, domain), domain, build_grid(cfg, domain))
+    for delta, code in ((gc.delta, EXIT_OK), (10.0 * gc.delta, EXIT_HYPOTHESIS)):
+        run = write_config(
+            tmp_path, text.replace("gevrey = auto", f"gevrey = {gc.M!r}, {delta!r}, 1.0"),
+            name=f"verify-{code}.cfg",
+        )
+        out = tmp_path / f"out-{code}"
+        assert main(["verify", str(run), "--output-dir", str(out)]) == code

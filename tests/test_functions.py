@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from obscert.certify import certify_auto
 from obscert.errors import ConfigError, HypothesisError, InfeasibleError
 from obscert.functions import (
     DoublingCertificate,
@@ -16,10 +17,13 @@ from obscert.functions import (
     derive_gevrey,
     estimate_doubling,
     sup_norm,
+    _direction_fan,
+    _sample_points,
     verify_gevrey,
     verify_ucp,
 )
 from obscert.geometry import Ball, Domain, Grid, MeasurableSet
+from obscert.logspace import log_factorial
 
 ONE_D = Domain.box([1.0])
 
@@ -218,6 +222,156 @@ def test_derived_certificates_verify(model):
     cert = derive_gevrey(model, domain, g)
     rep = verify_gevrey(model, cert, domain, g, kmax=8, max_points=512)
     assert rep.passed, f"{model.kind}: worst ratio {rep.max_ratio} > M {cert.M}"
+
+
+# ---------------------------------------------------------------------------
+# Derivative pass: every order for every direction at once
+# ---------------------------------------------------------------------------
+
+class Exponential2D(FunctionModel):
+    """exp(a . x): defines only `directional_derivative`, so its pass is the
+    base class's per-call fallback."""
+
+    dimension = 2
+
+    def __init__(self, a):
+        self.a = np.asarray(a, dtype=float)
+
+    def evaluate(self, points):
+        return np.exp(np.asarray(points) @ self.a)
+
+    def directional_derivative(self, points, direction, order):
+        return float(self.a @ direction) ** order * self.evaluate(points)
+
+
+def _fan(dimension):
+    fan = _direction_fan(dimension, 16)
+    if dimension == 2:
+        # mu = (0, 1) gives the frequency (1, 0) the rate 0 exactly
+        fan = np.vstack([fan, [[0.0, 1.0]]])
+    return fan
+
+
+PASS_MODELS = [
+    TrigSum.of([([1], 1.0, 0.3), ([0], 0.8, 0.5), ([4], 0.4, 1.1)], 1),
+    TrigSum.of([([1, 0], 1.0, 0.2), ([0, 0], 0.7, 0.4), ([2, -3], 0.5, 1.3)], 2),
+    Gaussian((0.4, 0.6), 0.15, 1.3),
+    Product(TrigSum.of([([1, 2], 1.0, 0.3)], 2), Gaussian((0.5, 0.45), 0.2, 0.8)),
+    Product(Product(TrigSum.sine([2]), Polynomial1D((1.0, -0.5))), Gaussian((0.4,), 0.3)),
+    Polynomial1D((0.2, -1.0, 0.0, 2.0, 0.5)),
+    Exponential2D((0.7, -1.2)),
+]
+
+
+@pytest.mark.parametrize("model", PASS_MODELS, ids=lambda m: type(m).__name__)
+def test_derivative_orders_equal_directional_derivative(model):
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(0.0, 1.0, size=(257, model.dimension))
+    dirs = _fan(model.dimension)
+    orders = list(model.derivative_orders(pts, dirs, 12))
+    assert len(orders) == 12
+    for k, derivs in enumerate(orders, start=1):
+        assert len(derivs) == len(dirs)
+        for mu, got in zip(dirs, derivs):
+            assert np.array_equal(got, model.directional_derivative(pts, mu, k)), (k, mu)
+
+
+def test_derivative_orders_rejects_a_non_unit_direction():
+    f = TrigSum.sine([1, 1])
+    with pytest.raises(ConfigError):
+        next(f.derivative_orders(np.zeros((3, 2)), np.array([[1.0, 1.0]]), 2))
+
+
+def _reference_gevrey(f, cert, grid, kmax, dirs, max_points):
+    """verify_gevrey as one `directional_derivative` call per order and
+    direction, sampling from the gathered interior points."""
+    pts = grid.points[grid.interior]
+    if pts.shape[0] > max_points:
+        pts = pts[:: int(math.ceil(pts.shape[0] / max_points))]
+    sup = sup_norm(f, grid.domain, grid).value
+    worst = (-math.inf, 1, pts[0], dirs[0])
+    ratios = {}
+    for k in range(1, kmax + 1):
+        best_k, best_at = 0.0, (pts[0], dirs[0])
+        for mu in dirs:
+            vals = np.abs(f.directional_derivative(pts, mu, k))
+            i = int(np.argmax(vals))
+            if vals[i] > best_k:
+                best_k, best_at = float(vals[i]), (pts[i], mu)
+        if best_k == 0.0:
+            ratios[k] = 0.0
+            continue
+        log_ratio = (math.log(best_k) + k * math.log(cert.delta)
+                     - cert.sigma * log_factorial(k) - math.log(sup))
+        ratios[k] = math.exp(log_ratio) if log_ratio < 700 else math.inf
+        if ratios[k] > worst[0]:
+            worst = (ratios[k], k, best_at[0], best_at[1])
+    return ratios, worst
+
+
+REPORT_CASES = [
+    (PASS_MODELS[0], Grid(ONE_D, (5000,))),
+    (PASS_MODELS[4], Grid(Domain.torus([1.0]), (700,))),
+    (PASS_MODELS[1], Grid(Domain.box([1.0, 1.0]), (96, 96))),
+    (PASS_MODELS[2], Grid(Domain.disk(0.5), (90, 90))),
+    (PASS_MODELS[3], Grid(Domain.torus([1.0, 1.0]), (64, 64))),
+    (PASS_MODELS[6], Grid(Domain.box([2.0, 1.0]), (80, 40))),
+]
+
+
+@pytest.mark.parametrize("model, grid", REPORT_CASES,
+                         ids=lambda v: type(v).__name__ if isinstance(v, FunctionModel) else "")
+def test_verify_gevrey_matches_per_call_reference(model, grid):
+    # in 1D the two fan directions tie at every order: the first one wins
+    dirs = _fan(grid.dimension)
+    cert = GevreyCertificate(2.0, 0.05, 1.0)
+    rep = verify_gevrey(model, cert, grid.domain, grid, kmax=12, directions=dirs,
+                        max_points=1000)
+    ratios, worst = _reference_gevrey(model, cert, grid, 12, dirs, 1000)
+    assert rep.ratios == ratios
+    assert rep.max_ratio == max(ratios.values())
+    assert rep.worst_k == worst[1]
+    assert np.array_equal(rep.worst_point, worst[2])
+    assert np.array_equal(rep.worst_direction, worst[3])
+    assert rep.passed == (rep.max_ratio <= cert.M * (1.0 + 1e-9))
+
+
+def test_verify_gevrey_sample_is_every_stride_th_interior_point():
+    grid = Grid(Domain.disk(0.5), (70, 70))
+    pts = grid.points[grid.interior]
+    for max_points in (10, 999, pts.shape[0] - 1, pts.shape[0], 10**6):
+        stride = max(1, int(math.ceil(pts.shape[0] / max_points)))
+        assert np.array_equal(_sample_points(grid, max_points), pts[::stride])
+
+
+@pytest.mark.parametrize("model", [PASS_MODELS[1], PASS_MODELS[2]],
+                         ids=lambda m: type(m).__name__)
+def test_verify_gevrey_rejects_inflated_delta_2d(model):
+    # negative control: the certify layer does not notice a wrong delta, so
+    # verify_gevrey is the layer that must reject it
+    domain = Domain.box([1.0, 1.0])
+    grid = Grid(domain, (128, 128))
+    gc = derive_gevrey(model, domain, grid)
+    assert verify_gevrey(model, gc, domain, grid).passed
+    inflated = GevreyCertificate(gc.M, 10.0 * gc.delta, gc.sigma)
+    rep = verify_gevrey(model, inflated, domain, grid)
+    assert not rep.passed
+    assert rep.max_ratio > inflated.M
+
+
+def test_certify_layer_accepts_an_inflated_delta():
+    # stated plainly: given a certificate with delta x10, certify_auto still
+    # returns a finite constant; only verify_gevrey rejects the certificate
+    domain = Domain.box([1.0, 1.0])
+    grid = Grid(domain, (128, 128))
+    f = PASS_MODELS[1]
+    gc = derive_gevrey(f, domain, grid)
+    dc, _ = estimate_doubling(f, domain, grid)
+    inflated = GevreyCertificate(gc.M, 10.0 * gc.delta, gc.sigma)
+    mset = MeasurableSet.random(grid, 0.1, np.random.default_rng(3))
+    cert = certify_auto(f, mset, inflated, domain, grid, dc=dc, search=2)
+    assert math.isfinite(cert.log_constant)
+    assert not verify_gevrey(f, inflated, domain, grid).passed
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ block summaries, and must agree with the windowed and blocked code cell for
 cell.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -316,3 +318,35 @@ def test_block_counts_equal_brute_force_on_random_empty_and_full_masks(name):
     balls = [Ball.at(c, r) for c in _centers(grid)[::3] for r in _radii(grid, c)]
     for e in masks:
         assert list(_block_counts(e, balls)) == _reference_counts(e, balls)
+
+
+# ---------------------------------------------------------------------------
+# One field per model and grid
+# ---------------------------------------------------------------------------
+
+def test_grid_field_of_is_shared_per_model_and_grid():
+    grid, other_grid = GRIDS["box"], GRIDS["torus"]
+    f, g = _model(2), _model(2)
+    field = GridField.of(f, grid)
+    assert GridField.of(f, grid) is field
+    assert np.array_equal(field.values, GridField(f, grid).values)
+    assert GridField.of(g, grid) is not field
+    moved = GridField.of(f, other_grid)
+    assert moved is not field and moved.grid is other_grid
+    # the model keeps the field of the grid it was last asked for
+    assert GridField.of(f, other_grid) is moved
+    back = GridField.of(f, grid)
+    assert back is not field and np.array_equal(back.values, field.values)
+
+
+def test_grid_field_goes_with_its_model_without_the_cyclic_collector():
+    grid = GRIDS["disk"]
+    f = _model(2)
+    ref = weakref.ref(GridField.of(f, grid))
+    assert ref() is not None
+    gc.disable()
+    try:
+        del f
+        assert ref() is None
+    finally:
+        gc.enable()
