@@ -12,14 +12,15 @@ Soundness of the returned constant against the same-grid empirical ratio is
 a consequence of the numerically verified master inequality alone, so a
 certification that completes is sound by construction; the hypothesis
 certificates are what make the master inequality provable rather than
-accidental.
+accidental.  Every other inequality step of a finished run is checked too;
+one that does not hold makes the run infeasible.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -35,9 +36,7 @@ from .geometry import (
     Ball,
     Domain,
     Grid,
-    IntervalSet,
     MeasurableSet,
-    Segment,
     chain_of_balls,
     cover_count_bound,
     cover_domain,
@@ -214,8 +213,50 @@ def choose_r_sigma_gt1(
 
 
 # ---------------------------------------------------------------------------
-# Shared geometric run at one (n, r)
+# Shared steps: preamble, geometric run at one (n, r), proof tail, check
 # ---------------------------------------------------------------------------
+
+@dataclass
+class _Sups:
+    """What every branch reads before its first degree: the shared field, the
+    domain and set sups with their logs, log_X = log(M supD / supE) and the
+    effective radius bound min(r0, 1, max ball radius)."""
+
+    grid: Grid
+    field: GridField
+    sup_domain: float
+    x_bar: np.ndarray
+    sup_set: float
+    log_sup_domain: float
+    log_sup_set: float
+    log_x: float
+    r0_eff: float
+
+
+def _preamble(
+    f: FunctionModel, mset: MeasurableSet, gc: GevreyCertificate, domain: Domain,
+    grid: Grid | None, r0: float,
+) -> _Sups:
+    grid = grid or mset.grid
+    grid_field = GridField.of(f, grid)
+    sup_domain, x_bar = grid_field.sup_domain()
+    sup_set, _ = grid_field.sup_mask(mset.mask)
+    if sup_set <= 0.0:
+        raise InfeasibleError("observability from a null-data set is vacuous")
+    log_sup_domain = to_log(sup_domain)
+    log_sup_set = to_log(sup_set)
+    return _Sups(
+        grid=grid,
+        field=grid_field,
+        sup_domain=sup_domain,
+        x_bar=x_bar,
+        sup_set=sup_set,
+        log_sup_domain=log_sup_domain,
+        log_sup_set=log_sup_set,
+        log_x=math.log(gc.M) + log_sup_domain - log_sup_set,
+        r0_eff=min(r0, 1.0, domain.max_ball_radius),
+    )
+
 
 @dataclass
 class _GeometryRun:
@@ -226,8 +267,6 @@ class _GeometryRun:
     cover_count: int
     w: np.ndarray
     sup_ball_rho: float
-    segment: Segment
-    trace_set: IntervalSet
     t_max: float
     ell: float
     gap: float
@@ -241,16 +280,14 @@ def _run_geometry(
     f: FunctionModel,
     mset: MeasurableSet,
     domain: Domain,
-    grid: Grid,
-    grid_field: GridField,
     gc: GevreyCertificate,
+    s: _Sups,
     n: int,
     r: float,
-    sup_set: float,
     n_directions: int,
 ) -> _GeometryRun:
-    if r < 2.0 * grid.h:
-        raise InfeasibleError(f"radius {r:.3e} below grid resolution {grid.h:.3e}")
+    if r < 2.0 * s.grid.h:
+        raise InfeasibleError(f"radius {r:.3e} below grid resolution {s.grid.h:.3e}")
     steps: list[TraceStep] = []
 
     cover = cover_domain(domain, r)
@@ -279,7 +316,7 @@ def _run_geometry(
 
     x = np.asarray(ball.center)
     rho = r / 10.0
-    sup_rho, w = grid_field.sup_ball(x, rho)
+    sup_rho, w = s.field.sup_ball(x, rho)
     x_val = float(np.abs(f.evaluate(x)))
     if x_val > sup_rho:  # the ball's own centre competes with its cells
         sup_rho, w = x_val, x
@@ -300,7 +337,7 @@ def _run_geometry(
     nodes = separate_points(trace_set, n)
     node_pts = seg.points(nodes.nodes)
     node_vals = np.abs(f.evaluate(node_pts))
-    data_sup = max(sup_set, float(np.max(node_vals)))
+    data_sup = max(s.sup_set, float(np.max(node_vals)))
     steps.append(
         TraceStep(
             "point-separation",
@@ -324,13 +361,7 @@ def _run_geometry(
         TraceStep(
             "remainder-bound",
             "interpolation remainder coefficient (per unit domain sup)",
-            {
-                "n": float(n),
-                "t_max": seg.t_max,
-                "M": gc.M,
-                "delta": gc.delta,
-                "sigma": gc.sigma,
-            },
+            {"n": float(n), "t_max": seg.t_max, "M": gc.M, "delta": gc.delta, "sigma": gc.sigma},
             {"log_coeff": log_rem_coeff},
         )
     )
@@ -342,8 +373,6 @@ def _run_geometry(
         cover_count=len(cover),
         w=w,
         sup_ball_rho=sup_rho,
-        segment=seg,
-        trace_set=trace_set,
         t_max=seg.t_max,
         ell=ell,
         gap=nodes.gap,
@@ -352,6 +381,83 @@ def _run_geometry(
         log_remainder_coeff=log_rem_coeff,
         steps=steps,
     )
+
+
+def _proof_tail(
+    f: FunctionModel,
+    geo: _GeometryRun,
+    s: _Sups,
+    log_t: float,
+    steps: list[TraceStep],
+    failure: str,
+    before_split: Sequence[TraceStep] = (),
+) -> MasterBound:
+    """Append near-max-point, `before_split`, interpolation-split and the
+    master inequality supD <= T (poly + remainder) with log T = `log_t`;
+    a failed master inequality makes the run infeasible with `failure`."""
+    log_w_val = to_log(float(np.abs(f.evaluate(geo.w))))
+    log_remainder = geo.log_remainder_coeff + s.log_sup_domain
+    steps.append(
+        TraceStep(
+            "near-max-point",
+            "small-ball sup against twice the selected point value",
+            {"rho": geo.rho},
+            {"lhs_log": to_log(geo.sup_ball_rho), "rhs_log": LOG2 + log_w_val},
+        )
+    )
+    steps.extend(before_split)
+    steps.append(
+        TraceStep(
+            "interpolation-split",
+            "selected point value under polynomial plus remainder bounds",
+            {"log_poly": geo.poly.log_value, "log_remainder": log_remainder},
+            {"lhs_log": log_w_val, "rhs_log": log_add(geo.poly.log_value, log_remainder)},
+        )
+    )
+    mb = master_bound(log_t, geo.poly, log_remainder)
+    steps.append(
+        TraceStep(
+            "master-inequality",
+            "domain sup bounded by propagation times (poly + remainder)",
+            {
+                "log_total_factor": log_t,
+                "log_poly": geo.poly.log_value,
+                "log_remainder": log_remainder,
+            },
+            {"lhs_log": s.log_sup_domain, "rhs_log": mb.log_total},
+        )
+    )
+    if s.log_sup_domain > mb.log_total:
+        raise InfeasibleError(f"master inequality fails numerically; {failure}")
+    return mb
+
+
+def _require_holds(steps: Sequence[TraceStep]) -> None:
+    """Runtime trace check: every inequality step of a finished run holds."""
+    for step in steps:
+        if step.holds is False:
+            raise InfeasibleError(
+                f"trace step {step.step!r} does not hold: lhs_log "
+                f"{step.outputs['lhs_log']!r} > rhs_log {step.outputs['rhs_log']!r}"
+            )
+
+
+def _shared_aux(geo: _GeometryRun, s: _Sups, gc: GevreyCertificate) -> dict[str, float]:
+    """The aux keys every branch records."""
+    return {
+        "cover_count": float(geo.cover_count),
+        "intersection_measure": geo.intersection,
+        "trace_length": geo.ell,
+        "t_max": geo.t_max,
+        "gap": geo.gap,
+        "data_sup": geo.data_sup,
+        "r0_eff": s.r0_eff,
+        "sup_domain": s.sup_domain,
+        "sup_set": s.sup_set,
+        "M": gc.M,
+        "delta": gc.delta,
+        "sigma": gc.sigma,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -367,40 +473,29 @@ class _RunResult:
     steps: list[TraceStep]
 
 
-def _effective_r0(dc_r0: float, domain: Domain) -> float:
-    return min(dc_r0, 1.0, domain.max_ball_radius)
-
-
 def _doubling_run(
     f: FunctionModel,
     mset: MeasurableSet,
     domain: Domain,
-    grid: Grid,
-    grid_field: GridField,
     dc: DoublingCertificate,
     gc: GevreyCertificate,
+    s: _Sups,
     n: int,
     r: float,
-    sup_domain: float,
-    sup_set: float,
-    x_bar: np.ndarray,
+    radius_step: TraceStep,
     n_directions: int,
-    radius_step: TraceStep | None = None,
 ) -> _RunResult:
-    log_sup_domain = to_log(sup_domain)
-    log_sup_set = to_log(sup_set)
-    log_x = math.log(gc.M) + log_sup_domain - log_sup_set
     exponent = dc.log2_kappa / (n + 1)
     if exponent >= 1.0:
         raise InfeasibleError(f"degree {n} too small for doubling constant {dc.kappa}")
 
-    geo = _run_geometry(f, mset, domain, grid, grid_field, gc, n, r, sup_set, n_directions)
-    steps = ([radius_step] if radius_step is not None else []) + list(geo.steps)
+    geo = _run_geometry(f, mset, domain, gc, s, n, r, n_directions)
+    steps = [radius_step, *geo.steps]
 
-    chain = chain_of_balls(domain, x_bar, np.asarray(geo.ball.center), hat_radius(dc, geo.rho)[0])
+    chain = chain_of_balls(domain, s.x_bar, np.asarray(geo.ball.center), hat_radius(dc, geo.rho)[0])
     prop = propagate_doubling(dc, geo.rho, chain)
 
-    (sup_rhat,) = grid_field.ball_maxima(geo.ball.center, [prop.r_hat])
+    (sup_rhat,) = s.field.ball_maxima(geo.ball.center, [prop.r_hat])
     if sup_rhat < 0.0:
         raise InfeasibleError("ball contains no sample points")
     steps.append(
@@ -408,7 +503,7 @@ def _doubling_run(
             "global-max-slack",
             "domain sup against twice the grid near-maximiser value",
             {},
-            {"lhs_log": log_sup_domain, "rhs_log": LOG2 + log_sup_domain},
+            {"lhs_log": s.log_sup_domain, "rhs_log": LOG2 + s.log_sup_domain},
         )
     )
     steps.append(
@@ -417,7 +512,7 @@ def _doubling_run(
             "overlapping chain of balls from the near-maximiser to the target",
             {"kappa": dc.kappa, "r_hat": prop.r_hat, "chain_steps": float(prop.chain_steps)},
             {
-                "lhs_log": log_sup_domain,
+                "lhs_log": s.log_sup_domain,
                 "rhs_log": prop.chain_steps * math.log(dc.kappa) + to_log(sup_rhat),
             },
         )
@@ -434,80 +529,37 @@ def _doubling_run(
             },
         )
     )
-    steps.append(
-        TraceStep(
-            "near-max-point",
-            "small-ball sup against twice the selected point value",
-            {"rho": geo.rho},
-            {
-                "lhs_log": to_log(geo.sup_ball_rho),
-                "rhs_log": LOG2 + to_log(float(np.abs(f.evaluate(geo.w)))),
-            },
-        )
-    )
 
     log_t = prop.log_factor + LOG2  # extra 2 from the near-max point selection
-    steps.append(
-        TraceStep(
-            "propagation-factor",
-            "total propagation factor 4 kappa^(K + concentric)",
-            {
-                "kappa": dc.kappa,
-                "chain_steps": float(prop.chain_steps),
-                "concentric_steps": float(prop.concentric_steps),
-            },
-            {"log_factor": prop.log_factor, "log_total": log_t},
-        )
+    factor_step = TraceStep(
+        "propagation-factor",
+        "total propagation factor 4 kappa^(K + concentric)",
+        {
+            "kappa": dc.kappa,
+            "chain_steps": float(prop.chain_steps),
+            "concentric_steps": float(prop.concentric_steps),
+        },
+        {"log_factor": prop.log_factor, "log_total": log_t},
+    )
+    mb = _proof_tail(
+        f, geo, s, log_t, steps,
+        "hypothesis certificates do not control this function at the sampled resolution",
+        before_split=[factor_step],
     )
 
-    log_w_val = to_log(float(np.abs(f.evaluate(geo.w))))
-    steps.append(
-        TraceStep(
-            "interpolation-split",
-            "selected point value under polynomial plus remainder bounds",
-            {"log_poly": geo.poly.log_value,
-             "log_remainder": geo.log_remainder_coeff + log_sup_domain},
-            {
-                "lhs_log": log_w_val,
-                "rhs_log": log_add(
-                    geo.poly.log_value, geo.log_remainder_coeff + log_sup_domain
-                ),
-            },
-        )
-    )
-
-    mb = master_bound(log_t, geo.poly, geo.log_remainder_coeff + log_sup_domain)
-    steps.append(
-        TraceStep(
-            "master-inequality",
-            "domain sup bounded by propagation times (poly + remainder)",
-            {
-                "log_total_factor": log_t,
-                "log_poly": geo.poly.log_value,
-                "log_remainder": geo.log_remainder_coeff + log_sup_domain,
-            },
-            {"lhs_log": log_sup_domain, "rhs_log": mb.log_total},
-        )
-    )
-    if log_sup_domain > mb.log_total:
-        raise InfeasibleError(
-            "master inequality fails numerically; hypothesis certificates "
-            "do not control this function at the sampled resolution"
-        )
-
-    log_t_base = log_t - exponent * log_x
+    log_t_base = log_t - exponent * s.log_x
     steps.append(
         TraceStep(
             "prefactor-split",
             "propagation factor with the (M ratio)^exponent part factored out",
-            {"log_total_factor": log_t, "exponent": exponent, "log_X": log_x},
+            {"log_total_factor": log_t, "exponent": exponent, "log_X": s.log_x},
             {"log_T_base": log_t_base},
         )
     )
-    log_rb_e = geo.log_remainder_coeff + log_sup_domain - log_sup_set
-    log_inner = log_add(geo.poly.log_value - log_sup_set, log_rb_e)
+    log_rb_e = geo.log_remainder_coeff + s.log_sup_domain - s.log_sup_set
+    log_inner = log_add(geo.poly.log_value - s.log_sup_set, log_rb_e)
     log_a = log_t_base + exponent * math.log(gc.M) + log_inner
-    identity_lhs = log_a + exponent * log_sup_domain + (1 - exponent) * log_sup_set
+    identity_lhs = log_a + exponent * s.log_sup_domain + (1 - exponent) * s.log_sup_set
     steps.append(
         TraceStep(
             "assembly",
@@ -518,8 +570,8 @@ def _doubling_run(
                 "log_M": math.log(gc.M),
                 "log_poly": geo.poly.log_value,
                 "log_remainder_coeff": geo.log_remainder_coeff,
-                "log_sup_domain": log_sup_domain,
-                "log_sup_set": log_sup_set,
+                "log_sup_domain": s.log_sup_domain,
+                "log_sup_set": s.log_sup_set,
             },
             {"log_A": log_a, "identity_lhs": identity_lhs, "identity_rhs": mb.log_total},
         )
@@ -536,41 +588,47 @@ def _doubling_run(
             {"log_C": log_c},
         )
     )
-    aux = {
+    _require_holds(steps)
+    aux = _shared_aux(geo, s, gc) | {
         "kappa": dc.kappa,
         "chain_steps": float(prop.chain_steps),
         "concentric_steps": float(prop.concentric_steps),
         "r_hat": prop.r_hat,
-        "cover_count": float(geo.cover_count),
-        "intersection_measure": geo.intersection,
-        "trace_length": geo.ell,
-        "t_max": geo.t_max,
-        "gap": geo.gap,
-        "data_sup": geo.data_sup,
         "exponent": exponent,
-        "log_X": log_x,
+        "log_X": s.log_x,
         "log_A": log_a,
         "log_total_factor": log_t,
     }
     return _RunResult(n=n, r=r, log_constant=max(log_c, 0.0), aux=aux, steps=steps)
 
 
-def _search_degrees(
-    run_one,
+def _certify_doubling(
+    branch: str,
+    f: FunctionModel,
+    mset: MeasurableSet,
+    dc: DoublingCertificate,
+    gc: GevreyCertificate,
+    domain: Domain,
+    s: _Sups,
     n_base: int,
     search: int,
-) -> tuple[_RunResult, _RunResult | None, list[dict[str, float | str]]]:
-    """Run the pipeline at n_base..n_base+search; return (best, prescribed, log)."""
+    n_directions: int,
+    radius_rule: Callable[[int], tuple[float, TraceStep]],
+    branch_aux: dict[str, float],
+) -> ObservabilityCertificate:
+    """Run the pipeline at n_base..n_base+search with the branch's radius
+    rule (n -> r and its radius-choice step) and keep the smallest sound
+    constant; the run at n_base is the prescribed one."""
     best: _RunResult | None = None
     prescribed: _RunResult | None = None
-    attempts: list[dict[str, float | str]] = []
+    failures: list[dict[str, float | str]] = []
     for n in range(n_base, n_base + search + 1):
         try:
-            res = run_one(n)
+            r, radius_step = radius_rule(n)
+            res = _doubling_run(f, mset, domain, dc, gc, s, n, r, radius_step, n_directions)
         except (InfeasibleError, ResolutionError) as exc:
-            attempts.append({"n": n, "status": f"infeasible: {exc}"})
+            failures.append({"n": n, "status": f"infeasible: {exc}"})
             continue
-        attempts.append({"n": n, "status": "ok", "log_C": res.log_constant})
         if n == n_base:
             prescribed = res
         if best is None or res.log_constant < best.log_constant - 1e-12:
@@ -578,45 +636,23 @@ def _search_degrees(
     if best is None:
         raise InfeasibleError(
             "certification infeasible at every degree in the search range: "
-            + "; ".join(str(a) for a in attempts)
+            + "; ".join(str(a) for a in failures)
         )
-    return best, prescribed, attempts
-
-
-def _finish_certificate(
-    branch: str,
-    best: _RunResult,
-    prescribed: _RunResult | None,
-    attempts: list[dict],
-    extra_aux: dict[str, float],
-) -> ObservabilityCertificate:
-    aux = dict(best.aux)
-    aux.update(extra_aux)
+    aux = best.aux | branch_aux | {"n_base": float(n_base)}
+    search_outputs = {"log_C_best": best.log_constant}
     if prescribed is not None:
         aux["prescribed_n"] = float(prescribed.n)
         aux["prescribed_log_C"] = prescribed.log_constant
         aux["prescribed_r"] = prescribed.r
-    steps = list(best.steps)
-    steps.append(
-        TraceStep(
-            "degree-search",
-            "best sound constant over the searched degree window",
-            {"n_best": float(best.n)},
-            {"log_C_best": best.log_constant}
-            | (
-                {"log_C_prescribed": prescribed.log_constant}
-                if prescribed is not None
-                else {}
-            ),
-        )
+        search_outputs["log_C_prescribed"] = prescribed.log_constant
+    search_step = TraceStep(
+        "degree-search",
+        "best sound constant over the searched degree window",
+        {"n_best": float(best.n)},
+        search_outputs,
     )
     return ObservabilityCertificate(
-        branch=branch,
-        log_constant=best.log_constant,
-        n=best.n,
-        r=best.r,
-        aux=aux,
-        trace=steps,
+        branch, best.log_constant, best.n, best.r, aux, [*best.steps, search_step]
     )
 
 
@@ -640,42 +676,23 @@ def certify_sigma1(
     """
     if abs(gc.sigma - 1.0) > 1e-12:
         raise ConfigError("sigma-1 branch requires a sigma = 1 certificate")
-    grid = grid or mset.grid
-    grid_field = GridField.of(f, grid)
-    sup_domain, x_bar = grid_field.sup_domain()
-    sup_set, _ = grid_field.sup_mask(mset.mask)
-    if sup_set <= 0.0:
-        raise InfeasibleError("observability from a null-data set is vacuous")
-    r0_eff = _effective_r0(dc.r0, domain)
+    s = _preamble(f, mset, gc, domain, grid, dc.r0)
     n_base = 2 * math.floor(dc.log2_kappa) + 2 if n_override is None else n_override
-    gamma = dc.log2_kappa / (2 * math.floor(dc.log2_kappa) + 3)
 
-    def run_one(n: int) -> _RunResult:
-        r = choose_r_sigma1(n, sup_set, sup_domain, gc.M, r0_eff)
-        log_x = math.log(gc.M) + math.log(sup_domain) - math.log(sup_set)
-        step = TraceStep(
+    def radius_rule(n: int) -> tuple[float, TraceStep]:
+        r = choose_r_sigma1(n, s.sup_set, s.sup_domain, gc.M, s.r0_eff)
+        return r, TraceStep(
             "radius-choice",
             "radius r0_eff * (supE / (M supD))^(1/(n+1))",
-            {"n": float(n), "r0_eff": r0_eff, "log_X": log_x},
+            {"n": float(n), "r0_eff": s.r0_eff, "log_X": s.log_x},
             {"r": r},
         )
-        return _doubling_run(
-            f, mset, domain, grid, grid_field, dc, gc, n, r,
-            sup_domain, sup_set, x_bar, n_directions, radius_step=step,
-        )
 
-    best, prescribed, attempts = _search_degrees(run_one, n_base, search)
-    extra = {
-        "gamma": gamma,
-        "n_base": float(n_base),
-        "r0_eff": r0_eff,
-        "sup_domain": sup_domain,
-        "sup_set": sup_set,
-        "M": gc.M,
-        "delta": gc.delta,
-        "sigma": gc.sigma,
-    }
-    return _finish_certificate(BRANCH_SIGMA1, best, prescribed, attempts, extra)
+    gamma = dc.log2_kappa / (2 * math.floor(dc.log2_kappa) + 3)
+    return _certify_doubling(
+        BRANCH_SIGMA1, f, mset, dc, gc, domain, s, n_base, search, n_directions,
+        radius_rule, {"gamma": gamma},
+    )
 
 
 def certify_sigma_gt1(
@@ -697,51 +714,33 @@ def certify_sigma_gt1(
     """
     if gc.sigma <= 1.0:
         raise ConfigError("sigma-gt1 branch requires sigma > 1")
-    grid = grid or mset.grid
-    grid_field = GridField.of(f, grid)
-    sup_domain, x_bar = grid_field.sup_domain()
-    sup_set, _ = grid_field.sup_mask(mset.mask)
-    if sup_set <= 0.0:
-        raise InfeasibleError("observability from a null-data set is vacuous")
-    r0_eff = _effective_r0(dc.r0, domain)
-    b_const = (gc.delta / r0_eff) ** (1.0 / (gc.sigma - 1.0))
+    s = _preamble(f, mset, gc, domain, grid, dc.r0)
+    b_const = (gc.delta / s.r0_eff) ** (1.0 / (gc.sigma - 1.0))
     floor_n = 2 * math.floor(max(dc.log2_kappa, b_const)) + 1
     n_base = floor_n if n_override is None else max(n_override, floor_n)
-    eta = dc.log2_kappa / (floor_n + 1)
 
-    def run_one(n: int) -> _RunResult:
-        r = choose_r_sigma_gt1(n, sup_set, sup_domain, gc.M, gc.delta, gc.sigma)
-        if r > r0_eff * (1 + 1e-12):
-            raise InfeasibleError(f"chosen radius {r} exceeds the bound {r0_eff}")
-        log_x = math.log(gc.M) + math.log(sup_domain) - math.log(sup_set)
-        step = TraceStep(
+    def radius_rule(n: int) -> tuple[float, TraceStep]:
+        r = choose_r_sigma_gt1(n, s.sup_set, s.sup_domain, gc.M, gc.delta, gc.sigma)
+        if r > s.r0_eff * (1 + 1e-12):
+            raise InfeasibleError(f"chosen radius {r} exceeds the bound {s.r0_eff}")
+        return r, TraceStep(
             "radius-choice",
             "radius delta (n+1)^(1-sigma) (supE / (M supD))^(1/(n+1))",
-            {"n": float(n), "delta": gc.delta, "sigma": gc.sigma, "log_X": log_x},
-            {"r": r, "lhs_log": math.log(r), "rhs_log": math.log(r0_eff)},
-        )
-        return _doubling_run(
-            f, mset, domain, grid, grid_field, dc, gc, n, r,
-            sup_domain, sup_set, x_bar, n_directions, radius_step=step,
+            {"n": float(n), "delta": gc.delta, "sigma": gc.sigma, "log_X": s.log_x},
+            {"r": r, "lhs_log": math.log(r), "rhs_log": math.log(s.r0_eff)},
         )
 
-    best, prescribed, attempts = _search_degrees(run_one, n_base, search)
-    shape_factor_log = (
-        (gc.sigma - 1.0) * dc.log2_kappa * math.log(max(dc.log2_kappa, b_const))
-    )
-    extra = {
+    branch_aux = {
         "B": b_const,
-        "eta": eta,
-        "n_base": float(n_base),
-        "r0_eff": r0_eff,
-        "shape_factor_log": shape_factor_log,
-        "sup_domain": sup_domain,
-        "sup_set": sup_set,
-        "M": gc.M,
-        "delta": gc.delta,
-        "sigma": gc.sigma,
+        "eta": dc.log2_kappa / (floor_n + 1),
+        "shape_factor_log": (
+            (gc.sigma - 1.0) * dc.log2_kappa * math.log(max(dc.log2_kappa, b_const))
+        ),
     }
-    return _finish_certificate(BRANCH_SIGMA_GT1, best, prescribed, attempts, extra)
+    return _certify_doubling(
+        BRANCH_SIGMA_GT1, f, mset, dc, gc, domain, s, n_base, search, n_directions,
+        radius_rule, branch_aux,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -791,145 +790,76 @@ def certify_ucp(
             f"hypothesis violated: sigma = {gc.sigma} is not below 1 + 1/b = "
             f"{1.0 + 1.0 / uc.b}"
         )
-    grid = grid or mset.grid
-    grid_field = GridField.of(f, grid)
-    sup_domain, _ = grid_field.sup_domain()
-    sup_set, _ = grid_field.sup_mask(mset.mask)
-    if sup_set <= 0.0:
-        raise InfeasibleError("observability from a null-data set is vacuous")
-    log_sup_domain = to_log(sup_domain)
-    log_sup_set = to_log(sup_set)
-    log_x = math.log(gc.M) + log_sup_domain - log_sup_set
-    r0_eff = min(uc.r0, 1.0, domain.max_ball_radius)
-    vol_domain = grid.n_interior * grid.h ** grid.dimension
+    s = _preamble(f, mset, gc, domain, grid, uc.r0)
+    vol_domain = s.grid.n_interior * s.grid.h ** s.grid.dimension
     a, b = uc.a, uc.b
     p = 1.0 / b - gc.sigma + 1.0
 
     c0 = UCP_BASE_CONSTANT
-    geo: _GeometryRun | None = None
-    n0 = -1
     for _ in range(40):
         log_d, m_star, n0, xi = _ucp_threshold(
-            uc, gc, c0, vol_domain, mset.measure, log_x, r0_eff
+            uc, gc, c0, vol_domain, mset.measure, s.log_x, s.r0_eff
         )
         if n0 > _DEGREE_CAP:
             raise InfeasibleError(
                 f"threshold degree {n0} is beyond desk scale; relax a, b or delta"
             )
         r = 10.0 * (b / (n0 + 1)) ** (1.0 / b)
-        if r > r0_eff * (1 + 1e-9):
+        if r > s.r0_eff * (1 + 1e-9):
             raise RuntimeError("internal: threshold rule failed to force r <= r0")
-        geo = _run_geometry(
-            f, mset, domain, grid, grid_field, gc, n0, r, sup_set, n_directions
-        )
+        geo = _run_geometry(f, mset, domain, gc, s, n0, r, n_directions)
         # polynomial-term conversion: 2 * PB <= C0^(n+1) (|O|/|E|)^n supE
         lhs1 = LOG2 + geo.poly.log_value
         rhs1 = (
             (n0 + 1) * math.log(c0)
             + n0 * math.log(vol_domain / mset.measure)
-            + log_sup_set
+            + s.log_sup_set
         )
         if lhs1 <= rhs1 + 1e-12:
             break
-        needed = (lhs1 - n0 * math.log(vol_domain / mset.measure) - log_sup_set) / (n0 + 1)
+        needed = (lhs1 - n0 * math.log(vol_domain / mset.measure) - s.log_sup_set) / (n0 + 1)
         c0 = max(c0 * 1.0000001, math.exp(needed) * (1 + 1e-9))
     else:
         raise InfeasibleError("threshold-form constant did not converge")
-    assert geo is not None
 
-    steps = list(geo.steps)
-    log_d, m_star, n0, xi = _ucp_threshold(
-        uc, gc, c0, vol_domain, mset.measure, log_x, r0_eff
-    )
-    steps.insert(
-        0,
+    rho = geo.rho
+    log_t = LOG2 + a / rho ** b
+    steps = [
         TraceStep(
             "ucp-threshold",
             "largest-integer degree threshold",
             {
-                "a": a,
-                "b": b,
-                "C0": c0,
-                "vol_domain": vol_domain,
-                "set_measure": mset.measure,
-                "log_X": log_x,
-                "r0_eff": r0_eff,
-                "delta": gc.delta,
-                "sigma": gc.sigma,
+                "a": a, "b": b, "C0": c0, "vol_domain": vol_domain, "set_measure": mset.measure,
+                "log_X": s.log_x, "r0_eff": s.r0_eff, "delta": gc.delta, "sigma": gc.sigma,
             },
             {"log_D": log_d, "m_star": m_star, "xi": xi, "n0": float(n0)},
         ),
-    )
-    steps.insert(
-        1,
         TraceStep(
             "radius-choice",
             "radius 10 (b/(n+1))^(1/b) from the threshold degree",
             {"b": b, "n0": float(n0)},
-            {"r": geo.r, "lhs_log": math.log(geo.r), "rhs_log": math.log(r0_eff)},
+            {"r": geo.r, "lhs_log": math.log(geo.r), "rhs_log": math.log(s.r0_eff)},
         ),
-    )
-
-    rho = geo.rho
-    log_t = LOG2 + a / rho ** b
-    steps.append(
+        *geo.steps,
         TraceStep(
             "ucp-propagation",
             "unique continuation applied at the near-maximiser ball",
             {"a": a, "b": b, "rho": rho},
             {
                 "log_factor": log_t,
-                "lhs_log": log_sup_domain,
+                "lhs_log": s.log_sup_domain,
                 "rhs_log": a / rho ** b + to_log(geo.sup_ball_rho),
             },
-        )
+        ),
+    ]
+    _proof_tail(
+        f, geo, s, log_t, steps,
+        "the unique-continuation certificate does not control this function",
     )
-    log_w_val = to_log(float(np.abs(f.evaluate(geo.w))))
-    steps.append(
-        TraceStep(
-            "near-max-point",
-            "small-ball sup against twice the selected point value",
-            {"rho": rho},
-            {"lhs_log": to_log(geo.sup_ball_rho), "rhs_log": LOG2 + log_w_val},
-        )
-    )
-    steps.append(
-        TraceStep(
-            "interpolation-split",
-            "selected point value under polynomial plus remainder bounds",
-            {"log_poly": geo.poly.log_value,
-             "log_remainder": geo.log_remainder_coeff + log_sup_domain},
-            {
-                "lhs_log": log_w_val,
-                "rhs_log": log_add(
-                    geo.poly.log_value, geo.log_remainder_coeff + log_sup_domain
-                ),
-            },
-        )
-    )
-
-    mb = master_bound(log_t, geo.poly, geo.log_remainder_coeff + log_sup_domain)
-    steps.append(
-        TraceStep(
-            "master-inequality",
-            "domain sup bounded by propagation times (poly + remainder)",
-            {
-                "log_total_factor": log_t,
-                "log_poly": geo.poly.log_value,
-                "log_remainder": geo.log_remainder_coeff + log_sup_domain,
-            },
-            {"lhs_log": log_sup_domain, "rhs_log": mb.log_total},
-        )
-    )
-    if log_sup_domain > mb.log_total:
-        raise InfeasibleError(
-            "master inequality fails numerically; the unique-continuation "
-            "certificate does not control this function"
-        )
 
     # Rewrite both master terms in the threshold form the degree rule needs.
     lhs1 = log_t + geo.poly.log_value
-    rhs1 = math.log(c0) + a / b + n0 * (log_d) + log_sup_set
+    rhs1 = math.log(c0) + a / b + n0 * (log_d) + s.log_sup_set
     steps.append(
         TraceStep(
             "shape-poly-term",
@@ -944,8 +874,8 @@ def certify_ucp(
     log_cf = (
         math.log(c0) + a / b + math.log(b) / b - math.log(gc.delta) - p * math.log(n0 + 1)
     )
-    lhs2 = log_t + geo.log_remainder_coeff + log_sup_domain
-    rhs2 = math.log(c0) + a / b + math.log(gc.M) + (n0 + 1) * log_cf + log_sup_domain
+    lhs2 = log_t + geo.log_remainder_coeff + s.log_sup_domain
+    rhs2 = math.log(c0) + a / b + math.log(gc.M) + (n0 + 1) * log_cf + s.log_sup_domain
     steps.append(
         TraceStep(
             "shape-remainder-term",
@@ -979,14 +909,7 @@ def certify_ucp(
         TraceStep(
             "ucp-assembly",
             "threshold algebra: C1 and the interpolation exponent gamma",
-            {
-                "C0": c0,
-                "a": a,
-                "b": b,
-                "log_M": math.log(gc.M),
-                "log_D": log_d,
-                "m_star": m_star,
-            },
+            {"C0": c0, "a": a, "b": b, "log_M": math.log(gc.M), "log_D": log_d, "m_star": m_star},
             {"gamma": gamma, "log_C1": log_c1},
         )
     )
@@ -998,8 +921,9 @@ def certify_ucp(
             {"log_C": log_c},
         )
     )
+    _require_holds(steps)
 
-    aux = {
+    aux = _shared_aux(geo, s, gc) | {
         "C0": c0,
         "log_C1": log_c1,
         "xi": xi,
@@ -1008,27 +932,8 @@ def certify_ucp(
         "m_star": m_star,
         "log_D": log_d,
         "contraction_factor": math.exp(log_cf),
-        "cover_count": float(geo.cover_count),
-        "intersection_measure": geo.intersection,
-        "trace_length": geo.ell,
-        "t_max": geo.t_max,
-        "gap": geo.gap,
-        "data_sup": geo.data_sup,
-        "r0_eff": r0_eff,
-        "sup_domain": sup_domain,
-        "sup_set": sup_set,
-        "M": gc.M,
-        "delta": gc.delta,
-        "sigma": gc.sigma,
     }
-    return ObservabilityCertificate(
-        branch=BRANCH_UCP,
-        log_constant=max(log_c, 0.0),
-        n=n0,
-        r=geo.r,
-        aux=aux,
-        trace=steps,
-    )
+    return ObservabilityCertificate(BRANCH_UCP, max(log_c, 0.0), n0, geo.r, aux, steps)
 
 
 # ---------------------------------------------------------------------------

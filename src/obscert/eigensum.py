@@ -376,22 +376,13 @@ def certify_eigensum(
     dc = DoublingCertificate(kappa, min(r0, 1.0))
     gc = derive_eigensum_gevrey(es, domain, grid)
     cert = certify_sigma1(es.model, mset, dc, gc, domain, grid, search=search)
-    c2 = shape_constant(cert.log_constant, gp.gamma, mset.measure)
-    aux = dict(cert.aux)
-    aux.update(
+    cert.aux.update(
         {
             "gamma": gp.gamma,
             "calibration": gp.calibration,
             "m": float(es.m),
             "lambda": es.max_eigenvalue,
-            "shape_constant": c2,
+            "shape_constant": shape_constant(cert.log_constant, gp.gamma, mset.measure),
         }
     )
-    return ObservabilityCertificate(
-        branch=cert.branch,
-        log_constant=cert.log_constant,
-        n=cert.n,
-        r=cert.r,
-        aux=aux,
-        trace=cert.trace,
-    )
+    return cert

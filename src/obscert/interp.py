@@ -81,14 +81,13 @@ def _log_weights(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(log|w_i|, sign_i) with w_i = 1 / prod_{j != i} (x_i - x_j).
 
     For sorted nodes the product sign is (-1)^(n-i), so only magnitudes need
-    the log treatment.
+    the log treatment.  Row i of the off-diagonal (n+1) x n difference array
+    holds x_i - x_j for j != i in node order, summed per row.
     """
     n1 = nodes.size
-    logs = np.empty(n1)
-    for i in range(n1):
-        diffs = nodes[i] - nodes
-        diffs = np.delete(diffs, i)
-        logs[i] = -float(np.sum(np.log(np.abs(diffs))))
+    diffs = nodes[:, None] - nodes[None, :]
+    off = diffs[~np.eye(n1, dtype=bool)].reshape(n1, n1 - 1)
+    logs = -np.sum(np.log(np.abs(off)), axis=1)
     signs = np.where((n1 - 1 - np.arange(n1)) % 2 == 0, 1.0, -1.0)
     return logs, signs
 
@@ -98,6 +97,9 @@ def lagrange_eval(nodes: NodeSet | np.ndarray, values: Sequence[float], t) -> np
 
     Barycentric form: P(t) = sum w_i v_i / (t - x_i) / sum w_i / (t - x_i),
     numerically stable for large degrees; node hits return the data exactly.
+    The kernel is built node-major (one row per node, so every elementwise
+    step runs over all probes at once) and transposed once for the two sums,
+    which add each probe's terms in node order.
     """
     xs = nodes.nodes if isinstance(nodes, NodeSet) else np.asarray(nodes, dtype=float)
     vals = np.asarray(values, dtype=float)
@@ -108,19 +110,25 @@ def lagrange_eval(nodes: NodeSet | np.ndarray, values: Sequence[float], t) -> np
     t_arr = np.atleast_1d(np.asarray(t, dtype=float)).ravel()
     log_w, sign_w = _log_weights(xs)
 
-    diff = t_arr[:, None] - xs[None, :]
+    diff = t_arr[None, :] - xs[:, None]
     hits = diff == 0.0
-    safe = np.where(hits, 1.0, diff)
-    log_terms = log_w[None, :] - np.log(np.abs(safe))
-    m = np.max(log_terms, axis=1, keepdims=True)
-    kernel = sign_w[None, :] * np.sign(safe) * np.exp(log_terms - m)
-    denom = np.sum(kernel, axis=1)
-    numer = np.sum(kernel * vals[None, :], axis=1)
+    terms = np.empty((2,) + diff.shape)
+    kernel = terms[0]
+    np.abs(np.where(hits, 1.0, diff), out=kernel)
+    np.log(kernel, out=kernel)
+    np.subtract(log_w[:, None], kernel, out=kernel)
+    kernel -= np.max(kernel, axis=0)
+    np.exp(kernel, out=kernel)
+    # sign_i * sign(t - x_i) is +-1, so applying it is exact in any order
+    np.copysign(kernel, diff, out=kernel)
+    kernel *= sign_w[:, None]
+    np.multiply(kernel, vals[:, None], out=terms[1])
+    denom, numer = np.sum(terms.transpose(0, 2, 1).copy(), axis=2)
     out = numer / denom
 
-    hit_rows = np.any(hits, axis=1)
-    if np.any(hit_rows):
-        out[hit_rows] = vals[np.argmax(hits[hit_rows], axis=1)]
+    hit_cols = np.any(hits, axis=0)
+    if np.any(hit_cols):
+        out[hit_cols] = vals[np.argmax(hits[:, hit_cols], axis=0)]
     if np.asarray(t).ndim:
         return out.reshape(np.asarray(t).shape)
     return float(out[0])

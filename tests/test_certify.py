@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import obscert.certify as certify_module
 from obscert.certify import (
     ObservabilityCertificate,
     certify_auto,
@@ -183,23 +184,122 @@ def test_sigma1_rejects_null_data_set():
         certify_sigma1(vanishing, e2, dc2, derive_gevrey(vanishing, ONE_D, g), ONE_D, g)
 
 
-def test_trace_has_complete_step_chain():
+def _three_branch_certs():
+    """One certificate per branch on the same function, set and grid."""
     g = grid_1d()
     f = TrigSum.sine([1])
     e = MeasurableSet.from_box(g, [(0.0, 0.2)])
     dc, _ = estimate_doubling(f, ONE_D, g)
     gc = derive_gevrey(f, ONE_D, g)
-    cert = certify_sigma1(f, e, dc, gc, ONE_D, g, search=2)
-    steps = [s.step for s in cert.trace]
-    expected = [
-        "radius-choice", "cover", "pigeonhole-ball", "ray-selection",
-        "point-separation", "polynomial-sup-bound", "remainder-bound",
+    probe = verify_ucp(f, UcpCertificate(5.0, 1.0, 0.5), ONE_D, g)
+    uc = UcpCertificate(max(2.0 * probe.min_sufficient_a, 0.05), 1.0, 0.5)
+    return (
+        certify_sigma1(f, e, dc, gc, ONE_D, g, search=2),
+        certify_sigma_gt1(f, e, dc, GevreyCertificate(gc.M, gc.delta, 2.0), ONE_D, g, search=2),
+        certify_ucp(f, e, uc, gc, ONE_D, g),
+    )
+
+
+GEOMETRY_STEPS = [
+    "cover", "pigeonhole-ball", "ray-selection", "point-separation",
+    "polynomial-sup-bound", "remainder-bound",
+]
+
+
+def test_trace_has_complete_step_chain():
+    sigma1, sigma_gt1, ucp = _three_branch_certs()
+    doubling = ["radius-choice", *GEOMETRY_STEPS] + [
         "global-max-slack", "chain-propagation", "concentric-reduction",
         "near-max-point", "propagation-factor", "interpolation-split",
         "master-inequality", "prefactor-split", "assembly", "resolution",
         "degree-search",
     ]
-    assert steps == expected
+    assert [s.step for s in sigma1.trace] == doubling
+    assert [s.step for s in sigma_gt1.trace] == doubling
+    assert [s.step for s in ucp.trace] == ["ucp-threshold", "radius-choice", *GEOMETRY_STEPS] + [
+        "ucp-propagation", "near-max-point", "interpolation-split",
+        "master-inequality", "shape-poly-term", "shape-remainder-term",
+        "contraction", "ucp-assembly", "resolution",
+    ]
+
+
+def test_aux_key_sets_per_branch():
+    sigma1, sigma_gt1, ucp = _three_branch_certs()
+    shared = {
+        "cover_count", "intersection_measure", "trace_length", "t_max", "gap",
+        "data_sup", "r0_eff", "sup_domain", "sup_set", "M", "delta", "sigma",
+    }
+    doubling = shared | {
+        "kappa", "chain_steps", "concentric_steps", "r_hat", "exponent", "log_X",
+        "log_A", "log_total_factor", "n_base", "prescribed_n", "prescribed_log_C",
+        "prescribed_r",
+    }
+    assert set(sigma1.aux) == doubling | {"gamma"}
+    assert set(sigma_gt1.aux) == doubling | {"B", "eta", "shape_factor_log"}
+    assert set(ucp.aux) == shared | {
+        "C0", "log_C1", "xi", "n0", "gamma", "m_star", "log_D", "contraction_factor",
+    }
+
+
+def _break_step(monkeypatch, name, times=None):
+    """Build trace step `name` with rhs_log one below lhs_log, the first
+    `times` times it is built (every time when None)."""
+    real = certify_module.TraceStep
+    broken = []
+
+    def make(step, detail, inputs=None, outputs=None):
+        built = real(step, detail, dict(inputs or {}), dict(outputs or {}))
+        if step == name and (times is None or len(broken) < times):
+            built.outputs["rhs_log"] = built.outputs["lhs_log"] - 1.0
+            broken.append(built)
+        return built
+
+    monkeypatch.setattr(certify_module, "TraceStep", make)
+    return broken
+
+
+def _sine_problem():
+    g = grid_1d()
+    f = TrigSum.sine([1])
+    e = MeasurableSet.from_box(g, [(0.0, 0.2)])
+    dc, _ = estimate_doubling(f, ONE_D, g)
+    return g, f, e, dc, derive_gevrey(f, ONE_D, g)
+
+
+def test_runtime_check_rejects_a_failing_non_master_step(monkeypatch):
+    g, f, e, dc, gc = _sine_problem()
+    probe = verify_ucp(f, UcpCertificate(5.0, 1.0, 0.5), ONE_D, g)
+    uc = UcpCertificate(max(2.0 * probe.min_sufficient_a, 0.05), 1.0, 0.5)
+    _break_step(monkeypatch, "chain-propagation")
+    with pytest.raises(InfeasibleError, match="'chain-propagation' does not hold"):
+        certify_sigma1(f, e, dc, gc, ONE_D, g, search=2)
+    with pytest.raises(InfeasibleError, match="'chain-propagation' does not hold"):
+        certify_sigma_gt1(f, e, dc, GevreyCertificate(gc.M, gc.delta, 2.0), ONE_D, g, search=2)
+    _break_step(monkeypatch, "ucp-propagation")
+    with pytest.raises(InfeasibleError, match="'ucp-propagation' does not hold"):
+        certify_ucp(f, e, uc, gc, ONE_D, g)
+
+
+def test_runtime_check_makes_one_degree_infeasible(monkeypatch):
+    g, f, e, dc, gc = _sine_problem()
+    whole = certify_sigma1(f, e, dc, gc, ONE_D, g, search=2)
+    broken = _break_step(monkeypatch, "chain-propagation", times=1)
+    cert = certify_sigma1(f, e, dc, gc, ONE_D, g, search=2)
+    assert len(broken) == 1
+    # the prescribed degree failed, the search went on past it
+    assert "prescribed_n" not in cert.aux
+    assert cert.n > cert.aux["n_base"] == whole.aux["n_base"]
+    assert all(s.holds is not False for s in cert.trace)
+
+
+def test_runtime_check_rejects_an_unverified_ucp_certificate():
+    # a far below the verified value: the master inequality still holds on
+    # this function, only the propagation step shows the certificate is wrong
+    g, f, e, _, gc = _sine_problem()
+    uc = UcpCertificate(1e-4, 1.0, 0.5)
+    assert not verify_ucp(f, uc, ONE_D, g).passed
+    with pytest.raises(InfeasibleError, match="'ucp-propagation' does not hold"):
+        certify_ucp(f, e, uc, gc, ONE_D, g)
 
 
 def test_trace_steps_compose():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from obscert.certify import empirical_ratio, soundness_check
+from obscert.certify import certify_sigma1, empirical_ratio, soundness_check
 from obscert.errors import ConfigError, ResolutionError
 from obscert.eigensum import (
     build_eigensum,
@@ -17,7 +17,7 @@ from obscert.eigensum import (
     orthogonality_check,
     shape_constant,
 )
-from obscert.functions import FunctionModel, TrigSum
+from obscert.functions import DoublingCertificate, FunctionModel, TrigSum
 from obscert.geometry import Domain, Grid, MeasurableSet
 
 TWO_PI = 2 * math.pi
@@ -213,6 +213,27 @@ def test_certify_eigensum_half_torus():
     # growth shape: log C <= c2 * gamma * log(c2 / |E|)
     c2, gam = cert.aux["shape_constant"], cert.aux["gamma"]
     assert cert.log_constant <= c2 * gam * (math.log(c2) - math.log(e.measure)) + 1e-9
+
+
+def test_certify_eigensum_extends_the_sigma1_certificate():
+    g = torus_grid(512)
+    es = build_eigensum([([1], 1.0, 0.0), ([3], 0.5, 0.2)], 1)
+    e = MeasurableSet.from_box(g, [(0.0, 0.3)])
+    gp = gamma_params(es)
+    cert = certify_eigensum(es, e, gp, search=2)
+    dc = DoublingCertificate(max(2.0, math.exp(gp.gamma)), TORUS_1D.max_ball_radius)
+    gc = derive_eigensum_gevrey(es, TORUS_1D, g)
+    base = certify_sigma1(es.model, e, dc, gc, TORUS_1D, g, search=2)
+    added = {"gamma", "calibration", "m", "lambda", "shape_constant"}
+    assert set(cert.aux) == set(base.aux) | added
+    assert {k: v for k, v in cert.aux.items() if k not in added} == {
+        k: v for k, v in base.aux.items() if k not in added
+    }
+    assert cert.aux["gamma"] == gp.gamma and cert.aux["m"] == float(es.m)
+    assert [s.to_dict() for s in cert.trace] == [s.to_dict() for s in base.trace]
+    assert (cert.branch, cert.log_constant, cert.n, cert.r) == (
+        base.branch, base.log_constant, base.n, base.r
+    )
 
 
 def test_certify_eigensum_two_dimensional():

@@ -133,6 +133,55 @@ def test_lagrange_rejects_coincident_nodes():
         lagrange_eval(np.array([0.1, 0.1]), [0.0, 1.0], 0.5)
 
 
+def _log_weights_loop(nodes):
+    """Reference: one np.delete per node, the weights' defining product."""
+    n1 = nodes.size
+    logs = np.empty(n1)
+    for i in range(n1):
+        logs[i] = -float(np.sum(np.log(np.abs(np.delete(nodes[i] - nodes, i)))))
+    signs = np.where((n1 - 1 - np.arange(n1)) % 2 == 0, 1.0, -1.0)
+    return logs, signs
+
+
+def _lagrange_eval_probe_major(xs, vals, t):
+    """Reference: the barycentric kernel built one row per probe."""
+    log_w, sign_w = _log_weights_loop(xs)
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float)).ravel()
+    diff = t_arr[:, None] - xs[None, :]
+    hits = diff == 0.0
+    safe = np.where(hits, 1.0, diff)
+    log_terms = log_w[None, :] - np.log(np.abs(safe))
+    m = np.max(log_terms, axis=1, keepdims=True)
+    kernel = sign_w[None, :] * np.sign(safe) * np.exp(log_terms - m)
+    out = np.sum(kernel * vals[None, :], axis=1) / np.sum(kernel, axis=1)
+    hit_rows = np.any(hits, axis=1)
+    out[hit_rows] = vals[np.argmax(hits[hit_rows], axis=1)]
+    return out
+
+
+def test_log_weights_and_kernel_equal_the_loop_form():
+    from obscert.interp import _log_weights
+
+    rng = np.random.default_rng(61)
+    for trial in range(400):
+        n = int(rng.integers(0, 64))
+        xs = np.sort(rng.uniform(-1.0, 2.0, n + 1))
+        if n and np.min(np.diff(xs)) <= 0.0:
+            continue
+        got_w, got_s = _log_weights(xs)
+        want_w, want_s = _log_weights_loop(xs)
+        assert np.array_equal(got_w, want_w) and np.array_equal(got_s, want_s)
+        vals = rng.normal(size=n + 1)
+        probes = rng.uniform(-1.0, 2.0, size=int(rng.choice([1, 7, 300])))
+        if trial % 3 == 0:  # probes on nodes return the data exactly
+            k = min(probes.size, xs.size)
+            probes[:k] = xs[rng.permutation(xs.size)[:k]]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = lagrange_eval(xs, vals, probes)
+            want = _lagrange_eval_probe_major(xs, vals, probes)
+        assert np.array_equal(got, want, equal_nan=True), (n, probes.size)
+
+
 # ---------------------------------------------------------------------------
 # Denominator lower bound
 # ---------------------------------------------------------------------------
