@@ -33,8 +33,8 @@ from .functions import (
     UcpCertificate,
 )
 from .geometry import (
+    N_DIRECTIONS_2D,
     Ball,
-    Domain,
     Grid,
     MeasurableSet,
     chain_of_balls,
@@ -233,11 +233,8 @@ class _Sups:
     r0_eff: float
 
 
-def _preamble(
-    f: FunctionModel, mset: MeasurableSet, gc: GevreyCertificate, domain: Domain,
-    grid: Grid | None, r0: float,
-) -> _Sups:
-    grid = grid or mset.grid
+def _preamble(f: FunctionModel, mset: MeasurableSet, gc: GevreyCertificate, r0: float) -> _Sups:
+    grid = mset.grid
     grid_field = GridField.of(f, grid)
     sup_domain, x_bar = grid_field.sup_domain()
     sup_set, _ = grid_field.sup_mask(mset.mask)
@@ -254,7 +251,7 @@ def _preamble(
         log_sup_domain=log_sup_domain,
         log_sup_set=log_sup_set,
         log_x=math.log(gc.M) + log_sup_domain - log_sup_set,
-        r0_eff=min(r0, 1.0, domain.max_ball_radius),
+        r0_eff=min(r0, 1.0, grid.domain.max_ball_radius),
     )
 
 
@@ -279,15 +276,14 @@ class _GeometryRun:
 def _run_geometry(
     f: FunctionModel,
     mset: MeasurableSet,
-    domain: Domain,
     gc: GevreyCertificate,
     s: _Sups,
     n: int,
     r: float,
-    n_directions: int,
 ) -> _GeometryRun:
     if r < 2.0 * s.grid.h:
         raise InfeasibleError(f"radius {r:.3e} below grid resolution {s.grid.h:.3e}")
+    domain = s.grid.domain
     steps: list[TraceStep] = []
 
     cover = cover_domain(domain, r)
@@ -323,13 +319,13 @@ def _run_geometry(
     if sup_rho <= 0.0:
         raise InfeasibleError("function vanishes on the near-maximiser ball")
 
-    seg, trace_set = best_ray_interval(ball, mset, w, n_directions=n_directions)
+    seg, trace_set = best_ray_interval(ball, mset, w)
     ell = trace_set.total
     steps.append(
         TraceStep(
             "ray-selection",
             "best direction through the near-maximiser",
-            {"r": r, "n_directions": float(n_directions), "intersection_measure": inter},
+            {"r": r, "n_directions": float(N_DIRECTIONS_2D), "intersection_measure": inter},
             {"trace_length": ell, "t_max": seg.t_max},
         )
     )
@@ -476,23 +472,23 @@ class _RunResult:
 def _doubling_run(
     f: FunctionModel,
     mset: MeasurableSet,
-    domain: Domain,
     dc: DoublingCertificate,
     gc: GevreyCertificate,
     s: _Sups,
     n: int,
     r: float,
     radius_step: TraceStep,
-    n_directions: int,
 ) -> _RunResult:
     exponent = dc.log2_kappa / (n + 1)
     if exponent >= 1.0:
         raise InfeasibleError(f"degree {n} too small for doubling constant {dc.kappa}")
 
-    geo = _run_geometry(f, mset, domain, gc, s, n, r, n_directions)
+    geo = _run_geometry(f, mset, gc, s, n, r)
     steps = [radius_step, *geo.steps]
 
-    chain = chain_of_balls(domain, s.x_bar, np.asarray(geo.ball.center), hat_radius(dc, geo.rho)[0])
+    chain = chain_of_balls(
+        s.grid.domain, s.x_bar, np.asarray(geo.ball.center), hat_radius(dc, geo.rho)[0]
+    )
     prop = propagate_doubling(dc, geo.rho, chain)
 
     (sup_rhat,) = s.field.ball_maxima(geo.ball.center, [prop.r_hat])
@@ -608,24 +604,26 @@ def _certify_doubling(
     mset: MeasurableSet,
     dc: DoublingCertificate,
     gc: GevreyCertificate,
-    domain: Domain,
     s: _Sups,
     n_base: int,
     search: int,
-    n_directions: int,
     radius_rule: Callable[[int], tuple[float, TraceStep]],
     branch_aux: dict[str, float],
 ) -> ObservabilityCertificate:
     """Run the pipeline at n_base..n_base+search with the branch's radius
     rule (n -> r and its radius-choice step) and keep the smallest sound
     constant; the run at n_base is the prescribed one."""
+    if n_base + search > _DEGREE_CAP:
+        raise InfeasibleError(
+            f"degree {n_base + search} is beyond desk scale; the cap is {_DEGREE_CAP}"
+        )
     best: _RunResult | None = None
     prescribed: _RunResult | None = None
     failures: list[dict[str, float | str]] = []
     for n in range(n_base, n_base + search + 1):
         try:
             r, radius_step = radius_rule(n)
-            res = _doubling_run(f, mset, domain, dc, gc, s, n, r, radius_step, n_directions)
+            res = _doubling_run(f, mset, dc, gc, s, n, r, radius_step)
         except (InfeasibleError, ResolutionError) as exc:
             failures.append({"n": n, "status": f"infeasible: {exc}"})
             continue
@@ -661,10 +659,8 @@ def certify_sigma1(
     mset: MeasurableSet,
     dc: DoublingCertificate,
     gc: GevreyCertificate,
-    domain: Domain,
-    grid: Grid | None = None,
+    *,
     search: int = 16,
-    n_directions: int = 64,
     n_override: int | None = None,
 ) -> ObservabilityCertificate:
     """Observability certificate in the analytic case sigma = 1.
@@ -676,7 +672,7 @@ def certify_sigma1(
     """
     if abs(gc.sigma - 1.0) > 1e-12:
         raise ConfigError("sigma-1 branch requires a sigma = 1 certificate")
-    s = _preamble(f, mset, gc, domain, grid, dc.r0)
+    s = _preamble(f, mset, gc, dc.r0)
     n_base = 2 * math.floor(dc.log2_kappa) + 2 if n_override is None else n_override
 
     def radius_rule(n: int) -> tuple[float, TraceStep]:
@@ -690,8 +686,7 @@ def certify_sigma1(
 
     gamma = dc.log2_kappa / (2 * math.floor(dc.log2_kappa) + 3)
     return _certify_doubling(
-        BRANCH_SIGMA1, f, mset, dc, gc, domain, s, n_base, search, n_directions,
-        radius_rule, {"gamma": gamma},
+        BRANCH_SIGMA1, f, mset, dc, gc, s, n_base, search, radius_rule, {"gamma": gamma},
     )
 
 
@@ -700,10 +695,8 @@ def certify_sigma_gt1(
     mset: MeasurableSet,
     dc: DoublingCertificate,
     gc: GevreyCertificate,
-    domain: Domain,
-    grid: Grid | None = None,
+    *,
     search: int = 16,
-    n_directions: int = 64,
     n_override: int | None = None,
 ) -> ObservabilityCertificate:
     """Observability certificate for sigma > 1.
@@ -714,7 +707,12 @@ def certify_sigma_gt1(
     """
     if gc.sigma <= 1.0:
         raise ConfigError("sigma-gt1 branch requires sigma > 1")
-    s = _preamble(f, mset, gc, domain, grid, dc.r0)
+    s = _preamble(f, mset, gc, dc.r0)
+    if math.log(gc.delta / s.r0_eff) / (gc.sigma - 1.0) > math.log(_DEGREE_CAP):
+        raise InfeasibleError(
+            f"B = (delta / r0_eff)^(1/(sigma-1)) exceeds the degree cap {_DEGREE_CAP}; "
+            "relax delta or sigma"
+        )
     b_const = (gc.delta / s.r0_eff) ** (1.0 / (gc.sigma - 1.0))
     floor_n = 2 * math.floor(max(dc.log2_kappa, b_const)) + 1
     n_base = floor_n if n_override is None else max(n_override, floor_n)
@@ -738,8 +736,7 @@ def certify_sigma_gt1(
         ),
     }
     return _certify_doubling(
-        BRANCH_SIGMA_GT1, f, mset, dc, gc, domain, s, n_base, search, n_directions,
-        radius_rule, branch_aux,
+        BRANCH_SIGMA_GT1, f, mset, dc, gc, s, n_base, search, radius_rule, branch_aux,
     )
 
 
@@ -773,9 +770,6 @@ def certify_ucp(
     mset: MeasurableSet,
     uc: UcpCertificate,
     gc: GevreyCertificate,
-    domain: Domain,
-    grid: Grid | None = None,
-    n_directions: int = 64,
 ) -> ObservabilityCertificate:
     """Observability certificate under a unique-continuation hypothesis.
 
@@ -790,7 +784,7 @@ def certify_ucp(
             f"hypothesis violated: sigma = {gc.sigma} is not below 1 + 1/b = "
             f"{1.0 + 1.0 / uc.b}"
         )
-    s = _preamble(f, mset, gc, domain, grid, uc.r0)
+    s = _preamble(f, mset, gc, uc.r0)
     vol_domain = s.grid.n_interior * s.grid.h ** s.grid.dimension
     a, b = uc.a, uc.b
     p = 1.0 / b - gc.sigma + 1.0
@@ -807,7 +801,7 @@ def certify_ucp(
         r = 10.0 * (b / (n0 + 1)) ** (1.0 / b)
         if r > s.r0_eff * (1 + 1e-9):
             raise RuntimeError("internal: threshold rule failed to force r <= r0")
-        geo = _run_geometry(f, mset, domain, gc, s, n0, r, n_directions)
+        geo = _run_geometry(f, mset, gc, s, n0, r)
         # polynomial-term conversion: 2 * PB <= C0^(n+1) (|O|/|E|)^n supE
         lhs1 = LOG2 + geo.poly.log_value
         rhs1 = (
@@ -940,13 +934,10 @@ def certify_ucp(
 # Brute-force oracle and soundness
 # ---------------------------------------------------------------------------
 
-def empirical_ratio(
-    f: FunctionModel, mset: MeasurableSet, domain: Domain, grid: Grid | None = None
-) -> EmpiricalRatio:
+def empirical_ratio(f: FunctionModel, mset: MeasurableSet) -> EmpiricalRatio:
     """Same-grid sup ratio sup_domain / sup_set, the oracle a certificate
     must dominate."""
-    grid = grid or mset.grid
-    grid_field = GridField.of(f, grid)
+    grid_field = GridField.of(f, mset.grid)
     sup_d, arg_d = grid_field.sup_domain()
     sup_e, arg_e = grid_field.sup_mask(mset.mask)
     if sup_e <= 0.0:
@@ -964,13 +955,11 @@ def certify_auto(
     f: FunctionModel,
     mset: MeasurableSet,
     gc: GevreyCertificate,
-    domain: Domain,
-    grid: Grid | None = None,
+    *,
     dc: DoublingCertificate | None = None,
     uc: UcpCertificate | None = None,
     branch: str = "auto",
     search: int = 16,
-    n_directions: int = 64,
     n_override: int | None = None,
 ) -> ObservabilityCertificate:
     """Dispatch on the certificate kinds: an explicit unique-continuation
@@ -986,11 +975,11 @@ def certify_auto(
     if branch == BRANCH_UCP:
         if uc is None:
             raise ConfigError("ucp branch requires a unique-continuation certificate")
-        return certify_ucp(f, mset, uc, gc, domain, grid, n_directions=n_directions)
+        return certify_ucp(f, mset, uc, gc)
     if dc is None:
         raise ConfigError("doubling branches require a doubling certificate")
     if branch == BRANCH_SIGMA1:
-        return certify_sigma1(f, mset, dc, gc, domain, grid, search, n_directions, n_override)
+        return certify_sigma1(f, mset, dc, gc, search=search, n_override=n_override)
     if branch == BRANCH_SIGMA_GT1:
-        return certify_sigma_gt1(f, mset, dc, gc, domain, grid, search, n_directions, n_override)
+        return certify_sigma_gt1(f, mset, dc, gc, search=search, n_override=n_override)
     raise ConfigError(f"unknown branch {branch!r}")

@@ -279,9 +279,7 @@ class Hypotheses:
         return out
 
 
-def build_hypotheses(
-    cfg: RunConfig, f: FunctionModel, domain: Domain, grid: Grid, kmax: int
-) -> Hypotheses:
+def build_hypotheses(cfg: RunConfig, f: FunctionModel, domain: Domain, grid: Grid) -> Hypotheses:
     sec = cfg.section("hypotheses") if cfg.parser.has_section("hypotheses") else {}
     gtext = sec.get("gevrey", "auto")
     if gtext.strip() == "auto":
@@ -291,7 +289,7 @@ def build_hypotheses(
         if len(vals) != 3:
             raise ConfigError("gevrey = M, delta, sigma")
         gc = GevreyCertificate(*vals)
-    grep = verify_gevrey(f, gc, domain, grid, kmax=kmax)
+    grep = verify_gevrey(f, gc, domain, grid)
     if not grep.passed:
         raise HypothesisError(
             f"derivative-growth certificate fails at order {grep.worst_k}: "
@@ -404,18 +402,14 @@ def cmd_certify(cfg: RunConfig, out_dir: Path) -> Report:
     f = build_function(cfg, domain)
     rng = np.random.default_rng(cfg.seed)
     mset = build_set(cfg, grid, rng)
-    kmax = cfg.get_int("hypotheses", "kmax", 12)
-    hyp = build_hypotheses(cfg, f, domain, grid, kmax)
+    hyp = build_hypotheses(cfg, f, domain, grid)
 
     branch = cfg.get("certify", "branch", fallback="auto")
     search = cfg.get_int("certify", "search", 16)
-    directions = cfg.get_int("certify", "directions", 64)
     cert = certify_auto(
-        f, mset, hyp.gevrey, domain, grid,
-        dc=hyp.doubling, uc=hyp.ucp, branch=branch,
-        search=search, n_directions=directions,
+        f, mset, hyp.gevrey, dc=hyp.doubling, uc=hyp.ucp, branch=branch, search=search
     )
-    ratio = empirical_ratio(f, mset, domain, grid)
+    ratio = empirical_ratio(f, mset)
     sound = _soundness_summary(cert, ratio)
 
     payload = _describe(cfg, domain, grid, mset)
@@ -448,8 +442,7 @@ def cmd_verify(cfg: RunConfig, out_dir: Path) -> Report:
     f = build_function(cfg, domain)
     rng = np.random.default_rng(cfg.seed)
     mset = build_set(cfg, grid, rng) if cfg.parser.has_section("set") else MeasurableSet.full(grid)
-    kmax = cfg.get_int("hypotheses", "kmax", 12)
-    hyp = build_hypotheses(cfg, f, domain, grid, kmax)
+    hyp = build_hypotheses(cfg, f, domain, grid)
 
     payload = _describe(cfg, domain, grid, mset)
     payload.update({"command": "verify", "hypotheses": hyp.to_dict()})
@@ -491,8 +484,6 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path) -> Report:
     axis, values = _sweep_values(cfg)
     branch = cfg.get("certify", "branch", fallback="auto")
     search = cfg.get_int("sweep", "search", cfg.get_int("certify", "search", 8))
-    directions = cfg.get_int("certify", "directions", 64)
-    kmax = cfg.get_int("hypotheses", "kmax", 12)
     workers = cfg.get_int("run", "workers", 1)
 
     # one fixed permutation for all fraction rows, so the sets nest and the
@@ -504,7 +495,7 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path) -> Report:
     shared: Hypotheses | ObscertError | None = None
     if axis != "mode-scale":
         try:
-            shared = build_hypotheses(cfg, base_f, domain, grid, kmax)
+            shared = build_hypotheses(cfg, base_f, domain, grid)
         except ObscertError as exc:
             shared = exc
 
@@ -520,7 +511,7 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path) -> Report:
                 mset = build_set(cfg, grid, np.random.default_rng(cfg.seed))
             if isinstance(shared, ObscertError):
                 raise shared
-            hyp = shared if shared is not None else build_hypotheses(cfg, f, domain, grid, kmax)
+            hyp = shared if shared is not None else build_hypotheses(cfg, f, domain, grid)
             pinned = None
             if axis == "degree":
                 if hyp.ucp is not None:
@@ -529,12 +520,10 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path) -> Report:
                     raise ConfigError("degree sweeps need a doubling certificate")
                 pinned = int(value)
             cert = certify_auto(
-                f, mset, hyp.gevrey, domain, grid,
-                dc=hyp.doubling, uc=hyp.ucp, branch=branch,
-                search=search if pinned is None else 0, n_directions=directions,
-                n_override=pinned,
+                f, mset, hyp.gevrey, dc=hyp.doubling, uc=hyp.ucp, branch=branch,
+                search=search if pinned is None else 0, n_override=pinned,
             )
-            ratio = empirical_ratio(f, mset, domain, grid)
+            ratio = empirical_ratio(f, mset)
             sound = soundness_check(cert, ratio)
             row.update(
                 {

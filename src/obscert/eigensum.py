@@ -135,9 +135,9 @@ def _require_unit_torus(domain: Domain) -> None:
         raise ConfigError("integer-frequency eigen-sums live on the unit torus")
 
 
-def orthogonality_check(es: EigenSum, grid: Grid, power_orders: int = 4) -> OrthogonalityReport:
+def orthogonality_check(es: EigenSum, grid: Grid) -> OrthogonalityReport:
     """Distinct-eigenvalue components are orthogonal; Laplacian powers obey
-    the eigenvalue bound |(-Lap)^n h|_2 <= lambda^n |h|_2."""
+    the eigenvalue bound |(-Lap)^n h|_2 <= lambda^n |h|_2 for n = 1..4."""
     _require_unit_torus(grid.domain)
     if min(grid.cells) < 4 * es.max_freq_norm:
         raise ResolutionError(
@@ -154,7 +154,7 @@ def orthogonality_check(es: EigenSum, grid: Grid, power_orders: int = 4) -> Orth
     lam = es.max_eigenvalue
     norm_h = l2_norm(es.model, grid)
     max_excess = -math.inf
-    for order in range(1, power_orders + 1):
+    for order in range(1, 5):
         lhs = l2_norm(es.laplace_power(order), grid)
         rhs = lam ** order * norm_h
         max_excess = max(max_excess, (lhs - rhs) / rhs)
@@ -189,21 +189,14 @@ def gamma_params(es: EigenSum, calibration: float = 1.0) -> GammaParams:
     return GammaParams(calibration, g)
 
 
-def calibrate_gamma(
-    family: Sequence[EigenSum],
-    domain: Domain,
-    grid: Grid,
-    radii: Sequence[float] | None = None,
-    centers: np.ndarray | None = None,
-    start: float = 1.0,
-) -> float:
-    """Smallest calibration constant making e^gamma dominate the empirical
-    doubling constant on every family member."""
-    c = start
+def calibrate_gamma(family: Sequence[EigenSum], domain: Domain, grid: Grid) -> float:
+    """Smallest calibration constant 1.25^j making e^gamma dominate the
+    empirical doubling constant on every family member."""
+    c = 1.0
     for _ in range(64):
         ok = True
         for es in family:
-            _, rep = estimate_doubling(es.model, domain, grid, radii, centers)
+            _, rep = estimate_doubling(es.model, domain, grid)
             if gamma_params(es, c).gamma < math.log(max(rep.kappa_hat, 2.0)):
                 ok = False
                 break
@@ -245,8 +238,6 @@ def doubling_growth_study(
     family: Sequence[EigenSum | tuple[FunctionModel, float]],
     domain: Domain,
     grid: Grid,
-    radii: Sequence[float] | None = None,
-    centers: np.ndarray | None = None,
     calibration: float = 1.0,
     slope_bound: float | None = None,
 ) -> GrowthStudy:
@@ -265,7 +256,7 @@ def doubling_growth_study(
         else:
             model, lam = entry
             m, g = 0, float("nan")
-        _, rep = estimate_doubling(model, domain, grid, radii, centers)
+        _, rep = estimate_doubling(model, domain, grid)
         rows.append(GrowthRow(lam, m, g, max(rep.kappa_hat, 2.0)))
 
     xs = np.sqrt([row.lam for row in rows])
@@ -323,14 +314,16 @@ def eigensum_study_csv(
     one row per family member and set."""
     from .certify import empirical_ratio
 
+    if any(mset.grid != grid for mset in msets):
+        raise ConfigError("every set of the study must live on the study grid")
     domain = grid.domain
     rows: list[dict[str, float]] = []
     for es in family:
         _, rep = estimate_doubling(es.model, domain, grid)
         gp = gamma_params(es, calibration)
         for mset in msets:
-            cert = certify_eigensum(es, mset, gp, grid, search=search)
-            ratio = empirical_ratio(es.model, mset, domain, grid)
+            cert = certify_eigensum(es, mset, gp, search=search)
+            ratio = empirical_ratio(es.model, mset)
             rows.append(
                 {
                     "lambda": es.max_eigenvalue,
@@ -354,28 +347,27 @@ def certify_eigensum(
     es: EigenSum,
     mset: MeasurableSet,
     gp: GammaParams,
-    grid: Grid | None = None,
-    doubling_r0: float | None = None,
+    *,
     search: int = 16,
 ) -> ObservabilityCertificate:
-    """Observability certificate for an eigen-sum on the torus.
+    """Observability certificate for an eigen-sum on the torus of the set's
+    grid.
 
-    The doubling certificate is kappa = e^gamma (clamped at 2) with a radius
-    bound backed by the doubling study; the derivative certificate comes from
+    The doubling certificate is kappa = e^gamma (clamped at 2) with radius
+    bound min(1, max ball radius); the derivative certificate comes from
     the mode data, and the analytic branch does the rest.  The certificate is
     checked against the growth shape (c/|E|)^(c gamma) and the fitted shape
     constant is recorded.
     """
-    grid = grid or mset.grid
+    grid = mset.grid
     domain = grid.domain
     _require_unit_torus(domain)
     if gp.gamma > 700.0:
         raise HypothesisError("gamma too large to represent the doubling constant")
     kappa = max(2.0, math.exp(gp.gamma))
-    r0 = doubling_r0 if doubling_r0 is not None else min(1.0, domain.max_ball_radius)
-    dc = DoublingCertificate(kappa, min(r0, 1.0))
+    dc = DoublingCertificate(kappa, min(1.0, domain.max_ball_radius))
     gc = derive_eigensum_gevrey(es, domain, grid)
-    cert = certify_sigma1(es.model, mset, dc, gc, domain, grid, search=search)
+    cert = certify_sigma1(es.model, mset, dc, gc, search=search)
     cert.aux.update(
         {
             "gamma": gp.gamma,

@@ -459,10 +459,18 @@ class GridField:
         return SupResult(float(masked[local]), self.grid.points[idx])
 
 
+def _domain_field(f: FunctionModel, domain: Domain, grid: Grid) -> GridField:
+    """The shared field of f on `grid`, for a caller that names the grid's
+    domain as well; a domain the grid does not discretise is rejected."""
+    if domain != grid.domain:
+        raise ConfigError(f"domain {domain} is not the domain of the grid, {grid.domain}")
+    return GridField.of(f, grid)
+
+
 def sup_norm(f: FunctionModel, region, grid: Grid) -> SupResult:
     """max |f| over the region's grid sample points, with the argmax point."""
     if isinstance(region, Domain):
-        return GridField.of(f, grid).sup_domain()
+        return _domain_field(f, region, grid).sup_domain()
     if isinstance(region, MeasurableSet):
         if region.grid is not grid and region.grid != grid:
             raise ConfigError("measurable set lives on a different grid")
@@ -658,13 +666,13 @@ def estimate_doubling(
     function vanishes on a whole sampled ball) and raises rather than being
     clamped away.
     """
+    grid_field = _domain_field(f, domain, grid)
     radii = list(radii) if radii is not None else default_radii(domain)
     if centers is None:
         centers = halton_points(domain, 64)
     if any(r <= 0 for r in radii):
         raise ConfigError("radii must be positive")
 
-    grid_field = GridField.of(f, grid)
     # on a dyadic ladder the outer ball at r is the inner ball at 2r: take
     # each distinct sup once
     distinct = sorted(set(radii) | {2.0 * r for r in radii})
@@ -709,12 +717,12 @@ def verify_ucp(
     centers: np.ndarray | None = None,
 ) -> UcpReport:
     """Check sup over the domain <= exp(a / r^b) * ball sup at all samples."""
+    grid_field = _domain_field(f, domain, grid)
     radii = list(radii) if radii is not None else default_radii(domain, cert.r0)
     radii = [r for r in radii if r <= cert.r0 + 1e-12]
     if centers is None:
         centers = halton_points(domain, 64)
 
-    grid_field = GridField.of(f, grid)
     log_sup = math.log(grid_field.sup_domain().value)
 
     worst_margin = -math.inf

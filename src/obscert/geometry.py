@@ -758,21 +758,16 @@ def restrict_to_segment(mset: MeasurableSet, seg: Segment) -> IntervalSet:
     return IntervalSet.from_runs(zip(ts[edges == 1], ts[edges == -1]))
 
 
-def ray_directions(dimension: int, n_directions: int = N_DIRECTIONS_2D) -> np.ndarray:
+def ray_directions(dimension: int) -> np.ndarray:
     """The fixed direction fan: both axis directions in d=1, an evenly
-    spaced angle fan in d=2."""
+    spaced fan of N_DIRECTIONS_2D angles in d=2."""
     if dimension == 1:
         return np.array([[1.0], [-1.0]])
-    angles = 2.0 * math.pi * np.arange(n_directions) / n_directions
+    angles = 2.0 * math.pi * np.arange(N_DIRECTIONS_2D) / N_DIRECTIONS_2D
     return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
 
 
-def best_ray_interval(
-    ball: Ball,
-    mset: MeasurableSet,
-    w: np.ndarray,
-    n_directions: int = N_DIRECTIONS_2D,
-) -> tuple[Segment, IntervalSet]:
+def best_ray_interval(ball: Ball, mset: MeasurableSet, w: np.ndarray) -> tuple[Segment, IntervalSet]:
     """Direction through w whose trace of B ∩ E has the largest 1D measure.
 
     Downstream bounds consume the returned measured trace, not the
@@ -788,7 +783,7 @@ def best_ray_interval(
 
     best: tuple[Segment, IntervalSet] | None = None
     best_total = 0.0
-    for mu in ray_directions(domain.dimension, n_directions):
+    for mu in ray_directions(domain.dimension):
         seg = _segment_in_ball(domain, ball, w, mu)
         trace = restrict_to_segment(mset, seg)
         if best is None or trace.total > best_total + 1e-15:

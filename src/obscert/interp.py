@@ -233,7 +233,6 @@ def remainder_empirical_check(
     probes: Sequence[float],
     cert: GevreyCertificate | None = None,
     domain_sup: float | None = None,
-    deriv_samples: int = 512,
 ) -> RemainderReport:
     """Check |f - P| <= prod|t - x_i| / (n+1)! * sup|f^(n+1)| at every probe.
 
@@ -248,7 +247,7 @@ def remainder_empirical_check(
     node_pts = seg.points(xs)
     values = f.evaluate(node_pts)
 
-    ts_dense = np.linspace(0.0, seg.t_max, deriv_samples)
+    ts_dense = np.linspace(0.0, seg.t_max, 512)
     deriv = np.abs(f.directional_derivative(seg.points(ts_dense), mu, n + 1))
     sup_deriv = float(np.max(deriv))
 

@@ -129,18 +129,18 @@ def test_criterion_1_soundness_battery():
             sigma = float(branch.split(":")[1])
             gc = GevreyCertificate(gc.M, gc.delta, sigma)  # k!^1 <= k!^sigma
             dc, _ = estimate_doubling(f, domain, grid)
-            cert = certify_sigma_gt1(f, mset, dc, gc, domain, grid, search=4)
+            cert = certify_sigma_gt1(f, mset, dc, gc, search=4)
         elif branch == "ucp":
             probe = verify_ucp(f, UcpCertificate(10.0, 1.0, 0.5), domain, grid)
             a = max(1.5 * probe.min_sufficient_a, 0.05)
             uc = UcpCertificate(a, 1.0, 0.5)
             assert verify_ucp(f, uc, domain, grid).passed
-            cert = certify_ucp(f, mset, uc, gc, domain, grid)
+            cert = certify_ucp(f, mset, uc, gc)
         else:
             dc, _ = estimate_doubling(f, domain, grid)
-            cert = certify_sigma1(f, mset, dc, gc, domain, grid, search=4)
+            cert = certify_sigma1(f, mset, dc, gc, search=4)
 
-        ratio = empirical_ratio(f, mset, domain, grid)
+        ratio = empirical_ratio(f, mset)
         total += 1
         if soundness_check(cert, ratio).passed:
             sound += 1
@@ -310,7 +310,7 @@ def test_criterion_4_sigma1_scaling_shape():
     xs, ys = [], []
     for k in range(1, 7):
         mset = MeasurableSet.strided(grid, 2 ** k)
-        cert = certify_sigma1(f, mset, dc, gc, domain, grid, search=0)
+        cert = certify_sigma1(f, mset, dc, gc, search=0)
         xs.append(math.log(1.0 / mset.measure))
         ys.append(cert.log_constant)
     slope = float(np.polyfit(xs, ys, 1)[0])
@@ -345,7 +345,7 @@ def test_criterion_5_sigma_gt1_trace_reproduction():
     base = derive_gevrey(f, domain, grid)
     gc = GevreyCertificate(base.M, base.delta, 2.0)
     dc, _ = estimate_doubling(f, domain, grid)
-    cert = certify_sigma_gt1(f, mset, dc, gc, domain, grid, search=4)
+    cert = certify_sigma_gt1(f, mset, dc, gc, search=4)
 
     # the extra sigma > 1 factor max{log2 kappa, B}^((sigma-1) log2 kappa)
     b_const = cert.aux["B"]
@@ -415,7 +415,7 @@ def test_criterion_5_sigma_gt1_trace_reproduction():
         res.outputs["log_C"], res.inputs["log_A"] / (1.0 - res.inputs["exponent"]), "resolution"
     )
     _close_log(cert.log_constant, res.outputs["log_C"], "certificate constant")
-    assert soundness_check(cert, empirical_ratio(f, mset, domain, grid)).passed
+    assert soundness_check(cert, empirical_ratio(f, mset)).passed
     _pass(5, "sigma>1 trace reproduced term-by-term at 1e-10 log precision")
 
 
@@ -438,10 +438,10 @@ def test_criterion_6_ucp_contraction_and_rejection():
         gc = GevreyCertificate(base.M, base.delta, sigma)
         rng = np.random.default_rng(int(b * 100 + sigma * 10))
         mset = MeasurableSet.random(grid, 0.25, rng)
-        cert = certify_ucp(f, mset, uc, gc, domain, grid)
+        cert = certify_ucp(f, mset, uc, gc)
         assert cert.aux["contraction_factor"] <= 0.5  # zero tolerance
         assert cert.n == math.floor(cert.aux["xi"])
-        assert soundness_check(cert, empirical_ratio(f, mset, domain, grid)).passed
+        assert soundness_check(cert, empirical_ratio(f, mset)).passed
         accepted += 1
 
     rejected = 0
@@ -452,7 +452,7 @@ def test_criterion_6_ucp_contraction_and_rejection():
         rng = np.random.default_rng(5)
         mset = MeasurableSet.random(grid, 0.25, rng)
         with pytest.raises(HypothesisError):
-            certify_ucp(f, mset, uc, gc, domain, grid)
+            certify_ucp(f, mset, uc, gc)
         rejected += 1
     _pass(6, f"{accepted} configs contract at n0, {rejected} out-of-range rejected")
 

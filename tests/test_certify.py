@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -21,15 +22,17 @@ from obscert.certify import (
 from obscert.errors import ConfigError, HypothesisError, InfeasibleError
 from obscert.functions import (
     DoublingCertificate,
+    Gaussian,
     GevreyCertificate,
     Polynomial1D,
     TrigSum,
     UcpCertificate,
+    default_radii,
     derive_gevrey,
     estimate_doubling,
     verify_ucp,
 )
-from obscert.geometry import Domain, Grid, MeasurableSet
+from obscert.geometry import Domain, Grid, MeasurableSet, cover_domain
 from obscert.interp import poly_sup_bound
 from obscert.logspace import NEG_INF
 
@@ -112,7 +115,7 @@ def test_sigma1_prescribed_degree_and_gamma():
     f = TrigSum.sine([1])
     dc = DoublingCertificate(4.0, 0.5)
     gc = derive_gevrey(f, ONE_D, g)
-    cert = certify_sigma1(f, e, dc, gc, ONE_D, g, search=2)
+    cert = certify_sigma1(f, e, dc, gc, search=2)
     assert cert.aux["n_base"] == 6.0
     assert cert.aux["gamma"] == pytest.approx(2.0 / 7.0, rel=1e-12)
     assert cert.aux["prescribed_n"] == 6.0
@@ -127,8 +130,8 @@ def test_sigma1_constant_function_sound():
     f = Polynomial1D((1.0,))
     dc, _ = estimate_doubling(f, ONE_D, g)
     gc = derive_gevrey(f, ONE_D, g)
-    cert = certify_sigma1(f, e, dc, gc, ONE_D, g, search=4)
-    ratio = empirical_ratio(f, e, ONE_D, g)
+    cert = certify_sigma1(f, e, dc, gc, search=4)
+    ratio = empirical_ratio(f, e)
     assert ratio.ratio == pytest.approx(1.0)
     check = soundness_check(cert, ratio)
     assert check.passed
@@ -141,8 +144,8 @@ def test_sigma1_sine_full_pipeline_sound():
     e = MeasurableSet.from_box(g, [(0.0, 0.1)])
     dc, _ = estimate_doubling(f, ONE_D, g)
     gc = derive_gevrey(f, ONE_D, g)
-    cert = certify_sigma1(f, e, dc, gc, ONE_D, g)
-    ratio = empirical_ratio(f, e, ONE_D, g)
+    cert = certify_sigma1(f, e, dc, gc)
+    ratio = empirical_ratio(f, e)
     assert soundness_check(cert, ratio).passed
     assert cert.branch == "sigma1"
     # master inequality dominates the domain sup
@@ -157,7 +160,7 @@ def test_sigma1_rejects_sigma_gt1_certificate():
     dc = DoublingCertificate(2.0, 0.5)
     gc = GevreyCertificate(1.0, 0.1, 2.0)
     with pytest.raises(ConfigError):
-        certify_sigma1(f, e, dc, gc, ONE_D, g)
+        certify_sigma1(f, e, dc, gc)
 
 
 def test_sigma1_rejects_null_data_set():
@@ -173,7 +176,7 @@ def test_sigma1_rejects_null_data_set():
     mask2 = np.zeros(g.cells, dtype=bool)
     mask2[0] = True
     e2 = MeasurableSet(g, mask2)
-    cert_ok = certify_sigma1(f, e, dc, gc, ONE_D, g, search=4)
+    cert_ok = certify_sigma1(f, e, dc, gc, search=4)
     assert cert_ok.log_constant >= 0.0
     gc2 = derive_gevrey(zero, ONE_D, g)
     dc2 = DoublingCertificate(2.0, 0.5)
@@ -181,7 +184,7 @@ def test_sigma1_rejects_null_data_set():
     # genuinely-null set via a function that vanishes there exactly
     vanishing = TrigSum.sine([1], phase=-2 * math.pi * g.h / 2)  # zero at first centre
     with pytest.raises(InfeasibleError):
-        certify_sigma1(vanishing, e2, dc2, derive_gevrey(vanishing, ONE_D, g), ONE_D, g)
+        certify_sigma1(vanishing, e2, dc2, derive_gevrey(vanishing, ONE_D, g))
 
 
 def _three_branch_certs():
@@ -194,9 +197,9 @@ def _three_branch_certs():
     probe = verify_ucp(f, UcpCertificate(5.0, 1.0, 0.5), ONE_D, g)
     uc = UcpCertificate(max(2.0 * probe.min_sufficient_a, 0.05), 1.0, 0.5)
     return (
-        certify_sigma1(f, e, dc, gc, ONE_D, g, search=2),
-        certify_sigma_gt1(f, e, dc, GevreyCertificate(gc.M, gc.delta, 2.0), ONE_D, g, search=2),
-        certify_ucp(f, e, uc, gc, ONE_D, g),
+        certify_sigma1(f, e, dc, gc, search=2),
+        certify_sigma_gt1(f, e, dc, GevreyCertificate(gc.M, gc.delta, 2.0), search=2),
+        certify_ucp(f, e, uc, gc),
     )
 
 
@@ -272,19 +275,19 @@ def test_runtime_check_rejects_a_failing_non_master_step(monkeypatch):
     uc = UcpCertificate(max(2.0 * probe.min_sufficient_a, 0.05), 1.0, 0.5)
     _break_step(monkeypatch, "chain-propagation")
     with pytest.raises(InfeasibleError, match="'chain-propagation' does not hold"):
-        certify_sigma1(f, e, dc, gc, ONE_D, g, search=2)
+        certify_sigma1(f, e, dc, gc, search=2)
     with pytest.raises(InfeasibleError, match="'chain-propagation' does not hold"):
-        certify_sigma_gt1(f, e, dc, GevreyCertificate(gc.M, gc.delta, 2.0), ONE_D, g, search=2)
+        certify_sigma_gt1(f, e, dc, GevreyCertificate(gc.M, gc.delta, 2.0), search=2)
     _break_step(monkeypatch, "ucp-propagation")
     with pytest.raises(InfeasibleError, match="'ucp-propagation' does not hold"):
-        certify_ucp(f, e, uc, gc, ONE_D, g)
+        certify_ucp(f, e, uc, gc)
 
 
 def test_runtime_check_makes_one_degree_infeasible(monkeypatch):
     g, f, e, dc, gc = _sine_problem()
-    whole = certify_sigma1(f, e, dc, gc, ONE_D, g, search=2)
+    whole = certify_sigma1(f, e, dc, gc, search=2)
     broken = _break_step(monkeypatch, "chain-propagation", times=1)
-    cert = certify_sigma1(f, e, dc, gc, ONE_D, g, search=2)
+    cert = certify_sigma1(f, e, dc, gc, search=2)
     assert len(broken) == 1
     # the prescribed degree failed, the search went on past it
     assert "prescribed_n" not in cert.aux
@@ -299,7 +302,7 @@ def test_runtime_check_rejects_an_unverified_ucp_certificate():
     uc = UcpCertificate(1e-4, 1.0, 0.5)
     assert not verify_ucp(f, uc, ONE_D, g).passed
     with pytest.raises(InfeasibleError, match="'ucp-propagation' does not hold"):
-        certify_ucp(f, e, uc, gc, ONE_D, g)
+        certify_ucp(f, e, uc, gc)
 
 
 def test_trace_steps_compose():
@@ -309,7 +312,7 @@ def test_trace_steps_compose():
     e = MeasurableSet.random(g, 0.15, rng)
     dc, _ = estimate_doubling(f, ONE_D, g)
     gc = derive_gevrey(f, ONE_D, g)
-    cert = certify_sigma1(f, e, dc, gc, ONE_D, g, search=4)
+    cert = certify_sigma1(f, e, dc, gc, search=4)
     for step in cert.trace:
         if step.holds is not None:
             assert step.holds, f"step {step.step} fails: {step.outputs}"
@@ -323,7 +326,7 @@ def test_sigma1_monotone_in_set_size():
     logs = []
     for stride in (2, 4, 8, 16):
         e = MeasurableSet.strided(g, stride)
-        cert = certify_sigma1(f, e, dc, gc, ONE_D, g, search=8)
+        cert = certify_sigma1(f, e, dc, gc, search=8)
         logs.append(cert.log_constant)
     assert all(a <= b + 1e-9 for a, b in zip(logs, logs[1:]))
 
@@ -339,7 +342,7 @@ def test_sigma_gt1_degree_floor_example():
     e = MeasurableSet.from_box(g, [(0.0, 0.3)])
     dc = DoublingCertificate(2.0, 0.5)
     gc = GevreyCertificate(1.0, 1.0, 2.0)
-    cert = certify_sigma_gt1(f, e, dc, gc, ONE_D, g, search=3)
+    cert = certify_sigma_gt1(f, e, dc, gc, search=3)
     assert cert.aux["B"] == pytest.approx(2.0, rel=1e-12)
     assert cert.aux["n_base"] == 5.0
     assert cert.aux["eta"] == pytest.approx(1.0 / 6.0, rel=1e-12)
@@ -351,7 +354,7 @@ def test_sigma_gt1_b_vanishes_near_sigma_one():
     e = MeasurableSet.from_box(g, [(0.0, 0.5)])
     dc = DoublingCertificate(2.0, 0.5)
     gc = GevreyCertificate(1.0, 0.25, 1.01)  # delta < r0_eff
-    cert = certify_sigma_gt1(f, e, dc, gc, ONE_D, g, search=2)
+    cert = certify_sigma_gt1(f, e, dc, gc, search=2)
     assert cert.aux["B"] < 1e-10
     assert cert.aux["n_base"] == 2 * math.floor(dc.log2_kappa) + 1
 
@@ -364,7 +367,7 @@ def test_sigma_gt1_radius_below_bound_and_sound():
     dc, _ = estimate_doubling(f, ONE_D, g)
     base = derive_gevrey(f, ONE_D, g)
     gc = GevreyCertificate(base.M, base.delta, 2.0)  # sigma=2 is also valid
-    cert = certify_sigma_gt1(f, e, dc, gc, ONE_D, g)
+    cert = certify_sigma_gt1(f, e, dc, gc)
     r0_eff = cert.aux["r0_eff"]
     assert cert.r <= r0_eff * (1 + 1e-12)
     # independent recomputation of the radius rule at the certified degree
@@ -372,7 +375,7 @@ def test_sigma_gt1_radius_below_bound_and_sound():
         cert.n, cert.aux["sup_set"], cert.aux["sup_domain"], gc.M, gc.delta, gc.sigma
     )
     assert cert.r == pytest.approx(want, rel=1e-12)
-    assert soundness_check(cert, empirical_ratio(f, e, ONE_D, g)).passed
+    assert soundness_check(cert, empirical_ratio(f, e)).passed
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +389,7 @@ def test_ucp_rejects_hypothesis_violation():
     uc = UcpCertificate(1.0, 1.0, 0.5)
     gc = GevreyCertificate(1.0, 0.15, 2.0)  # sigma = 2 >= 1 + 1/b = 2
     with pytest.raises(HypothesisError):
-        certify_ucp(f, e, uc, gc, ONE_D, g)
+        certify_ucp(f, e, uc, gc)
 
 
 def test_ucp_radius_rule():
@@ -405,12 +408,12 @@ def test_ucp_full_run_contraction_and_soundness():
     a = max(2.0 * rep.min_sufficient_a, 0.05)
     uc = UcpCertificate(a, 1.0, 0.5)
     assert verify_ucp(f, uc, ONE_D, g).passed
-    cert = certify_ucp(f, e, uc, gc, ONE_D, g)
+    cert = certify_ucp(f, e, uc, gc)
     assert cert.branch == "ucp"
     assert cert.aux["contraction_factor"] <= 0.5
     assert cert.n == math.floor(cert.aux["xi"])
     assert cert.r <= cert.aux["r0_eff"] * (1 + 1e-9)
-    assert soundness_check(cert, empirical_ratio(f, e, ONE_D, g)).passed
+    assert soundness_check(cert, empirical_ratio(f, e)).passed
     contraction = [s for s in cert.trace if s.step == "contraction"][0]
     assert contraction.holds
 
@@ -425,9 +428,9 @@ def test_ucp_two_dimensional():
     assert verify_ucp(f, uc, domain, g).passed
     rng = np.random.default_rng(4)
     e = MeasurableSet.random(g, 0.2, rng)
-    cert = certify_ucp(f, e, uc, gc, domain, g)
+    cert = certify_ucp(f, e, uc, gc)
     assert cert.aux["contraction_factor"] <= 0.5
-    assert soundness_check(cert, empirical_ratio(f, e, domain, g)).passed
+    assert soundness_check(cert, empirical_ratio(f, e)).passed
 
 
 def test_ucp_sigma_between_one_and_limit():
@@ -439,9 +442,9 @@ def test_ucp_sigma_between_one_and_limit():
     gc = GevreyCertificate(base.M, base.delta, 1.3)  # 1.3 < 1 + 1/b = 2
     uc = UcpCertificate(0.12, 1.0, 0.5)
     assert verify_ucp(f, uc, ONE_D, g).passed
-    cert = certify_ucp(f, e, uc, gc, ONE_D, g)
+    cert = certify_ucp(f, e, uc, gc)
     assert cert.aux["contraction_factor"] <= 0.5
-    assert soundness_check(cert, empirical_ratio(f, e, ONE_D, g)).passed
+    assert soundness_check(cert, empirical_ratio(f, e)).passed
 
 
 # ---------------------------------------------------------------------------
@@ -451,21 +454,21 @@ def test_ucp_sigma_between_one_and_limit():
 def test_empirical_ratio_constant():
     g = grid_1d(256)
     e = MeasurableSet.from_box(g, [(0.3, 0.6)])
-    r = empirical_ratio(Polynomial1D((1.0,)), e, ONE_D, g)
+    r = empirical_ratio(Polynomial1D((1.0,)), e)
     assert r.ratio == pytest.approx(1.0)
 
 
 def test_empirical_ratio_argmax_containment():
     g = grid_1d()
     e = MeasurableSet.from_box(g, [(0.2, 0.3)])
-    r = empirical_ratio(TrigSum.sine([1]), e, ONE_D, g)
+    r = empirical_ratio(TrigSum.sine([1]), e)
     assert r.ratio == pytest.approx(1.0, abs=1e-6)
 
 
 def test_empirical_ratio_monotone_section():
     g = grid_1d()
     e = MeasurableSet.from_box(g, [(0.0, 0.05)])
-    r = empirical_ratio(TrigSum.sine([1]), e, ONE_D, g)
+    r = empirical_ratio(TrigSum.sine([1]), e)
     centers = g.axis_centers[0]
     c_star = centers[centers <= 0.05].max()
     want = (
@@ -480,7 +483,7 @@ def test_soundness_negative_control():
     g = grid_1d()
     f = TrigSum.sine([1])
     e = MeasurableSet.from_box(g, [(0.0, 0.05)])
-    ratio = empirical_ratio(f, e, ONE_D, g)
+    ratio = empirical_ratio(f, e)
     assert ratio.ratio > 2.0
     corrupted = ObservabilityCertificate(
         branch="sigma1",
@@ -501,13 +504,86 @@ def test_auto_dispatch():
     e = MeasurableSet.from_box(g, [(0.0, 0.4)])
     dc, _ = estimate_doubling(f, ONE_D, g)
     gc = derive_gevrey(f, ONE_D, g)
-    cert = certify_auto(f, e, gc, ONE_D, g, dc=dc, search=2)
+    cert = certify_auto(f, e, gc, dc=dc, search=2)
     assert cert.branch == "sigma1"
     gc2 = GevreyCertificate(gc.M, gc.delta, 1.5)
-    cert2 = certify_auto(f, e, gc2, ONE_D, g, dc=dc, search=2)
+    cert2 = certify_auto(f, e, gc2, dc=dc, search=2)
     assert cert2.branch == "sigma-gt1"
     with pytest.raises(ConfigError):
-        certify_auto(f, e, gc, ONE_D, g, branch="ucp")
+        certify_auto(f, e, gc, branch="ucp")
+
+
+def test_certify_layer_accepts_a_doubling_constant_below_the_sampled_one():
+    # negative control: kappa = 2 is below the sampled ratio; only the
+    # hypothesis layer (build_hypotheses, verify_gevrey, verify_ucp) checks
+    # certificates, so certify_auto still returns a constant
+    g = grid_1d()
+    f = Gaussian((0.5,), 0.15)
+    dc = DoublingCertificate(2.0, 0.5)
+    _, rep = estimate_doubling(f, ONE_D, g, radii=default_radii(ONE_D, dc.r0))
+    assert rep.kappa_hat > dc.kappa
+    e = MeasurableSet.random(g, 0.2, np.random.default_rng(1))
+    cert = certify_auto(f, e, derive_gevrey(f, ONE_D, g), dc=dc, search=4)
+    assert math.isfinite(cert.log_constant)
+
+
+# ---------------------------------------------------------------------------
+# Geometry from the set, degree cap
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("domain", [Domain.torus([1.0, 1.0]), Domain.disk(0.5)],
+                         ids=["torus", "disk"])
+def test_certifier_takes_its_geometry_from_the_set(domain):
+    g = Grid(domain, (128, 128))
+    f = TrigSum.of([([1, 0], 1.0, 0.0), ([1, 1], 0.6, 0.5)], 2)
+    e = MeasurableSet.random(g, 0.15, np.random.default_rng(3))
+    dc, _ = estimate_doubling(f, domain, g)
+    cert = certify_sigma1(f, e, dc, derive_gevrey(f, domain, g), search=2)
+    (cover,) = [s for s in cert.trace if s.step == "cover"]
+    assert cover.inputs["diameter"] == e.grid.domain.diameter
+    assert cert.aux["cover_count"] == len(cover_domain(e.grid.domain, cert.r))
+
+
+def test_certifiers_reject_the_old_domain_and_grid_arguments():
+    g, f, e, dc, gc = _sine_problem()
+    uc = UcpCertificate(5.0, 1.0, 0.5)
+    for call in (
+        lambda: certify_sigma1(f, e, dc, gc, ONE_D, g),
+        lambda: certify_sigma_gt1(f, e, dc, gc, ONE_D, g),
+        lambda: certify_ucp(f, e, uc, gc, ONE_D, g),
+        lambda: certify_auto(f, e, gc, ONE_D, g),
+        lambda: empirical_ratio(f, e, ONE_D, g),
+    ):
+        with pytest.raises(TypeError):
+            call()
+
+
+def _cap_sigma_gt1(sigma):
+    g = grid_1d(256)
+    e = MeasurableSet.from_box(g, [(0.0, 0.3)])
+    certify_sigma_gt1(
+        TrigSum.sine([1]), e, DoublingCertificate(2.0, 0.5), GevreyCertificate(1.0, 1.0, sigma)
+    )
+
+
+def _cap_pinned_degree():
+    g = grid_1d(256)
+    f = TrigSum.sine([1])
+    e = MeasurableSet.from_box(g, [(0.0, 0.3)])
+    dc, _ = estimate_doubling(f, ONE_D, g)
+    certify_sigma1(f, e, dc, derive_gevrey(f, ONE_D, g), n_override=10**8, search=0)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: _cap_sigma_gt1(1.001),   # B = 2^1000
+    lambda: _cap_sigma_gt1(1.0001),  # B overflows a float
+    _cap_pinned_degree,
+], ids=["sigma-1.001", "sigma-1.0001", "pinned-1e8"])
+def test_degrees_beyond_the_cap_are_infeasible_at_once(run):
+    t0 = time.perf_counter()
+    with pytest.raises(InfeasibleError, match="degree"):
+        run()
+    assert time.perf_counter() - t0 < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -529,5 +605,5 @@ def test_sigma1_2d_sound(domain, cells):
     e = MeasurableSet.random(g, 0.15, rng)
     dc, _ = estimate_doubling(f, domain, g)
     gc = derive_gevrey(f, domain, g)
-    cert = certify_sigma1(f, e, dc, gc, domain, g, search=4)
-    assert soundness_check(cert, empirical_ratio(f, e, domain, g)).passed
+    cert = certify_sigma1(f, e, dc, gc, search=4)
+    assert soundness_check(cert, empirical_ratio(f, e)).passed

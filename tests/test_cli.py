@@ -202,6 +202,22 @@ branch = ucp
     assert code == EXIT_HYPOTHESIS
 
 
+@pytest.mark.parametrize("claim, message", [
+    ("doubling = 2.0, 0.5", "doubling certificate fails"),
+    ("ucp = 0.0001, 1.0, 0.5", "unique-continuation certificate fails"),
+], ids=["doubling", "ucp"])
+def test_certify_rejects_a_constant_below_the_sampled_one(tmp_path, capsys, claim, message):
+    # kappa = 2 is below the sampled doubling ratio of this Gaussian, and
+    # a = 1e-4 below the smallest sufficient a: the hypothesis layer says so
+    text = (BASE_CONFIG.replace("kind = trig\nmodes = 1:1.0:0.0; 2:0.4:0.9",
+                                "kind = gaussian\ncenter = 0.5\nwidth = 0.15")
+            .replace("doubling = estimate", claim))
+    cfg_path = write_config(tmp_path, text)
+    code = main(["certify", str(cfg_path), "--output-dir", str(tmp_path / "o")])
+    assert code == EXIT_HYPOTHESIS
+    assert message in capsys.readouterr().err
+
+
 def test_certify_gevrey_failure_exit_code(tmp_path):
     bad = BASE_CONFIG.replace("gevrey = auto", "gevrey = 1.0, 1.0, 1.0")
     cfg_path = write_config(tmp_path, bad)
@@ -466,7 +482,7 @@ def test_sweep_shared_hypothesis_failure_is_every_rows_error(tmp_path):
     cfg = RunConfig.load(cfg_path)
     domain = build_domain(cfg)
     with pytest.raises(HypothesisError) as exc:
-        build_hypotheses(cfg, build_function(cfg, domain), domain, build_grid(cfg, domain), 12)
+        build_hypotheses(cfg, build_function(cfg, domain), domain, build_grid(cfg, domain))
     out = tmp_path / "out"
     assert main(["sweep", str(cfg_path), "--output-dir", str(out)]) == EXIT_INFEASIBLE
     statuses = [row["status"] for row in json.loads((out / "sweep.json").read_text())["rows"]]
@@ -487,6 +503,16 @@ def test_sweep_degree_rows_without_a_doubling_branch_fail(tmp_path, hypotheses, 
     report = json.loads((out / "sweep.json").read_text())
     assert "set" not in report
     assert [row["status"] for row in report["rows"]] == [status] * 4
+
+
+def test_sweep_degree_beyond_the_cap_is_a_row_error(tmp_path):
+    cfg_path = _sweep_config(tmp_path, "degree", "sweep.cfg", extra=[
+        ("values = 4, 6, 8, 10", "values = 6, 1e8")])
+    out = tmp_path / "out"
+    assert main(["sweep", str(cfg_path), "--output-dir", str(out)]) == EXIT_INFEASIBLE
+    rows = json.loads((out / "sweep.json").read_text())["rows"]
+    assert rows[0]["status"] == "ok"
+    assert rows[1]["status"].startswith("error: degree 100000000 is beyond desk scale")
 
 
 def test_sweep_empty_axis_is_config_error(tmp_path):

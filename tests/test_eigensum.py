@@ -11,6 +11,7 @@ from obscert.eigensum import (
     certify_eigensum,
     derive_eigensum_gevrey,
     doubling_growth_study,
+    eigensum_study_csv,
     gamma_params,
     l2_inner,
     l2_norm,
@@ -207,7 +208,7 @@ def test_certify_eigensum_half_torus():
     es = build_eigensum([([1], 1.0, 0.0)], 1)
     e = MeasurableSet.from_box(g, [(0.0, 0.5)])
     cert = certify_eigensum(es, e, gamma_params(es), search=4)
-    ratio = empirical_ratio(es.model, e, TORUS_1D, g)
+    ratio = empirical_ratio(es.model, e)
     assert soundness_check(cert, ratio).passed
     assert cert.aux["shape_constant"] >= 1.0
     # growth shape: log C <= c2 * gamma * log(c2 / |E|)
@@ -223,7 +224,7 @@ def test_certify_eigensum_extends_the_sigma1_certificate():
     cert = certify_eigensum(es, e, gp, search=2)
     dc = DoublingCertificate(max(2.0, math.exp(gp.gamma)), TORUS_1D.max_ball_radius)
     gc = derive_eigensum_gevrey(es, TORUS_1D, g)
-    base = certify_sigma1(es.model, e, dc, gc, TORUS_1D, g, search=2)
+    base = certify_sigma1(es.model, e, dc, gc, search=2)
     added = {"gamma", "calibration", "m", "lambda", "shape_constant"}
     assert set(cert.aux) == set(base.aux) | added
     assert {k: v for k, v in cert.aux.items() if k not in added} == {
@@ -242,7 +243,7 @@ def test_certify_eigensum_two_dimensional():
     rng = np.random.default_rng(15)
     e = MeasurableSet.random(g, 0.2, rng)
     cert = certify_eigensum(es, e, gamma_params(es), search=2)
-    ratio = empirical_ratio(es.model, e, TORUS_2D, g)
+    ratio = empirical_ratio(es.model, e)
     assert soundness_check(cert, ratio).passed
     assert es.m == 2  # |k| = 1 twice, |k| = sqrt(2) once
 
@@ -252,7 +253,7 @@ def test_certify_eigensum_full_torus_trivial():
     es = build_eigensum([([1], 1.0, 0.0), ([2], 0.5, 0.7)], 1)
     e = MeasurableSet.full(g)
     cert = certify_eigensum(es, e, gamma_params(es), search=2)
-    ratio = empirical_ratio(es.model, e, TORUS_1D, g)
+    ratio = empirical_ratio(es.model, e)
     assert ratio.ratio == pytest.approx(1.0)
     assert soundness_check(cert, ratio).passed
 
@@ -299,3 +300,12 @@ def test_shape_constant_monotone():
     small = shape_constant(5.0, 10.0, 0.25)
     large = shape_constant(50.0, 10.0, 0.25)
     assert small <= large
+
+
+def test_study_rejects_a_set_on_another_grid(tmp_path):
+    # the doubling column comes from the study grid and the constant from
+    # the set's grid, so the two must agree
+    family = [build_eigensum([([2], 1.0, 0.3)], 1)]
+    msets = [MeasurableSet.random(torus_grid(512), 0.1, np.random.default_rng(1))]
+    with pytest.raises(ConfigError, match="study grid"):
+        eigensum_study_csv(tmp_path / "study.csv", family, msets, torus_grid(), search=2)

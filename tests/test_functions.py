@@ -359,6 +359,26 @@ def test_verify_gevrey_rejects_inflated_delta_2d(model):
     assert rep.max_ratio > inflated.M
 
 
+def test_verify_gevrey_rejects_inflated_delta_1d_product():
+    model = MODELS_1D[2]
+    g = grid_1d(512)
+    gc = derive_gevrey(model, ONE_D, g)
+    assert verify_gevrey(model, gc, ONE_D, g).passed
+    inflated = GevreyCertificate(gc.M, 10.0 * gc.delta, gc.sigma)
+    assert not verify_gevrey(model, inflated, ONE_D, g).passed
+
+
+@pytest.mark.parametrize("check", [
+    lambda f, d, g: derive_gevrey(f, d, g),
+    lambda f, d, g: verify_gevrey(f, GevreyCertificate(1.0, 1.0, 1.0), d, g),
+    lambda f, d, g: estimate_doubling(f, d, g),
+    lambda f, d, g: verify_ucp(f, UcpCertificate(1.0, 1.0, 0.5), d, g),
+], ids=["derive_gevrey", "verify_gevrey", "estimate_doubling", "verify_ucp"])
+def test_a_domain_other_than_the_grids_is_rejected(check):
+    with pytest.raises(ConfigError, match="not the domain of the grid"):
+        check(TrigSum.sine([1]), Domain.torus([1.0]), grid_1d(256))
+
+
 def test_certify_layer_accepts_an_inflated_delta():
     # stated plainly: given a certificate with delta x10, certify_auto still
     # returns a finite constant; only verify_gevrey rejects the certificate
@@ -369,7 +389,7 @@ def test_certify_layer_accepts_an_inflated_delta():
     dc, _ = estimate_doubling(f, domain, grid)
     inflated = GevreyCertificate(gc.M, 10.0 * gc.delta, gc.sigma)
     mset = MeasurableSet.random(grid, 0.1, np.random.default_rng(3))
-    cert = certify_auto(f, mset, inflated, domain, grid, dc=dc, search=2)
+    cert = certify_auto(f, mset, inflated, dc=dc, search=2)
     assert math.isfinite(cert.log_constant)
     assert not verify_gevrey(f, inflated, domain, grid).passed
 
