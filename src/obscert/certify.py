@@ -33,7 +33,6 @@ from .functions import (
     UcpCertificate,
 )
 from .geometry import (
-    N_DIRECTIONS_2D,
     Ball,
     Grid,
     MeasurableSet,
@@ -42,6 +41,7 @@ from .geometry import (
     cover_domain,
     densest_ball,
     best_ray_interval,
+    ray_directions,
 )
 from .interp import PolyBound, poly_sup_bound, remainder_bound, separate_points
 from .logspace import LOG2, log_add, to_log
@@ -325,7 +325,11 @@ def _run_geometry(
         TraceStep(
             "ray-selection",
             "best direction through the near-maximiser",
-            {"r": r, "n_directions": float(N_DIRECTIONS_2D), "intersection_measure": inter},
+            {
+                "r": r,
+                "n_directions": float(len(ray_directions(domain.dimension))),
+                "intersection_measure": inter,
+            },
             {"trace_length": ell, "t_max": seg.t_max},
         )
     )

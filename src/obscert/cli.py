@@ -23,12 +23,7 @@ from typing import Any
 
 import numpy as np
 
-from .certify import (
-    ObservabilityCertificate,
-    certify_auto,
-    empirical_ratio,
-    soundness_check,
-)
+from .certify import certify_auto, empirical_ratio, soundness_check
 from .errors import (
     ConfigError,
     HypothesisError,
@@ -148,8 +143,6 @@ def build_domain(cfg: RunConfig) -> Domain:
 
 
 def build_grid(cfg: RunConfig, domain: Domain) -> Grid:
-    if not cfg.parser.has_section("grid"):
-        return Grid.default(domain)
     cells = cfg.get("grid", "cells")
     if cells is None:
         return Grid.default(domain)
@@ -373,12 +366,6 @@ def _describe(
     return out
 
 
-def _certificate_summary(cert: ObservabilityCertificate) -> dict[str, Any]:
-    d = cert.to_dict()
-    d["C"] = _finite(cert.constant)
-    return d
-
-
 def _soundness_summary(cert, ratio) -> dict[str, Any]:
     res = soundness_check(cert, ratio)
     return {
@@ -417,7 +404,7 @@ def cmd_certify(cfg: RunConfig, out_dir: Path) -> Report:
         {
             "command": "certify",
             "hypotheses": hyp.to_dict(),
-            "certificate": _certificate_summary(cert),
+            "certificate": cert.to_dict(),
             "soundness": sound,
         }
     )

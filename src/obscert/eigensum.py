@@ -17,12 +17,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .certify import ObservabilityCertificate, certify_sigma1
+from .certify import ObservabilityCertificate, certify_sigma1, empirical_ratio
 from .errors import ConfigError, HypothesisError, ResolutionError
 from .functions import (
+    TWO_PI,
     DoublingCertificate,
     FunctionModel,
-    GevreyCertificate,
     TrigMode,
     TrigSum,
     derive_gevrey,
@@ -30,28 +30,22 @@ from .functions import (
 )
 from .geometry import Domain, Grid, MeasurableSet
 
-TWO_PI = 2.0 * math.pi
-
 
 # ---------------------------------------------------------------------------
 # Eigen-sums
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class EigenSum:
-    """h = sum of eigenfunction components, grouped by distinct eigenvalue."""
+class EigenSum(TrigSum):
+    """A trigonometric sum read as a sum of Laplace eigenfunctions, grouped
+    by distinct eigenvalue; it serves wherever its `TrigSum` would."""
 
-    modes: tuple[TrigMode, ...]
-    dimension: int
     allow_constant: bool = False
 
     def __post_init__(self):
-        if not self.modes:
-            raise ConfigError("an eigen-sum needs at least one mode")
+        super().__post_init__()
         seen = set()
         for m in self.modes:
-            if len(m.freq) != self.dimension:
-                raise ConfigError("mode frequency dimension mismatch")
             key = (m.freq, m.amplitude, m.phase)
             if key in seen:
                 raise ConfigError(f"duplicate identical mode {key}")
@@ -73,10 +67,6 @@ class EigenSum:
     def max_eigenvalue(self) -> float:
         return self.eigenvalues[-1]
 
-    @cached_property
-    def model(self) -> TrigSum:
-        return TrigSum(self.modes, self.dimension)
-
     def component(self, eigenvalue: float) -> TrigSum:
         ms = tuple(
             m for m in self.modes if abs((TWO_PI * m.freq_norm) ** 2 - eigenvalue) < 1e-9
@@ -91,20 +81,13 @@ class EigenSum:
         )
         return TrigSum(ms, self.dimension)
 
-    @property
-    def max_freq_norm(self) -> float:
-        return max(m.freq_norm for m in self.modes)
-
 
 def build_eigensum(
     modes: Sequence[tuple[Sequence[int], float, float]],
     dimension: int,
     allow_constant: bool = False,
 ) -> EigenSum:
-    ms = tuple(
-        TrigMode(tuple(int(v) for v in k), float(a), float(p)) for k, a, p in modes
-    )
-    return EigenSum(ms, dimension, allow_constant)
+    return EigenSum(TrigSum.of(modes, dimension).modes, dimension, allow_constant)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +135,7 @@ def orthogonality_check(es: EigenSum, grid: Grid) -> OrthogonalityReport:
             pairs += 1
 
     lam = es.max_eigenvalue
-    norm_h = l2_norm(es.model, grid)
+    norm_h = l2_norm(es, grid)
     max_excess = -math.inf
     for order in range(1, 5):
         lhs = l2_norm(es.laplace_power(order), grid)
@@ -192,15 +175,12 @@ def gamma_params(es: EigenSum, calibration: float = 1.0) -> GammaParams:
 def calibrate_gamma(family: Sequence[EigenSum], domain: Domain, grid: Grid) -> float:
     """Smallest calibration constant 1.25^j making e^gamma dominate the
     empirical doubling constant on every family member."""
+    log_kappas = [
+        math.log(max(estimate_doubling(es, domain, grid)[1].kappa_hat, 2.0)) for es in family
+    ]
     c = 1.0
     for _ in range(64):
-        ok = True
-        for es in family:
-            _, rep = estimate_doubling(es.model, domain, grid)
-            if gamma_params(es, c).gamma < math.log(max(rep.kappa_hat, 2.0)):
-                ok = False
-                break
-        if ok:
+        if all(gamma_params(es, c).gamma >= lk for es, lk in zip(family, log_kappas)):
             return c
         c *= 1.25
     raise HypothesisError("calibration failed: doubling growth exceeds the model")
@@ -250,7 +230,7 @@ def doubling_growth_study(
     rows: list[GrowthRow] = []
     for entry in family:
         if isinstance(entry, EigenSum):
-            model, lam = entry.model, entry.max_eigenvalue
+            model, lam = entry, entry.max_eigenvalue
             m = entry.m
             g = gamma_params(entry, calibration).gamma
         else:
@@ -272,13 +252,6 @@ def doubling_growth_study(
 # ---------------------------------------------------------------------------
 # Certification of eigen-sums
 # ---------------------------------------------------------------------------
-
-def derive_eigensum_gevrey(es: EigenSum, domain: Domain, grid: Grid) -> GevreyCertificate:
-    """sigma = 1 certificate from mode data: delta = 1/(2 pi max|k|) (1 when
-    every frequency is 0) and M = amplitude mass over the grid sup, the
-    certificate `derive_gevrey` gives the sum's trigonometric model."""
-    return derive_gevrey(es.model, domain, grid)
-
 
 def shape_constant(log_c: float, gamma: float, set_measure: float) -> float:
     """Smallest c >= 1 with log C <= c * gamma * (log c - log |E|)."""
@@ -312,18 +285,18 @@ def eigensum_study_csv(
 ) -> list[dict[str, float]]:
     """Full study table (lambda, m, gamma, kappa_hat, C, ratio) as CSV rows,
     one row per family member and set."""
-    from .certify import empirical_ratio
-
+    if not family or not msets:
+        raise ConfigError("a study needs at least one eigen-sum and one set")
     if any(mset.grid != grid for mset in msets):
         raise ConfigError("every set of the study must live on the study grid")
     domain = grid.domain
     rows: list[dict[str, float]] = []
     for es in family:
-        _, rep = estimate_doubling(es.model, domain, grid)
+        _, rep = estimate_doubling(es, domain, grid)
         gp = gamma_params(es, calibration)
         for mset in msets:
             cert = certify_eigensum(es, mset, gp, search=search)
-            ratio = empirical_ratio(es.model, mset)
+            ratio = empirical_ratio(es, mset)
             rows.append(
                 {
                     "lambda": es.max_eigenvalue,
@@ -366,8 +339,8 @@ def certify_eigensum(
         raise HypothesisError("gamma too large to represent the doubling constant")
     kappa = max(2.0, math.exp(gp.gamma))
     dc = DoublingCertificate(kappa, min(1.0, domain.max_ball_radius))
-    gc = derive_eigensum_gevrey(es, domain, grid)
-    cert = certify_sigma1(es.model, mset, dc, gc, search=search)
+    gc = derive_gevrey(es, domain, grid)
+    cert = certify_sigma1(es, mset, dc, gc, search=search)
     cert.aux.update(
         {
             "gamma": gp.gamma,

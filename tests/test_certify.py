@@ -224,6 +224,18 @@ def test_trace_has_complete_step_chain():
         "master-inequality", "shape-poly-term", "shape-remainder-term",
         "contraction", "ucp-assembly", "resolution",
     ]
+    # the ray selection records the fan it searched: both axis directions
+    # in 1D, the full fan in 2D
+    domain = Domain.box([1.0, 1.0])
+    g = Grid(domain, (64, 64))
+    f = TrigSum.of([([1, 0], 1.0, 0.0), ([1, 1], 0.6, 0.5)], 2)
+    e = MeasurableSet.random(g, 0.2, np.random.default_rng(3))
+    dc, _ = estimate_doubling(f, domain, g)
+    plane = certify_sigma1(f, e, dc, derive_gevrey(f, domain, g), search=2)
+    assert [s.step for s in plane.trace] == doubling
+    for cert, fan in [(sigma1, 2.0), (sigma_gt1, 2.0), (ucp, 2.0), (plane, 64.0)]:
+        rays = [s for s in cert.trace if s.step == "ray-selection"]
+        assert [s.inputs["n_directions"] for s in rays] == [fan]
 
 
 def test_aux_key_sets_per_branch():

@@ -1,15 +1,17 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import obscert.eigensum as eigensum_module
 from obscert.certify import certify_sigma1, empirical_ratio, soundness_check
 from obscert.errors import ConfigError, ResolutionError
 from obscert.eigensum import (
+    EigenSum,
     build_eigensum,
     calibrate_gamma,
     certify_eigensum,
-    derive_eigensum_gevrey,
     doubling_growth_study,
     eigensum_study_csv,
     gamma_params,
@@ -18,7 +20,13 @@ from obscert.eigensum import (
     orthogonality_check,
     shape_constant,
 )
-from obscert.functions import DoublingCertificate, FunctionModel, TrigSum
+from obscert.functions import (
+    DoublingCertificate,
+    FunctionModel,
+    GridField,
+    TrigSum,
+    derive_gevrey,
+)
 from obscert.geometry import Domain, Grid, MeasurableSet
 
 TWO_PI = 2 * math.pi
@@ -63,12 +71,37 @@ def test_zero_frequency_requires_flag():
     assert es.m == 2
 
 
+def test_eigensum_is_its_trig_sum():
+    modes = [([1, 0], 1.0, 0.2), ([1, 1], 0.5, 0.4), ([0, 2], 0.3, 1.1)]
+    es = build_eigensum(modes, 2)
+    trig = TrigSum.of(modes, 2)
+    assert isinstance(es, TrigSum)
+    assert (es.modes, es.dimension, es.kind) == (trig.modes, trig.dimension, trig.kind)
+    assert es.max_freq_norm == trig.max_freq_norm == 2.0
+    pts = np.random.default_rng(8).uniform(0, 1, size=(200, 2))
+    assert np.array_equal(es.evaluate(pts), trig.evaluate(pts))
+
+
+@pytest.mark.parametrize("build,match", [
+    (lambda: build_eigensum([([1], 1.0, 0.0), ([1], 1.0, 0.0)], 1), "duplicate identical mode"),
+    (lambda: build_eigensum([([0], 1.0, 0.5)], 1), "zero frequency requires allow_constant"),
+    (lambda: build_eigensum([([1, 0], 1.0, 0.0)], 1), "dimension mismatch"),
+    (lambda: EigenSum(TrigSum.sine([1, 0]).modes, 1), "dimension mismatch"),
+    (lambda: build_eigensum([], 1), "a trigonometric sum needs at least one mode"),
+    (lambda: EigenSum((), 1, allow_constant=True), "a trigonometric sum needs at least one mode"),
+], ids=["repeated", "zero-frequency", "wrong-dimension", "wrong-dimension-direct", "empty",
+        "empty-direct"])
+def test_malformed_sum_raises_config_error(build, match):
+    with pytest.raises(ConfigError, match=match):
+        build()
+
+
 def test_laplacian_identity_at_random_points():
     # -Lap h = sum lambda_i phi_i, via exact axis second derivatives
     rng = np.random.default_rng(6)
     es = build_eigensum([([1], 1.0, 0.2), ([3], 0.4, 1.0), ([5], 0.25, 2.2)], 1)
     pts = rng.uniform(0, 1, size=(1000, 1))
-    lap = -es.model.directional_derivative(pts, np.array([1.0]), 2)
+    lap = -es.directional_derivative(pts, np.array([1.0]), 2)
     want = es.laplace_power(1).evaluate(pts)
     assert np.allclose(lap, want, rtol=1e-8, atol=1e-8 * np.max(np.abs(want)))
 
@@ -78,8 +111,8 @@ def test_laplacian_identity_2d():
     es = build_eigensum([([1, 0], 1.0, 0.0), ([1, 1], 0.5, 0.4), ([2, 1], 0.3, 1.1)], 2)
     pts = rng.uniform(0, 1, size=(500, 2))
     lap = -(
-        es.model.directional_derivative(pts, np.array([1.0, 0.0]), 2)
-        + es.model.directional_derivative(pts, np.array([0.0, 1.0]), 2)
+        es.directional_derivative(pts, np.array([1.0, 0.0]), 2)
+        + es.directional_derivative(pts, np.array([0.0, 1.0]), 2)
     )
     want = es.laplace_power(1).evaluate(pts)
     assert np.allclose(lap, want, rtol=1e-8, atol=1e-8 * np.max(np.abs(want)))
@@ -109,7 +142,7 @@ def test_power_bound_single_mode_equality():
     g = torus_grid(512)
     es = build_eigensum([([2], 1.0, 0.3)], 1)
     lam = es.max_eigenvalue
-    h_norm = l2_norm(es.model, g)
+    h_norm = l2_norm(es, g)
     for order in (1, 2, 3, 4):
         lhs = l2_norm(es.laplace_power(order), g)
         assert lhs == pytest.approx(lam ** order * h_norm, rel=1e-10)
@@ -168,6 +201,24 @@ def test_growth_study_eigen_family_within_bound():
     assert all(row.kappa_hat >= 2.0 for row in study.rows)
 
 
+def test_calibration_estimates_each_member_once(monkeypatch):
+    # the first member's kappa_hat needs c >= 3, so c rises five times
+    fam = family_k(3)
+    target = 3.0 * gamma_params(fam[0]).gamma
+    calls = []
+
+    def fake_estimate(f, domain, grid):
+        calls.append(f)
+        return None, SimpleNamespace(kappa_hat=math.exp(target) if f.modes == fam[0].modes else 2.0)
+
+    monkeypatch.setattr(eigensum_module, "estimate_doubling", fake_estimate)
+    c = calibrate_gamma(fam, TORUS_1D, torus_grid(256))
+    assert len(calls) == len(fam)
+    assert all(f is es for f, es in zip(calls, fam))
+    assert c == 1.25 ** 5
+    assert gamma_params(fam[0], c / 1.25).gamma < target <= gamma_params(fam[0], c).gamma
+
+
 def test_growth_study_flags_exponential_control():
     class ExpGrowth(FunctionModel):
         kind = "exp"
@@ -208,7 +259,7 @@ def test_certify_eigensum_half_torus():
     es = build_eigensum([([1], 1.0, 0.0)], 1)
     e = MeasurableSet.from_box(g, [(0.0, 0.5)])
     cert = certify_eigensum(es, e, gamma_params(es), search=4)
-    ratio = empirical_ratio(es.model, e)
+    ratio = empirical_ratio(es, e)
     assert soundness_check(cert, ratio).passed
     assert cert.aux["shape_constant"] >= 1.0
     # growth shape: log C <= c2 * gamma * log(c2 / |E|)
@@ -223,8 +274,8 @@ def test_certify_eigensum_extends_the_sigma1_certificate():
     gp = gamma_params(es)
     cert = certify_eigensum(es, e, gp, search=2)
     dc = DoublingCertificate(max(2.0, math.exp(gp.gamma)), TORUS_1D.max_ball_radius)
-    gc = derive_eigensum_gevrey(es, TORUS_1D, g)
-    base = certify_sigma1(es.model, e, dc, gc, search=2)
+    gc = derive_gevrey(es, TORUS_1D, g)
+    base = certify_sigma1(es, e, dc, gc, search=2)
     added = {"gamma", "calibration", "m", "lambda", "shape_constant"}
     assert set(cert.aux) == set(base.aux) | added
     assert {k: v for k, v in cert.aux.items() if k not in added} == {
@@ -237,13 +288,35 @@ def test_certify_eigensum_extends_the_sigma1_certificate():
     )
 
 
+def test_certifier_and_oracle_read_the_sums_own_field(monkeypatch):
+    g = torus_grid(512)
+    es = build_eigensum([([1], 1.0, 0.0), ([3], 0.5, 0.2)], 1)
+    e = MeasurableSet.from_box(g, [(0.0, 0.3)])
+    field = GridField.of(es, g)
+    full_grid = []
+    evaluate = TrigSum.evaluate
+
+    def counting(self, points):
+        if np.shape(points)[:-1] == g.cells:
+            full_grid.append(self)
+        return evaluate(self, points)
+
+    monkeypatch.setattr(TrigSum, "evaluate", counting)
+    cert = certify_eigensum(es, e, gamma_params(es), search=2)
+    ratio = empirical_ratio(es, e)
+    assert GridField.of(es, g) is field
+    assert full_grid == []
+    assert (cert.aux["sup_domain"], cert.aux["sup_set"]) == (ratio.sup_domain, ratio.sup_set)
+    assert ratio.sup_domain == field.sup_domain().value
+
+
 def test_certify_eigensum_two_dimensional():
     g = Grid(TORUS_2D, (192, 192))
     es = build_eigensum([([1, 0], 1.0, 0.0), ([0, 1], 0.7, 0.5), ([1, 1], 0.4, 1.1)], 2)
     rng = np.random.default_rng(15)
     e = MeasurableSet.random(g, 0.2, rng)
     cert = certify_eigensum(es, e, gamma_params(es), search=2)
-    ratio = empirical_ratio(es.model, e)
+    ratio = empirical_ratio(es, e)
     assert soundness_check(cert, ratio).passed
     assert es.m == 2  # |k| = 1 twice, |k| = sqrt(2) once
 
@@ -253,7 +326,7 @@ def test_certify_eigensum_full_torus_trivial():
     es = build_eigensum([([1], 1.0, 0.0), ([2], 0.5, 0.7)], 1)
     e = MeasurableSet.full(g)
     cert = certify_eigensum(es, e, gamma_params(es), search=2)
-    ratio = empirical_ratio(es.model, e)
+    ratio = empirical_ratio(es, e)
     assert ratio.ratio == pytest.approx(1.0)
     assert soundness_check(cert, ratio).passed
 
@@ -281,7 +354,7 @@ def test_certify_eigensum_shrinking_set_slope():
 def test_derived_gevrey_for_eigensum():
     g = torus_grid(512)
     es = build_eigensum([([1], 1.0, 0.0), ([3], 0.5, 0.2)], 1)
-    gc = derive_eigensum_gevrey(es, TORUS_1D, g)
+    gc = derive_gevrey(es, TORUS_1D, g)
     assert gc.sigma == 1.0
     assert gc.delta == pytest.approx(1.0 / (TWO_PI * 3.0), rel=1e-12)
     assert gc.M >= 1.0
@@ -290,7 +363,7 @@ def test_derived_gevrey_for_eigensum():
 def test_derived_gevrey_for_constant_eigensum():
     # every frequency 0: every derivative vanishes, so delta = 1 as for a TrigSum
     es = build_eigensum([([0], 1.0, 0.5)], 1, allow_constant=True)
-    gc = derive_eigensum_gevrey(es, TORUS_1D, torus_grid(256))
+    gc = derive_gevrey(es, TORUS_1D, torus_grid(256))
     assert (gc.delta, gc.sigma) == (1.0, 1.0)
     assert gc.M == pytest.approx(1.0 / math.sin(0.5), rel=1e-12)
 
@@ -300,6 +373,16 @@ def test_shape_constant_monotone():
     small = shape_constant(5.0, 10.0, 0.25)
     large = shape_constant(50.0, 10.0, 0.25)
     assert small <= large
+
+
+@pytest.mark.parametrize("empty", ["family", "msets"])
+def test_empty_study_raises_config_error(tmp_path, empty):
+    g = torus_grid(256)
+    family = [] if empty == "family" else [build_eigensum([([2], 1.0, 0.3)], 1)]
+    msets = [] if empty == "msets" else [MeasurableSet.from_box(g, [(0.0, 0.5)])]
+    with pytest.raises(ConfigError, match="at least one eigen-sum and one set"):
+        eigensum_study_csv(tmp_path / "study.csv", family, msets, g, search=2)
+    assert not (tmp_path / "study.csv").exists()
 
 
 def test_study_rejects_a_set_on_another_grid(tmp_path):
