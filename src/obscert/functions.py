@@ -20,7 +20,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, HypothesisError, InfeasibleError
-from .geometry import BLOCK, Ball, Domain, Grid, MeasurableSet
+from .geometry import BLOCK, Ball, BallBlocks, Domain, Grid, MeasurableSet
 from .logspace import log_factorial
 
 TWO_PI = 2.0 * math.pi
@@ -134,6 +134,10 @@ class TrigMode:
     amplitude: float
     phase: float = 0.0
 
+    def __post_init__(self):
+        if not (math.isfinite(self.amplitude) and math.isfinite(self.phase)):
+            raise ConfigError(f"mode {self.freq} needs a finite amplitude and phase")
+
     @property
     def freq_norm(self) -> float:
         return math.sqrt(sum(k * k for k in self.freq))
@@ -242,6 +246,8 @@ class Gaussian(FunctionModel):
     kind = "gaussian"
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (*self.center, self.width, self.amplitude)):
+            raise ConfigError("gaussian centre, width and amplitude must be finite")
         if self.width <= 0:
             raise ConfigError("gaussian width must be positive")
 
@@ -352,6 +358,10 @@ class Polynomial1D(FunctionModel):
     kind = "polynomial"
     dimension = 1
 
+    def __post_init__(self):
+        if not all(math.isfinite(c) for c in self.coeffs):
+            raise ConfigError("polynomial coefficients must be finite")
+
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         p = _as_points(points, 1)[..., 0]
         return np.polynomial.polynomial.polyval(p, np.asarray(self.coeffs))
@@ -423,40 +433,53 @@ class GridField:
         """Max over the cells of each ball of the given radii about `center`;
         -1 for a ball that holds no interior cell.
 
-        A 1D ball is one window.  In 2D the maximum starts from the inside
-        blocks' maxima; boundary blocks are then visited in descending order
-        of their maxima, testing their cells, until a block's maximum cannot
-        beat the best value so far.
+        A 1D ball is a mask over the line.  In 2D the maximum starts from the
+        inside blocks' maxima; boundary blocks are then visited in descending
+        order of their maxima, testing their cells, until a block's maximum
+        cannot beat the best value so far.
         """
         if self.grid.dimension == 1:
-            return [float(self.values[bc.window].max(initial=-1.0, where=bc.inside))
-                    for bc in self.grid.ball_cells(center, radii)]
-        rows, cols = self.grid.block_starts
-        maxima = []
-        for bb in self.grid.ball_blocks(center, radii):
-            ox, oy = bb.offsets
-            best = float(self.block_max.max(initial=-1.0, where=bb.inside))
-            bi, bj = bb.boundary.nonzero()
-            peaks = self.block_max[bi, bj]
-            for k in np.argsort(peaks)[::-1]:
-                if peaks[k] <= best:
-                    break
-                r = slice(rows[bi[k]], rows[bi[k]] + BLOCK)
-                c = slice(cols[bj[k]], cols[bj[k]] + BLOCK)
-                in_ball = np.sqrt(ox[r, None] + oy[c]) <= bb.radius
-                best = max(best, float(self.values[r, c].max(initial=-1.0, where=in_ball)))
-            maxima.append(best)
-        return maxima
+            return [float(self.values.max(initial=-1.0, where=in_ball))
+                    for in_ball in self.grid.line_balls(center, radii)]
+        return [self._block_walk(bb) for bb in self.grid.ball_blocks(center, radii)]
+
+    def _block_walk(self, bb: BallBlocks) -> float:
+        """The ball's maximum by the block walk `ball_maxima` describes."""
+        best = float(self.block_max.max(initial=-1.0, where=bb.inside))
+        bi, bj = bb.boundary.nonzero()
+        peaks = self.block_max[bi, bj]
+        for k in np.argsort(peaks)[::-1]:
+            if peaks[k] <= best:
+                break
+            best = max(best, float(self._block_values(bb, bi[k], bj[k])[0].max()))
+        return best
+
+    def _block_values(self, bb: BallBlocks, bi: int, bj: int) -> tuple[np.ndarray, int, int]:
+        """One block's values, -1 outside the ball, and its first row and column."""
+        r, c = self.grid.block_starts[0][bi], self.grid.block_starts[1][bj]
+        ox, oy = bb.offsets
+        in_ball = np.sqrt(ox[r:r + BLOCK, None] + oy[c:c + BLOCK]) <= bb.radius
+        return np.where(in_ball, self.values[r:r + BLOCK, c:c + BLOCK], -1.0), r, c
 
     def sup_ball(self, center: Sequence[float], radius: float) -> SupResult:
-        """The ball's maximum with the centre of the first cell attaining it."""
-        (bc,) = self.grid.ball_cells(center, [radius])
-        masked = np.where(bc.inside, self.values[bc.window], -1.0)
-        if masked.size == 0:
-            return SupResult(-1.0, None)
-        local = np.unravel_index(int(np.argmax(masked)), masked.shape)
-        idx = tuple(k[i] for k, i in zip(bc.indices, local))
-        return SupResult(float(masked[local]), self.grid.points[idx])
+        """The ball's maximum with the centre of the first cell, in row-major
+        order, attaining it; (-1, None) for a ball with no interior cell.  In
+        2D only the blocks of the ball whose maximum reaches it can hold it."""
+        if self.grid.dimension == 1:
+            (in_ball,) = self.grid.line_balls(center, [radius])
+            masked = np.where(in_ball, self.values, -1.0)
+            i = int(np.argmax(masked))
+            return SupResult(float(masked[i]), self.grid.points[i] if masked[i] >= 0.0 else None)
+        (bb,) = self.grid.ball_blocks(center, [radius])
+        best = self._block_walk(bb)
+        if best < 0.0:
+            return SupResult(best, None)
+        firsts = []
+        for bi, bj in zip(*((bb.inside | bb.boundary) & (self.block_max >= best)).nonzero()):
+            block, r, c = self._block_values(bb, bi, bj)
+            i, j = np.nonzero(block == best)
+            firsts.extend(zip(r + i[:1], c + j[:1]))  # the block's first hit, if any
+        return SupResult(best, self.grid.points[min(firsts)])
 
 
 def _domain_field(f: FunctionModel, domain: Domain, grid: Grid) -> GridField:
@@ -664,7 +687,8 @@ def estimate_doubling(
 
     A zero inner sup is a genuine failure of the doubling hypothesis (the
     function vanishes on a whole sampled ball) and raises rather than being
-    clamped away.
+    clamped away; so does a ratio that is not finite, as a model with an
+    infinite or NaN value gives.
     """
     grid_field = _domain_field(f, domain, grid)
     radii = list(radii) if radii is not None else default_radii(domain)
@@ -690,6 +714,8 @@ def estimate_doubling(
                     f"doubling fails: |f| vanishes on the ball at {x} radius {r}"
                 )
             s = DoublingSample(np.asarray(x), float(r), outer / inner)
+            if not math.isfinite(s.ratio):
+                raise HypothesisError(f"doubling ratio {s.ratio} at {x} radius {r} is not finite")
             samples.append(s)
             if worst is None or s.ratio > worst.ratio:
                 worst = s

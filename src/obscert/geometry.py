@@ -223,45 +223,34 @@ class Grid:
             idx.append(i)
         return tuple(idx)
 
+    def _center(self, center: Sequence[float]) -> np.ndarray:
+        """A ball centre as an array, rejected unless it has one coordinate
+        per axis: every ball query and `ball_field` read it through here."""
+        c = np.asarray(center, dtype=float)
+        if c.shape != (self.dimension,):
+            raise ConfigError(f"ball centre {c.tolist()} needs {self.dimension} coordinates")
+        return c
+
     def _squared_offsets(self, center: Sequence[float]) -> list[np.ndarray]:
         """Per axis, the squared offset of each cell centre from `center`,
         wrapped per axis on the torus.  Summed in axis order, as
         ``Domain.distance`` sums them, their root is that distance bit for
         bit."""
         offsets = []
-        for c, axis, ext in zip(center, self.axis_centers, self.domain.extent):
+        for c, axis, ext in zip(self._center(center), self.axis_centers, self.domain.extent):
             d = np.abs(c - axis)
             if self.domain.kind == "torus":
                 d = np.minimum(d, ext - d)
             offsets.append(d * d)
         return offsets
 
-    def ball_cells(self, center: Sequence[float], radii: Sequence[float]) -> list[BallCells]:
-        """The cells whose centre lies in each ball of the given radii about
-        `center`.
-
-        Membership is ``sqrt(sum of squared offsets) <= radius``, equal to
-        ``domain.distance(points, center) <= radius`` bit for bit.  An offset
-        never exceeds the distance, so the window of cells near the centre on
-        every axis holds the ball.  The offsets are shared by all the radii.
-        """
-        offsets = self._squared_offsets(center)
-        roots = [np.sqrt(o) for o in offsets]
-        balls = []
-        for radius in radii:
-            indices = tuple((root <= radius).nonzero()[0] for root in roots)
-            if all(k.size and k[-1] - k[0] == k.size - 1 for k in indices):
-                window = tuple(slice(k[0], k[-1] + 1) for k in indices)
-            else:
-                window = np.ix_(*indices)
-            inside = True  # one axis, an empty window, or its far corner is in
-            if len(indices) == 2 and indices[0].size and indices[1].size:
-                ox, oy = offsets[0][indices[0]], offsets[1][indices[1]]
-                if math.sqrt(ox.max() + oy.max()) > radius:
-                    total = ox[:, None] + oy
-                    inside = np.sqrt(total, out=total) <= radius
-            balls.append(BallCells(indices, window, inside))
-        return balls
+    def line_balls(self, center: Sequence[float], radii: Sequence[float]) -> list[np.ndarray]:
+        """For each ball of the given radii about `center`, the mask of the
+        cells of a 1D grid whose centre lies in it: ``sqrt(offset) <= r``,
+        equal to ``domain.distance(points, center) <= r`` bit for bit."""
+        (offset,) = self._squared_offsets(center)
+        root = np.sqrt(offset)
+        return [root <= radius for radius in radii]
 
     @cached_property
     def block_starts(self) -> tuple[np.ndarray, ...]:
@@ -281,7 +270,7 @@ class Grid:
 
         A block is inside when ``sqrt(max ox + max oy) <= r`` over its squared
         offsets ox, oy: a rounded sum and a rounded root are monotone, so every
-        cell passes the test ``ball_cells`` makes.  It is outside when
+        cell passes the test ``sqrt(ox + oy) <= r``.  It is outside when
         ``sqrt(min ox + min oy) > r``, which fails every cell for the same
         reason, and on the boundary otherwise.  The offsets are shared by all
         the radii.
@@ -299,22 +288,8 @@ class Grid:
 
     def ball_field(self, ball: "Ball") -> np.ndarray:
         """Boolean field: interior cells whose centre lies in the ball."""
-        (bc,) = self.ball_cells(ball.center, [ball.radius])
-        mask = np.zeros(self.cells, dtype=bool)
-        mask[bc.window] = bc.inside
-        return mask & self.interior
-
-
-class BallCells(NamedTuple):
-    """A ball's cells: the sorted per-axis indices of a window holding it,
-    the index selecting that window (basic slices, so a view, unless the
-    ball wraps on the torus), and the membership mask on the window, or
-    True when every window cell lies in the ball.  Sorted indices keep the
-    window in row-major order, so ties still resolve to the first cell."""
-
-    indices: tuple[np.ndarray, ...]
-    window: tuple
-    inside: np.ndarray | bool
+        dist = self.domain.distance(self.points, self._center(ball.center))
+        return (dist <= ball.radius) & self.interior
 
 
 class BallBlocks(NamedTuple):
@@ -414,18 +389,14 @@ class MeasurableSet:
         return MeasurableSet(grid, mask.reshape(grid.cells))
 
     @staticmethod
-    def nested_random(grid: Grid, fraction: float, rng_or_perm) -> "MeasurableSet":
-        """Prefix of a fixed random permutation of the interior cells.
+    def nested_random(grid: Grid, fraction: float, perm: np.ndarray) -> "MeasurableSet":
+        """Prefix of `perm`, a fixed random permutation of the interior cells.
 
         Masks built from the same permutation nest: a smaller fraction is a
         subset of a larger one, which keeps sweep ratio columns monotone.
         """
         if not 0 < fraction <= 1:
             raise ConfigError("fraction must lie in (0, 1]")
-        if isinstance(rng_or_perm, np.random.Generator):
-            perm = rng_or_perm.permutation(np.flatnonzero(grid.interior.ravel()))
-        else:
-            perm = np.asarray(rng_or_perm)
         k = max(1, round(fraction * perm.size))
         mask = np.zeros(int(np.prod(grid.cells)), dtype=bool)
         mask[perm[:k]] = True
@@ -584,8 +555,7 @@ def cover_count_bound(domain: Domain, r: float) -> int:
 
 def intersection_cells(mset: MeasurableSet, ball: Ball) -> int:
     """Number of true cells whose centre lies in the ball."""
-    (bc,) = mset.grid.ball_cells(ball.center, [ball.radius])
-    return int(np.count_nonzero(mset.mask[bc.window] & bc.inside))
+    return int(np.count_nonzero(mset.mask & mset.grid.ball_field(ball)))
 
 
 def _block_counts(mset: MeasurableSet, cover: Sequence[Ball]) -> Iterator[int]:
@@ -621,7 +591,8 @@ def densest_ball(mset: MeasurableSet, cover: Sequence[Ball]) -> tuple[Ball, floa
     if not cover:
         raise ConfigError("empty cover")
     if mset.grid.dimension == 1:
-        counts = (intersection_cells(mset, ball) for ball in cover)
+        counts = (int(np.count_nonzero(mset.mask & mset.grid.line_balls(b.center, [b.radius])[0]))
+                  for b in cover)
     else:
         counts = _block_counts(mset, cover)
     best_idx, best_count = -1, -1

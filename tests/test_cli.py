@@ -128,6 +128,30 @@ def test_malformed_values_are_config_errors(tmp_path):
         assert main(["certify", str(cfg), "--output-dir", str(tmp_path)]) == EXIT_CONFIG, old
 
 
+def test_a_non_finite_mode_is_a_config_error(tmp_path, capsys):
+    bad = BASE_CONFIG.replace("modes = 1:1.0:0.0; 2:0.4:0.9", "modes = 1:inf:0.0")
+    cfg = write_config(tmp_path, bad)
+    assert main(["certify", str(cfg), "--output-dir", str(tmp_path)]) == EXIT_CONFIG
+    assert "finite" in capsys.readouterr().err
+
+
+BALL_SET_2D = (BASE_CONFIG
+               .replace("extent = 1.0", "extent = 1.0, 1.0")
+               .replace("cells = 512", "cells = 128, 128")
+               .replace("modes = 1:1.0:0.0; 2:0.4:0.9", "modes = 1 1:1.0:0.0")
+               .replace("kind = random\nfraction = 0.2", "kind = ball\ncenter = {}\nradius = 0.1"))
+
+
+@pytest.mark.parametrize("center", ["0.5", "", "0.5, 0.5, 0.5"])
+def test_a_ball_set_centre_of_the_wrong_dimension_is_a_config_error(tmp_path, capsys, center):
+    ok = RunConfig.load(write_config(tmp_path, BALL_SET_2D.format("0.5, 0.5"), name="ok.cfg"))
+    grid = build_grid(ok, build_domain(ok))
+    assert build_set(ok, grid, np.random.default_rng(0)).cell_count == 524
+    cfg = write_config(tmp_path, BALL_SET_2D.format(center))
+    assert main(["certify", str(cfg), "--output-dir", str(tmp_path)]) == EXIT_CONFIG
+    assert "ball centre" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # certify command
 # ---------------------------------------------------------------------------

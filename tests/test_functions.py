@@ -443,6 +443,34 @@ def test_estimate_doubling_zero_ball_fails():
         estimate_doubling(Plateau(), ONE_D, g, radii=[0.05], centers=np.array([[0.5]]))
 
 
+@pytest.mark.parametrize("build", [
+    lambda v: TrigSum.of([([1], v, 0.0)], 1),
+    lambda v: TrigSum.of([([1], 1.0, v)], 1),
+    lambda v: Gaussian((0.5,), v),
+    lambda v: Gaussian((0.5,), 0.2, v),
+    lambda v: Gaussian((v,), 0.2),
+    lambda v: Polynomial1D((1.0, v)),
+], ids=["trig-amplitude", "trig-phase", "gaussian-width", "gaussian-amplitude",
+        "gaussian-centre", "polynomial-coefficient"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_model_parameter_is_a_config_error(build, value):
+    with pytest.raises(ConfigError, match="finite"):
+        build(value)
+
+
+def test_estimate_doubling_rejects_a_ratio_that_is_not_finite():
+    class Spike(FunctionModel):
+        kind = "spike"
+        dimension = 1
+
+        def evaluate(self, points):
+            x = np.asarray(points)[..., 0]
+            return np.where(x < 0.5, math.inf, 1.0)
+
+    with pytest.raises(HypothesisError, match="not finite"):
+        estimate_doubling(Spike(), ONE_D, grid_1d(256))
+
+
 # ---------------------------------------------------------------------------
 # Unique-continuation verification
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Equivalence of the grid-field layer with brute-force full-grid references.
 
 Every reference below measures distance with `Domain.distance` over all of
-`grid.points`, the way ball membership was decided before ball windows and
-block summaries, and must agree with the windowed and blocked code cell for
+`grid.points`, the way ball membership was decided before line masks and
+block summaries, and must agree with the masked and blocked code cell for
 cell.
 """
 
@@ -13,7 +13,7 @@ import weakref
 import numpy as np
 import pytest
 
-from obscert.errors import HypothesisError, InfeasibleError
+from obscert.errors import ConfigError, HypothesisError, InfeasibleError
 from obscert.functions import (
     Gaussian,
     GridField,
@@ -148,6 +148,19 @@ def test_sup_ball_of_an_empty_ball_is_negative():
     assert gf.ball_maxima((0.001, 0.001), [0.01, 0.05]) == [-1.0, -1.0]
     assert gf.ball_maxima((0.5, 0.5), [1e-6]) == [-1.0]
     assert gf.ball_maxima((0.999, 0.02), [0.03]) == [-1.0]
+
+
+@pytest.mark.parametrize("name", ["box", "torus-1d"])
+def test_a_ball_centre_of_the_wrong_dimension_is_rejected(name):
+    grid = GRIDS[name]
+    gf = GridField(_model(grid.dimension), grid)
+    e = MeasurableSet.full(grid)
+    for center in [(0.5,) * n for n in range(4) if n != grid.dimension]:
+        ball = Ball(center, 0.1)
+        for query in (lambda: gf.ball_maxima(center, [0.1]), lambda: gf.sup_ball(center, 0.1),
+                      lambda: grid.ball_field(ball), lambda: densest_ball(e, [ball])):
+            with pytest.raises(ConfigError, match="ball centre"):
+                query()
 
 
 def _reference_counts(mset, balls):
