@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -630,8 +630,13 @@ def verify_gevrey(
     )
 
 
+@lru_cache(maxsize=32)
 def halton_points(domain: Domain, count: int) -> np.ndarray:
-    """Deterministic low-discrepancy sample of the domain (Halton bases 2, 3)."""
+    """Deterministic low-discrepancy sample of the domain (Halton bases 2, 3).
+
+    Computed once per domain and count and returned read-only, as every
+    doubling estimate and UCP check on a domain samples the same centres.
+    """
 
     def radical_inverse(base: int, n: int) -> float:
         inv, f = 0.0, 1.0 / base
@@ -652,7 +657,9 @@ def halton_points(domain: Domain, count: int) -> np.ndarray:
         n += 1
         if n > 100 * count:
             raise InfeasibleError("could not place low-discrepancy points")
-    return np.stack(pts)
+    pts = np.stack(pts)
+    pts.flags.writeable = False
+    return pts
 
 
 def default_radii(domain: Domain, r0: float | None = None) -> list[float]:
@@ -742,14 +749,24 @@ def verify_ucp(
     radii: Sequence[float] | None = None,
     centers: np.ndarray | None = None,
 ) -> UcpReport:
-    """Check sup over the domain <= exp(a / r^b) * ball sup at all samples."""
+    """Check sup over the domain <= exp(a / r^b) * ball sup at all samples.
+
+    The zero function, a domain sup that is not finite and a sampled margin
+    that is NaN, as a model with an infinite or NaN value gives, raise
+    rather than pass.
+    """
     grid_field = _domain_field(f, domain, grid)
     radii = list(radii) if radii is not None else default_radii(domain, cert.r0)
     radii = [r for r in radii if r <= cert.r0 + 1e-12]
     if centers is None:
         centers = halton_points(domain, 64)
 
-    log_sup = math.log(grid_field.sup_domain().value)
+    sup = grid_field.sup_domain().value
+    if sup == 0.0:
+        raise HypothesisError("the zero function carries no certificate")
+    log_sup = math.log(sup)
+    if not math.isfinite(log_sup):
+        raise HypothesisError(f"domain sup {sup} is not finite")
 
     worst_margin = -math.inf
     min_a = 0.0
@@ -762,6 +779,8 @@ def verify_ucp(
             if inner == 0.0:
                 return UcpReport(False, math.inf, math.inf, n)
             margin = log_sup - math.log(inner) - cert.a / r ** cert.b
+            if math.isnan(margin):  # max() would drop it; -inf is a = inf passing
+                raise HypothesisError(f"ucp margin at {x} radius {r} is not a number")
             worst_margin = max(worst_margin, margin)
             min_a = max(min_a, r ** cert.b * (log_sup - math.log(inner)))
     if n == 0:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from obscert import cli
 from obscert.cli import (
     EXIT_CONFIG,
     EXIT_HYPOTHESIS,
@@ -17,7 +18,7 @@ from obscert.cli import (
     main,
 )
 from obscert.errors import HypothesisError
-from obscert.functions import Gaussian, Product, TrigSum, derive_gevrey
+from obscert.functions import FunctionModel, Gaussian, Product, TrigSum, derive_gevrey
 from obscert.geometry import MeasurableSet, write_mask_raster, Grid, Domain
 
 BASE_CONFIG = """
@@ -355,6 +356,38 @@ gevrey = 1.0, 0.159154943091895, 1.0
     bad = good.replace("0.159154943091895", "1.0")
     cfg_bad = write_config(tmp_path, bad, name="bad.cfg")
     assert main(["verify", str(cfg_bad), "--output-dir", str(tmp_path / "b")]) == EXIT_HYPOTHESIS
+
+
+def test_verify_rejects_a_ucp_model_that_is_nan_on_half_the_domain(tmp_path, monkeypatch, capsys):
+    class HalfNan(FunctionModel):
+        kind = "half-nan"
+        dimension = 1
+
+        def evaluate(self, points):
+            x = np.asarray(points)[..., 0]
+            return np.where(x < 0.5, np.nan, 1.0)
+
+        def directional_derivative(self, points, direction, order):
+            return np.zeros(np.asarray(points).shape[:-1])
+
+    monkeypatch.setattr(cli, "build_function", lambda cfg, domain: HalfNan())
+    cfg = write_config(tmp_path, """
+[run]
+seed = 1
+[domain]
+kind = box
+extent = 1.0
+[grid]
+cells = 256
+[function]
+kind = trig
+modes = 1:1.0:0.0
+[hypotheses]
+gevrey = 1.0, 0.1, 1.0
+ucp = 1e-3, 1.0, 0.5
+""")
+    assert main(["verify", str(cfg), "--output-dir", str(tmp_path)]) == EXIT_HYPOTHESIS
+    assert "not finite" in capsys.readouterr().err
 
 
 def test_verify_zero_frequency_trig_sum(tmp_path, capsys):

@@ -10,12 +10,14 @@ from obscert.functions import (
     FunctionModel,
     Gaussian,
     GevreyCertificate,
+    GridField,
     Polynomial1D,
     Product,
     TrigSum,
     UcpCertificate,
     derive_gevrey,
     estimate_doubling,
+    halton_points,
     sup_norm,
     _direction_fan,
     _sample_points,
@@ -429,6 +431,39 @@ def test_estimate_doubling_sine_torus():
     assert dist <= 0.1
 
 
+def _halton_loop(domain, count):
+    """The loop form of `halton_points`: one radical inverse per base and
+    index, rejecting points outside the domain."""
+
+    def radical_inverse(base, n):
+        inv, f = 0.0, 1.0 / base
+        while n > 0:
+            inv += f * (n % base)
+            n //= base
+            f /= base
+        return inv
+
+    pts, n = [], 1
+    while len(pts) < count:
+        p = np.array([radical_inverse(b, n) for b in (2, 3)[: domain.dimension]])
+        p = p * np.asarray(domain.extent)
+        if bool(domain.contains(p)):
+            pts.append(p)
+        n += 1
+    return np.stack(pts)
+
+
+@pytest.mark.parametrize("domain", [Domain.box([1.0]), Domain.torus([2.0]),
+                                    Domain.box([1.0, 0.5]), Domain.disk(0.5)],
+                         ids=["box-1d", "torus-1d", "box-2d", "disk"])
+def test_halton_points_are_computed_once_and_equal_the_loop_form(domain):
+    pts = halton_points(domain, 64)
+    assert np.array_equal(pts, _halton_loop(domain, 64))
+    assert halton_points(Domain(domain.kind, domain.extent), 64) is pts  # equal domain, same array
+    assert not pts.flags.writeable
+    assert np.array_equal(halton_points(domain, 10), _halton_loop(domain, 10))
+
+
 def test_estimate_doubling_zero_ball_fails():
     class Plateau(FunctionModel):
         kind = "plateau"
@@ -490,6 +525,44 @@ def test_verify_ucp_sine_reports_minimal_a():
     assert 0.0 < rep.min_sufficient_a < 5.0
     tight = UcpCertificate(rep.min_sufficient_a * 0.5, 1.0, 0.5)
     assert not verify_ucp(TrigSum.sine([1]), tight, ONE_D, g).passed
+
+
+class HalfNan(FunctionModel):
+    """NaN on the left half of the unit interval, 1 on the right."""
+
+    kind = "half-nan"
+    dimension = 1
+
+    def evaluate(self, points):
+        x = np.asarray(points)[..., 0]
+        return np.where(x < 0.5, math.nan, 1.0)
+
+
+class Zero(FunctionModel):
+    kind = "zero"
+    dimension = 1
+
+    def evaluate(self, points):
+        return np.zeros(np.asarray(points).shape[:-1])
+
+
+@pytest.mark.parametrize("model, message", [(HalfNan(), "not finite"), (Zero(), "zero function")],
+                         ids=["nan-on-half", "zero"])
+def test_verify_ucp_rejects_a_model_without_a_finite_positive_sup(model, message):
+    with pytest.raises(HypothesisError, match=message):
+        verify_ucp(model, UcpCertificate(1e-3, 1.0, 0.5), ONE_D, grid_1d(256))
+
+
+def test_verify_ucp_rejects_a_nan_margin(monkeypatch):
+    # with a finite domain sup every ball sup is finite, so a NaN ball sup is
+    # put in by hand; an infinite `a` gives a margin of -inf, which passes
+    g = grid_1d(256)
+    f = TrigSum.sine([1])
+    rep = verify_ucp(f, UcpCertificate(math.inf, 1.0, 0.5), ONE_D, g)
+    assert rep.passed and rep.worst_margin_log == -math.inf
+    monkeypatch.setattr(GridField, "ball_maxima", lambda self, center, radii: [math.nan] * len(radii))
+    with pytest.raises(HypothesisError, match="not a number"):
+        verify_ucp(f, UcpCertificate(1.0, 1.0, 0.5), ONE_D, g)
 
 
 def test_verify_ucp_zero_ball_fails_infinite_a():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from obscert import geometry
 from obscert.errors import ConfigError, InfeasibleError, ResolutionError
 from obscert.geometry import (
     Ball,
@@ -19,6 +20,7 @@ from obscert.geometry import (
     densest_ball,
     intersection_cells,
     measure,
+    ray_directions,
     read_mask_raster,
     restrict_to_segment,
     write_mask_raster,
@@ -444,6 +446,167 @@ def test_restrict_matches_loop_reference(domain):
         mu = directions.pop() if directions else (math.cos(ang), math.sin(ang))
         seg = Segment(tuple(w), mu, float(rng.uniform(0.0, 1.4)))
         assert restrict_to_segment(e, seg).intervals == _restrict_reference(e, seg).intervals
+
+
+def _segment_reference(domain, ball, w, mu):
+    """The per-direction form of the fan's segment: the ray piece from w that
+    lies inside ball and domain, within budget 2r, for one direction."""
+    c = np.asarray(ball.center, dtype=float)
+    if domain.kind == "torus":
+        c = w + domain.displacement(w, c)
+    u = w - c
+    b = float(np.dot(u, mu))
+    disc = b * b + ball.radius ** 2 - float(np.dot(u, u))
+    t_enter, t_exit = 0.0, 0.0
+    if disc >= 0:
+        t_enter, t_exit = max(0.0, -b - math.sqrt(disc)), max(0.0, -b + math.sqrt(disc))
+    if domain.kind == "torus":
+        t_dom = math.inf
+    elif domain.kind == "disk":
+        u = w - domain.center
+        b = float(np.dot(u, mu))
+        disc = b * b + domain.radius ** 2 - float(np.dot(u, u))
+        t_dom = 0.0 if disc < 0 else -b + math.sqrt(disc)
+    else:
+        t_dom = math.inf
+        for axis in range(domain.dimension):
+            m = mu[axis]
+            if m > 1e-15:
+                t_dom = min(t_dom, (domain.extent[axis] - w[axis]) / m)
+            elif m < -1e-15:
+                t_dom = min(t_dom, -w[axis] / m)
+        t_dom = max(t_dom, 0.0)
+    t_enter = min(t_enter, 2.0 * ball.radius, t_dom)
+    t_end = min(2.0 * ball.radius, t_exit, t_dom)
+    return Segment(tuple(w + t_enter * mu), tuple(mu), max(0.0, t_end - t_enter))
+
+
+def _best_ray_reference(ball, mset, w):
+    """The per-direction loop `best_ray_interval` replaces: one segment and
+    one trace per direction, the first strictly longer trace winning.  Returns
+    every direction's trace as well."""
+    traces, best, best_total = [], None, 0.0
+    for mu in ray_directions(mset.grid.dimension):
+        seg = _segment_reference(mset.grid.domain, ball, w, mu)
+        trace = _restrict_reference(mset, seg)
+        traces.append(trace)
+        if best is None or trace.total > best_total + 1e-15:
+            best, best_total = (seg, trace), trace.total
+    return best, best_total, traces
+
+
+FAN_GRIDS = [
+    Grid(Domain.box([1.0, 0.6]), (150, 90)),  # neither axis a multiple of the block side
+    Grid(Domain.torus([1.0, 1.0]), (100, 100)),
+    Grid(Domain.disk(0.5), (120, 120)),
+    Grid(Domain.box([1.0]), (1000,)),
+    Grid(Domain.torus([1.0]), (1000,)),
+]
+
+
+def _fan_cases(grid, rng):
+    """(ball, set, origin) triples: origins on the ball's centre cell, origins
+    outside the ball, origins on the boundary, random and strip sets."""
+    domain = grid.domain
+    cap = min(0.7, domain.max_ball_radius)
+    cells = np.flatnonzero(grid.interior)
+    points = grid.points.reshape(-1, grid.dimension)
+    for k in range(24):
+        c = points[rng.choice(cells)]
+        r = float(rng.uniform(0.02, cap))
+        if k % 4 == 3 and domain.dimension == 2:  # a strip through the ball's centre
+            strip = (c[1] - r / 8, c[1] + r / 8)
+            e = MeasurableSet.from_box(grid, [(0.0, domain.extent[0]), strip])
+        else:
+            e = MeasurableSet.random(grid, float(rng.uniform(0.05, 0.9)), rng)
+        if k % 3 == 0:
+            w = c  # a cell centre: diagonal rays pass through cell corners
+        elif k % 3 == 1:  # outside the ball, within 2r
+            step = rng.normal(size=grid.dimension)
+            w = domain.wrap(c + step / np.linalg.norm(step) * float(rng.uniform(1.05, 1.95)) * r)
+            if not bool(domain.contains(w)):
+                w = c
+        elif domain.kind == "box":  # on the boundary, with the ball beside it
+            w = c.copy()
+            w[0] = 0.0
+            c = w + np.eye(grid.dimension)[0] * r / 2
+        elif domain.kind == "disk":
+            ang = float(rng.uniform(0.0, 2 * math.pi))
+            w = domain.center + domain.radius * np.array([math.cos(ang), math.sin(ang)])
+            c = w + (domain.center - w) * r / domain.radius
+        else:
+            w = c
+        yield Ball.at(c, r), e, np.asarray(w, dtype=float)
+
+
+@pytest.mark.parametrize("grid", FAN_GRIDS, ids=lambda g: f"{g.domain.kind}{g.cells}")
+def test_fan_matches_the_per_direction_loop(grid, monkeypatch):
+    """The one-pass fan returns the loop's winning segment and trace, and
+    traces and totals every direction as the loop does."""
+    seen = []
+    trace = geometry._trace
+
+    def recording(*args):
+        seen.append(trace(*args))
+        return seen[-1]
+
+    merges = []
+    from_runs = IntervalSet.from_runs
+
+    def counting(runs):
+        runs = list(runs)
+        result = from_runs(runs)
+        merges.append(len(runs) - len(result.intervals))
+        return result
+
+    monkeypatch.setattr(geometry, "_trace", recording)
+    monkeypatch.setattr(IntervalSet, "from_runs", staticmethod(counting))
+    rng = np.random.default_rng(29)
+    winners, empty_segments = [], 0
+    for ball, e, w in _fan_cases(grid, rng):
+        best, best_total, traces = _best_ray_reference(ball, e, w)
+        empty_segments += sum(t.intervals == () for t in traces)
+        if best_total <= 0.0:
+            with pytest.raises(ResolutionError):
+                best_ray_interval(ball, e, w)
+            continue
+        seg, got = best_ray_interval(ball, e, w)
+        assert seg == best[0]
+        assert got.intervals == best[1].intervals
+        fan = seen[-1]
+        assert fan.totals.tolist() == [t.total for t in traces]
+        assert [fan.intervals(k).intervals for k in range(len(traces))] == [t.intervals for t in traces]
+        winners.append(seg.direction)
+    assert winners and empty_segments
+    if grid.dimension == 2:
+        assert sum(merges) > 0  # runs closer than 1e-15 were merged
+        assert any(1.0 in np.abs(mu) for mu in winners)  # an axis ray won
+
+
+def test_fan_that_meets_no_set_cell_raises_2d():
+    # the 1D case is test_best_ray_rejects_all_zero
+    grid = FAN_GRIDS[0]
+    e = MeasurableSet.from_box(grid, [(0.9, 1.0), (0.0, 0.6)])
+    ball = Ball.at([0.25, 0.25], 0.1)
+    w = np.asarray(ball.center)
+    assert _best_ray_reference(ball, e, w)[1] == 0.0
+    with pytest.raises(ResolutionError):
+        best_ray_interval(ball, e, w)
+
+
+def test_fan_makes_one_cell_lookup(monkeypatch):
+    grid = unit_square(256)
+    e = MeasurableSet.random(grid, 0.3, np.random.default_rng(31))
+    calls = []
+    point_to_cell = Grid.point_to_cell
+
+    def counting(self, points):
+        calls.append(len(points))
+        return point_to_cell(self, points)
+
+    monkeypatch.setattr(Grid, "point_to_cell", counting)
+    best_ray_interval(Ball.at([0.4, 0.5], 0.2), e, np.array([0.45, 0.5]))
+    assert len(calls) == 1
 
 
 def test_interval_set_invariants():
