@@ -425,6 +425,14 @@ class GridField:
         return SupResult(float(masked[idx]), self.grid.points[idx])
 
     @cached_property
+    def default_doubling(self) -> tuple[DoublingCertificate, DoublingReport]:
+        """The doubling estimate over the default radius ladder and centres,
+        made once per field and shared, read-only, by every call of
+        `estimate_doubling` that names neither."""
+        domain = self.grid.domain
+        return _doubling_estimate(self, default_radii(domain), halton_points(domain, 64))
+
+    @cached_property
     def block_max(self) -> np.ndarray:
         """The field's maximum over each block of a 2D grid."""
         return self.grid.block_reduce(np.maximum, self.values)
@@ -695,12 +703,22 @@ def estimate_doubling(
     A zero inner sup is a genuine failure of the doubling hypothesis (the
     function vanishes on a whole sampled ball) and raises rather than being
     clamped away; so does a ratio that is not finite, as a model with an
-    infinite or NaN value gives.
+    infinite or NaN value gives.  The estimate over the default radii and
+    centres is made once per model and grid: see `GridField.default_doubling`.
     """
     grid_field = _domain_field(f, domain, grid)
+    if radii is None and centers is None:
+        return grid_field.default_doubling
     radii = list(radii) if radii is not None else default_radii(domain)
     if centers is None:
         centers = halton_points(domain, 64)
+    return _doubling_estimate(grid_field, radii, centers)
+
+
+def _doubling_estimate(
+    grid_field: GridField, radii: list[float], centers: np.ndarray
+) -> tuple[DoublingCertificate, DoublingReport]:
+    """`estimate_doubling` over the given radii and centres."""
     if any(r <= 0 for r in radii):
         raise ConfigError("radii must be positive")
 
@@ -778,11 +796,12 @@ def verify_ucp(
             n += 1
             if inner == 0.0:
                 return UcpReport(False, math.inf, math.inf, n)
-            margin = log_sup - math.log(inner) - cert.a / r ** cert.b
+            scale = r ** cert.b  # 0 where it underflows: a / r^b is then +inf
+            margin = log_sup - math.log(inner) - (cert.a / scale if scale > 0.0 else math.inf)
             if math.isnan(margin):  # max() would drop it; -inf is a = inf passing
                 raise HypothesisError(f"ucp margin at {x} radius {r} is not a number")
             worst_margin = max(worst_margin, margin)
-            min_a = max(min_a, r ** cert.b * (log_sup - math.log(inner)))
+            min_a = max(min_a, scale * (log_sup - math.log(inner)))
     if n == 0:
         raise InfeasibleError("no sampled ball contained a grid point")
     return UcpReport(worst_margin <= 1e-12, worst_margin, min_a, n)

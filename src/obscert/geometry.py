@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -236,13 +236,17 @@ class Grid:
         wrapped per axis on the torus.  Summed in axis order, as
         ``Domain.distance`` sums them, their root is that distance bit for
         bit."""
-        offsets = []
-        for c, axis, ext in zip(self._center(center), self.axis_centers, self.domain.extent):
-            d = np.abs(c - axis)
-            if self.domain.kind == "torus":
-                d = np.minimum(d, ext - d)
-            offsets.append(d * d)
-        return offsets
+        return [self._axis_offsets(axis, c, self.axis_centers[axis])
+                for axis, c in enumerate(self._center(center))]
+
+    def _axis_offsets(self, axis: int, coord, cell_centers: np.ndarray) -> np.ndarray:
+        """The squared offsets along `axis` of the given cell centres from the
+        centre coordinate `coord`, wrapped on the torus: the one formula every
+        ball query uses."""
+        d = np.abs(coord - cell_centers)
+        if self.domain.kind == "torus":
+            d = np.minimum(d, self.domain.extent[axis] - d)
+        return d * d
 
     def line_balls(self, center: Sequence[float], radii: Sequence[float]) -> list[np.ndarray]:
         """For each ball of the given radii about `center`, the mask of the
@@ -314,7 +318,7 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
+        if not self.radius > 0:  # NaN too
             raise ConfigError("ball radius must be positive")
 
     @staticmethod
@@ -324,22 +328,38 @@ class Ball:
 
 @dataclass(frozen=True)
 class MeasurableSet:
-    """Cell-indicator mask over a grid; the measure is count * h^d, exact."""
+    """Cell-indicator mask over a grid; the measure is count * h^d, exact.
+
+    The set holds its own read-only copy of the mask, so what it caches from
+    the mask stays true."""
 
     grid: Grid
     mask: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        mask = np.asarray(self.mask, dtype=bool)
+        mask = np.array(self.mask, dtype=bool)
         if mask.shape != tuple(self.grid.cells):
             raise ConfigError("mask shape must equal the grid cell counts")
         if np.any(mask & ~self.grid.interior):
             raise ConfigError("mask is true on an exterior cell")
+        mask.flags.writeable = False
         object.__setattr__(self, "mask", mask)
 
     @property
     def cell_count(self) -> int:
         return int(np.count_nonzero(self.mask))
+
+    @cached_property
+    def row_prefix(self) -> np.ndarray:
+        """Per row of a 2D mask, the number of true cells before each column,
+        in int32.  On the torus each row is taken twice over, so that a run of
+        cells wrapping past the last column is one difference as well."""
+        rows = self.mask
+        if self.grid.domain.kind == "torus":
+            rows = np.concatenate((rows, rows), axis=1)
+        prefix = np.zeros((rows.shape[0], rows.shape[1] + 1), dtype=np.int32)
+        np.cumsum(rows, axis=1, dtype=np.int32, out=prefix[:, 1:])
+        return prefix
 
     @property
     def measure(self) -> float:
@@ -558,25 +578,94 @@ def intersection_cells(mset: MeasurableSet, ball: Ball) -> int:
     return int(np.count_nonzero(mset.mask & mset.grid.ball_field(ball)))
 
 
-def _block_counts(mset: MeasurableSet, cover: Sequence[Ball]) -> Iterator[int]:
-    """|B ∩ E| in cells for each ball of the cover on a 2D grid: the set's
-    per-block counts summed over the inside blocks, plus the boundary blocks'
-    cells counted exactly in one gather."""
+# (ball, row) pairs a chunk of the cover takes at once in `_row_counts`
+_PAIRS_PER_CHUNK = 1 << 16
+
+
+def _row_counts(mset: MeasurableSet, cover: Sequence[Ball]) -> np.ndarray:
+    """|B ∩ E| in cells for each ball of the cover on a 2D grid.
+
+    A ball meets each row of the grid in one run of columns: along a row the
+    squared column offset falls and then rises (on the torus, over the
+    window of columns within half a period of the centre), and a rounded sum
+    and root are monotone, so the cells passing ``sqrt(ox + oy) <= r`` are
+    consecutive.  Each ball takes a band of ``2 ceil(r/h) + 3`` rows about
+    its centre, which holds every row it can reach.  A row's run starts as
+    the columns within the half-width ``sqrt(r^2 - ox)`` of the centre,
+    widened to hold the columns nearest it; each end then steps one cell at
+    a time, out while the next cell passes the test and in while its own
+    cell fails, until neither end moves.  Only failing cells leave the run,
+    so a run that empties had no passing cell, though it held the columns
+    nearest the centre: no cell of the row passes.  The count is then a
+    difference of the set's row prefix sums per row.
+
+    The torus window presumes centres within half a period of the
+    fundamental domain, as every cover centre is.
+    """
     grid = mset.grid
-    per_block = grid.block_reduce(np.add, mset.mask, dtype=np.int64)
-    rows, cols = grid.block_starts
-    span = np.arange(BLOCK)
-    pad = np.full(BLOCK, np.inf)  # cells past a short last block are never in
-    for ball in cover:
-        (bb,) = grid.ball_blocks(ball.center, [ball.radius])
-        bi, bj = bb.boundary.nonzero()
-        r = rows[bi][:, None] + span
-        c = cols[bj][:, None] + span
-        ox, oy = (np.concatenate((o, pad)) for o in bb.offsets)
-        in_ball = np.sqrt(ox[r][:, :, None] + oy[c][:, None, :]) <= bb.radius
-        in_set = mset.mask[np.minimum(r, grid.cells[0] - 1)[:, :, None],
-                           np.minimum(c, grid.cells[1] - 1)[:, None, :]]
-        yield int(per_block[bb.inside].sum()) + int(np.count_nonzero(in_ball & in_set))
+    (n0, n1), h = grid.cells, grid.h
+    torus = grid.domain.kind == "torus"
+    prefix = mset.row_prefix
+    radii = np.array([b.radius for b in cover], dtype=float)
+    try:
+        centers = np.array([b.center for b in cover], dtype=float)
+    except ValueError:  # centres of unequal length
+        centers = None
+    if centers is None or centers.shape != (len(cover), 2):
+        for b in cover:
+            grid._center(b.center)  # the first bad centre raises, as in every ball query
+    reach = int(min(np.ceil(radii.max() / h), n0))
+    band = min(2 * reach + 3, n0)
+    counts = np.zeros(len(cover), dtype=np.int64)
+    per_chunk = max(1, _PAIRS_PER_CHUNK // band)
+    for first_ball in range(0, len(cover), per_chunk):
+        part = slice(first_ball, first_ball + per_chunk)
+        first_row = np.floor(centers[part, 0] / h).astype(np.int64) - reach - 1
+        if not torus:  # shifted inside the box, the band still holds every row reached
+            first_row = np.clip(first_row, 0, n0 - band)
+        rows = (first_row[:, None] + np.arange(band)).ravel() % n0
+        cx, cy = (np.repeat(c, band) for c in centers[part].T)
+        ox = grid._axis_offsets(0, cx, grid.axis_centers[0][rows])
+        lo, hi = _row_runs(grid, cy, ox, np.repeat(radii[part], band))
+        start = lo % n1
+        stop = start + np.maximum(hi - lo + 1, 0)
+        counts[part] = (prefix[rows, stop] - prefix[rows, start]).reshape(-1, band).sum(axis=1)
+    return counts
+
+
+def _row_runs(grid: Grid, cy: np.ndarray, ox: np.ndarray,
+              r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For balls of radius r whose centre has column coordinate cy, seen from
+    a row at squared offset ox, the first and last column of the run of cells
+    with ``sqrt(ox + oy) <= r``, in a frame where the run does not wrap; the
+    last is below the first when the run is empty."""
+    n1, h = grid.cells[1], grid.h
+    y = cy / h - 0.5  # the centre in column units
+    # the columns the run may hold: the row, or one period about the centre
+    left = np.ceil(y - n1 / 2.0) if grid.domain.kind == "torus" else np.zeros_like(y)
+    right = left + (n1 - 1)
+    half = np.sqrt(np.maximum(r * r - ox, 0.0)) / h
+    lo = np.clip(np.minimum(np.ceil(y - half), np.floor(y)), left, right).astype(np.int64)
+    hi = np.clip(np.maximum(np.floor(y + half), np.ceil(y)), left, right).astype(np.int64)
+    left, right = left.astype(np.int64), right.astype(np.int64)
+
+    def inside(j):
+        oy = grid._axis_offsets(1, cy, grid.axis_centers[1][j % n1])
+        return (np.sqrt(ox + oy) <= r) & (j >= left) & (j <= right)
+
+    live = np.arange(len(r))
+    a, b = lo, hi
+    while True:
+        held = a <= b
+        new_a = np.where(inside(a - 1), a - 1, np.where(held & ~inside(a), a + 1, a))
+        new_b = np.where(inside(b + 1), b + 1, np.where(held & ~inside(b), b - 1, b))
+        moved = (new_a != a) | (new_b != b)
+        lo[live], hi[live] = new_a, new_b
+        if not moved.any():
+            return lo, hi
+        # `inside` reads the narrowed arrays from here on
+        live, a, b = live[moved], new_a[moved], new_b[moved]
+        cy, ox, r, left, right = cy[moved], ox[moved], r[moved], left[moved], right[moved]
 
 
 def densest_ball(mset: MeasurableSet, cover: Sequence[Ball]) -> tuple[Ball, float]:
@@ -591,15 +680,12 @@ def densest_ball(mset: MeasurableSet, cover: Sequence[Ball]) -> tuple[Ball, floa
     if not cover:
         raise ConfigError("empty cover")
     if mset.grid.dimension == 1:
-        counts = (int(np.count_nonzero(mset.mask & mset.grid.line_balls(b.center, [b.radius])[0]))
-                  for b in cover)
+        counts = [int(np.count_nonzero(mset.mask & mset.grid.line_balls(b.center, [b.radius])[0]))
+                  for b in cover]
     else:
-        counts = _block_counts(mset, cover)
-    best_idx, best_count = -1, -1
-    for i, count in enumerate(counts):
-        if count > best_count:
-            best_idx, best_count = i, count
-    return cover[best_idx], best_count * mset.grid.h ** mset.grid.dimension
+        counts = _row_counts(mset, cover)
+    best = int(np.argmax(counts))  # the first of the largest counts
+    return cover[best], int(counts[best]) * mset.grid.h ** mset.grid.dimension
 
 
 # ---------------------------------------------------------------------------

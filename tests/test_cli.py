@@ -390,6 +390,32 @@ ucp = 1e-3, 1.0, 0.5
     assert "not finite" in capsys.readouterr().err
 
 
+def test_verify_passes_a_ucp_certificate_whose_r_to_the_b_underflows(tmp_path, capsys):
+    # at the smallest default radius r^b underflows to 0: the check takes
+    # a / r^b as +inf there, which passes, instead of dividing by zero
+    cfg = write_config(tmp_path, """
+[run]
+seed = 1
+[domain]
+kind = box
+extent = 1.0
+[grid]
+cells = 256
+[function]
+kind = trig
+modes = 1:1.0:0.0
+[hypotheses]
+gevrey = 1.0, 0.1, 1.0
+ucp = 1.0, 400, 0.5
+""")
+    out = tmp_path / "out"
+    assert main(["verify", str(cfg), "--output-dir", str(out)]) == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+    ucp = json.loads((out / "report.json").read_text())["hypotheses"]["ucp"]
+    assert ucp["verified"] is True
+    assert ucp["min_sufficient_a"] == 0.0
+
+
 def test_verify_zero_frequency_trig_sum(tmp_path, capsys):
     # every mode has frequency 0, so f is the constant sin(0.5): all its
     # derivatives vanish and any delta certifies it

@@ -25,7 +25,9 @@ from obscert.functions import (
     FunctionModel,
     GridField,
     TrigSum,
+    default_radii,
     derive_gevrey,
+    halton_points,
 )
 from obscert.geometry import Domain, Grid, MeasurableSet
 
@@ -217,6 +219,31 @@ def test_calibration_estimates_each_member_once(monkeypatch):
     assert all(f is es for f, es in zip(calls, fam))
     assert c == 1.25 ** 5
     assert gamma_params(fam[0], c / 1.25).gamma < target <= gamma_params(fam[0], c).gamma
+
+
+def test_one_study_estimates_each_members_doubling_once(monkeypatch, tmp_path):
+    # calibration, growth study and study table all read a member's default
+    # doubling estimate: one pass of default-ladder ball maxima per member
+    g = torus_grid(256)
+    fam = family_k(3)
+    msets = [MeasurableSet.random(g, 0.3, np.random.default_rng(4))]
+    radii = default_radii(TORUS_1D)
+    ladder = sorted(set(radii) | {2.0 * r for r in radii})
+    centers = halton_points(TORUS_1D, 64)
+    passes = []
+    ball_maxima = GridField.ball_maxima
+
+    def counting(self, center, radii):
+        if list(radii) == ladder:
+            passes.append(self)
+        return ball_maxima(self, center, radii)
+
+    monkeypatch.setattr(GridField, "ball_maxima", counting)
+    c_cal = calibrate_gamma(fam, TORUS_1D, g)
+    doubling_growth_study(fam, TORUS_1D, g, calibration=c_cal)
+    eigensum_study_csv(tmp_path / "study.csv", fam, msets, g, calibration=c_cal, search=2)
+    assert len(passes) == len(fam) * len(centers)
+    assert {id(gf) for gf in passes} == {id(GridField.of(es, g)) for es in fam}
 
 
 def test_growth_study_flags_exponential_control():

@@ -565,6 +565,19 @@ def test_verify_ucp_rejects_a_nan_margin(monkeypatch):
         verify_ucp(f, UcpCertificate(1.0, 1.0, 0.5), ONE_D, g)
 
 
+def test_verify_ucp_reads_an_underflowing_r_to_the_b_as_an_infinite_exponent():
+    # 0.0625 ** 400 underflows to 0, so a / r^b is +inf there and the margin
+    # -inf; at r = 0.5 the power is finite and so is the margin.  Every ball
+    # of radius 0.25 or more holds a peak of |sin|, so no a is needed there
+    g = grid_1d(256)
+    rep = verify_ucp(TrigSum.sine([1]), UcpCertificate(1.0, 400.0, 0.5), ONE_D, g)
+    assert 0.0625 ** 400.0 == 0.0 < 0.5 ** 400.0
+    assert rep.passed
+    assert rep.n_samples == 4 * 64
+    assert -math.inf < rep.worst_margin_log < -1e120
+    assert rep.min_sufficient_a == 0.0
+
+
 def test_verify_ucp_zero_ball_fails_infinite_a():
     class Plateau(FunctionModel):
         kind = "plateau"

@@ -164,6 +164,27 @@ def test_densest_ball_rejects_empty():
         densest_ball(MeasurableSet.empty(grid), [Ball.at([0.5], 0.5)])
 
 
+def test_a_ball_of_nan_radius_is_rejected():
+    with pytest.raises(ConfigError, match="radius must be positive"):
+        Ball.at([0.5, 0.5], math.nan)
+
+
+def test_a_set_keeps_its_own_read_only_mask():
+    # writing to the array a set was built from changes neither the set nor
+    # the row prefix it has cached
+    grid = Grid(Domain.box([1.0, 1.0]), (16, 16))
+    mask = np.zeros(grid.cells, dtype=bool)
+    mask[3, 3] = True
+    e = MeasurableSet(grid, mask)
+    ball = Ball.at([0.5, 0.5], 0.2)
+    assert densest_ball(e, [ball]) == (ball, 0.0)
+    mask[8, 8] = True
+    assert e.cell_count == 1
+    assert densest_ball(e, [ball]) == (ball, 0.0)
+    with pytest.raises(ValueError):
+        e.mask[8, 8] = True
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_pigeonhole_exact_random_masks(dim):
     rng = np.random.default_rng(11)

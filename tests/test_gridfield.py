@@ -1,14 +1,15 @@
 """Equivalence of the grid-field layer with brute-force full-grid references.
 
 Every reference below measures distance with `Domain.distance` over all of
-`grid.points`, the way ball membership was decided before line masks and
-block summaries, and must agree with the masked and blocked code cell for
-cell.
+`grid.points`, the way ball membership was decided before line masks,
+block summaries and row runs, and must agree with that code cell for cell.
 """
 
 import gc
+import itertools
 import math
 import weakref
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from obscert.geometry import (
     Domain,
     Grid,
     MeasurableSet,
-    _block_counts,
+    _row_counts,
     cover_domain,
     densest_ball,
 )
@@ -330,7 +331,58 @@ def test_block_counts_equal_brute_force_on_random_empty_and_full_masks(name):
              MeasurableSet.empty(grid), MeasurableSet.full(grid)]
     balls = [Ball.at(c, r) for c in _centers(grid)[::3] for r in _radii(grid, c)]
     for e in masks:
-        assert list(_block_counts(e, balls)) == _reference_counts(e, balls)
+        assert list(_row_counts(e, balls)) == _reference_counts(e, balls)
+
+
+SMALL_TORI = {
+    "torus-3x3": Grid(Domain.torus([0.3, 0.3]), (3, 3)),
+    "torus-7x5": Grid(Domain.torus([1.4, 1.0]), (7, 5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_TORI))
+def test_row_counts_on_small_tori_from_the_seams_past_the_full_ring(name):
+    # centres on and next to the seams, on cell centres and on cell edges;
+    # radii from a quarter period to past the farthest cell, with every cell
+    # distance among them, so that rows come one cell short of the ring
+    grid = SMALL_TORI[name]
+    domain, h = grid.domain, grid.h
+    coords = [sorted({0.0, 1e-12, h / 2, h, ext / 2, ext - h, ext - 1e-12, ext})
+              for ext in domain.extent]
+    quarter = min(domain.extent) / 4.0
+    balls = []
+    for c in itertools.product(*coords):
+        dist = domain.distance(grid.points, np.asarray(c)).ravel()
+        radii = set(np.linspace(quarter, 1.5 * domain.diameter, 9)) | set(dist[dist >= quarter])
+        balls += [Ball.at(c, float(r)) for r in sorted(radii)]
+    rng = np.random.default_rng(7)
+    masks = [MeasurableSet.from_mask(grid, rng.random(grid.cells) < p) for p in (0.3, 0.6)]
+    for e in masks + [MeasurableSet.full(grid)]:
+        assert list(_row_counts(e, balls)) == _reference_counts(e, balls)
+
+
+def test_densest_ball_in_2d_reads_no_block_and_builds_the_row_prefix_once(monkeypatch):
+    grid = GRIDS["box"]
+    cover = cover_domain(grid.domain, 0.15)
+    assert len(cover) == 100
+    block_calls = []
+    ball_blocks = Grid.ball_blocks
+    monkeypatch.setattr(Grid, "ball_blocks",
+                        lambda self, *args: block_calls.append(args) or ball_blocks(self, *args))
+    builds = []
+    build = MeasurableSet.row_prefix.func
+    counting = cached_property(lambda self: builds.append(self) or build(self))
+    counting.__set_name__(MeasurableSet, "row_prefix")
+    monkeypatch.setattr(MeasurableSet, "row_prefix", counting)
+
+    e = MeasurableSet.random(grid, 0.3, np.random.default_rng(2))
+    first = densest_ball(e, cover)
+    assert first[1] == max(_reference_counts(e, cover)) * grid.h ** 2
+    for _ in range(3):
+        assert densest_ball(e, cover) == first
+    densest_ball(e, cover_domain(grid.domain, 0.3))
+    assert block_calls == []
+    assert len(builds) == 1 and builds[0] is e
 
 
 # ---------------------------------------------------------------------------
