@@ -26,7 +26,6 @@ from .geometry import (
     chain_of_balls,
     cover_domain,
     densest_ball,
-    measure,
     read_mask_raster,
     restrict_to_segment,
     write_mask_raster,

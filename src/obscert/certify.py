@@ -8,23 +8,34 @@ output, and the final constant is obtained by resolving the implicit
 inequality  sup_domain <= A * sup_domain^e * sup_set^(1-e)  as
 C = A^(1/(1-e)) in log space.
 
+Every step is built through one table, `STEP_KINDS`, which holds each kind's
+detail text, the rule deriving its computable outputs from its recorded
+inputs, and the check of its inequality, decided as the step is appended.
+`audit_trace` replays a written trace through the same table.
+
 Soundness of the returned constant against the same-grid empirical ratio is
 a consequence of the numerically verified master inequality alone, so a
 certification that completes is sound by construction; the hypothesis
 certificates are what make the master inequality provable rather than
-accidental.  Every other inequality step of a finished run is checked too;
-one that does not hold makes the run infeasible.
+accidental.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, HypothesisError, InfeasibleError, ResolutionError
+from .errors import (
+    ConfigError,
+    HypothesisError,
+    InfeasibleError,
+    ObscertError,
+    ResolutionError,
+    SoundnessError,
+)
 from .functions import (
     DoublingCertificate,
     FunctionModel,
@@ -34,7 +45,6 @@ from .functions import (
 )
 from .geometry import (
     Ball,
-    Grid,
     MeasurableSet,
     chain_of_balls,
     cover_count_bound,
@@ -43,8 +53,8 @@ from .geometry import (
     best_ray_interval,
     ray_directions,
 )
-from .interp import PolyBound, poly_sup_bound, remainder_bound, separate_points
-from .logspace import LOG2, log_add, to_log
+from .interp import poly_sup_bound, remainder_bound, separate_points
+from .logspace import LOG2, LOG10, log_add, to_log
 
 BRANCH_SIGMA1 = "sigma1"
 BRANCH_SIGMA_GT1 = "sigma-gt1"
@@ -77,10 +87,10 @@ class TraceStep:
 
     @property
     def holds(self) -> bool | None:
-        if "lhs_log" in self.outputs and "rhs_log" in self.outputs:
-            lhs, rhs = self.outputs["lhs_log"], self.outputs["rhs_log"]
-            return lhs <= rhs + 1e-9 * max(1.0, abs(rhs))
-        return None
+        """Whether the step's inequality passes the check of its kind in
+        `STEP_KINDS`; None for a value step."""
+        kind = _KIND_OF_TEXT[self.step, self.detail]
+        return None if kind.tol is None else kind.failure(self.outputs) is None
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -129,30 +139,12 @@ class EmpiricalRatio:
     sup_domain: float
     sup_set: float
     ratio: float
-    argmax_domain: np.ndarray = dc_field(repr=False, default=None)
-    argmax_set: np.ndarray = dc_field(repr=False, default=None)
 
 
 @dataclass
 class SoundnessResult:
     passed: bool
     slack_log: float
-
-
-@dataclass
-class MasterBound:
-    log_total: float
-    log_poly_term: float
-    log_remainder_term: float
-
-
-def master_bound(log_propagation: float, poly: PolyBound, log_remainder: float) -> MasterBound:
-    """Two-term right-hand side: propagation * (poly bound + remainder bound)."""
-    return MasterBound(
-        log_total=log_propagation + log_add(poly.log_value, log_remainder),
-        log_poly_term=log_propagation + poly.log_value,
-        log_remainder_term=log_propagation + log_remainder,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +178,16 @@ def propagate_doubling(
     the global near-maximiser down to the radius-r ball at the chain's end."""
     r_hat, steps = hat_radius(dc, r)
     k = max(0, len(chain) - 1)
-    log_factor = LOG2 + (k + steps) * math.log(dc.kappa)
-    return Propagation(log_factor, k, steps, r_hat)
+    factor = _propagation_factor({"kappa": dc.kappa, "chain_steps": k, "concentric_steps": steps})
+    return Propagation(factor["log_factor"], k, steps, r_hat)
+
+
+def _ucp_exponent(a: float, b: float, rho: float) -> float:
+    """a / rho^b, the log of the unique-continuation factor at radius rho."""
+    rho_b = rho ** b
+    if rho_b == 0.0 or a / rho_b == math.inf:
+        raise InfeasibleError(f"the factor e^(a / rho^b) overflows at rho = {rho:.6g}, b = {b:.6g}")
+    return a / rho_b
 
 
 # ---------------------------------------------------------------------------
@@ -213,106 +213,340 @@ def choose_r_sigma_gt1(
 
 
 # ---------------------------------------------------------------------------
-# Shared steps: preamble, geometric run at one (n, r), proof tail, check
+# The step table
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Sups:
-    """What every branch reads before its first degree: the shared field, the
-    domain and set sups with their logs, log_X = log(M supD / supE) and the
-    effective radius bound min(r0, 1, max ball radius)."""
-
-    grid: Grid
-    field: GridField
-    sup_domain: float
-    x_bar: np.ndarray
-    sup_set: float
-    log_sup_domain: float
-    log_sup_set: float
-    log_x: float
-    r0_eff: float
+Values = dict[str, float]
 
 
-def _preamble(f: FunctionModel, mset: MeasurableSet, gc: GevreyCertificate, r0: float) -> _Sups:
-    grid = mset.grid
-    grid_field = GridField.of(f, grid)
-    sup_domain, x_bar = grid_field.sup_domain()
-    sup_set, _ = grid_field.sup_mask(mset.mask)
-    if sup_set <= 0.0:
-        raise InfeasibleError("observability from a null-data set is vacuous")
-    log_sup_domain = to_log(sup_domain)
-    log_sup_set = to_log(sup_set)
-    return _Sups(
-        grid=grid,
-        field=grid_field,
-        sup_domain=sup_domain,
-        x_bar=x_bar,
-        sup_set=sup_set,
-        log_sup_domain=log_sup_domain,
-        log_sup_set=log_sup_set,
-        log_x=math.log(gc.M) + log_sup_domain - log_sup_set,
-        r0_eff=min(r0, 1.0, grid.domain.max_ball_radius),
+# tolerances (absolute, relative) of an inequality check
+_RELATIVE = (1e-9, 1e-9)
+_STRICT = (0.0, 0.0)
+
+
+@dataclass(frozen=True)
+class StepKind:
+    """One kind of proof step.  `name` is the step name a report carries,
+    with a `/variant` suffix where branches word the same step differently;
+    `derive` maps the inputs and measured outputs to the derived outputs.
+    A step with tolerances `tol` claims lhs_log <= rhs_log, or, for an
+    `identity`, identity_lhs = identity_rhs, up to max(tol[0], tol[1] |rhs|);
+    a value step has none."""
+
+    name: str
+    detail: str
+    derive: Callable[[Values, Values], Values] = lambda i, o: {}
+    tol: tuple[float, float] | None = None
+    identity: bool = False
+
+    @property
+    def step(self) -> str:
+        return self.name.split("/")[0]
+
+    def failure(self, outputs: Mapping[str, float]) -> str | None:
+        """Why the step's inequality fails on `outputs`; None when it holds
+        or the step claims none."""
+        if self.tol is None:
+            return None
+        lk, rk = ("identity_lhs", "identity_rhs") if self.identity else ("lhs_log", "rhs_log")
+        lhs, rhs = outputs[lk], outputs[rk]
+        tol = max(self.tol[0], self.tol[1] * abs(rhs))
+        if (abs(lhs - rhs) <= tol) if self.identity else (lhs <= rhs + tol):
+            return None
+        return f"{lk} {lhs!r} {'!=' if self.identity else '>'} {rk} {rhs!r}"
+
+
+def _contraction_log(i: Values) -> float:
+    """ln of the remainder contraction factor C0 e^(a/b) b^(1/b) / (delta (n0+1)^p),
+    p = 1/b - sigma + 1."""
+    a, b = i["a"], i["b"]
+    p = 1.0 / b - i["sigma"] + 1.0
+    return (
+        math.log(i["C0"]) + a / b + math.log(b) / b - math.log(i["delta"])
+        - p * math.log(i["n0"] + 1)
     )
+
+
+def _ucp_threshold(i: Values, o: Values) -> Values:
+    """The largest-integer degree rule: n0 = floor(xi) with
+    xi = log_X / (log_D + log 2) + m_star.  m_star is bounded in log space
+    first, so a threshold beyond the degree cap raises instead of
+    overflowing."""
+    a, b, c0, delta, r0_eff = i["a"], i["b"], i["C0"], i["delta"], i["r0_eff"]
+    p = 1.0 / b - i["sigma"] + 1.0
+    log_lead = math.log(c0) + a / b
+    log_d = log_lead + math.log(i["vol_domain"] / i["set_measure"])
+    log_m_star = max(
+        b * LOG10 + math.log(b) - b * math.log(r0_eff),
+        (LOG2 + log_lead + math.log(b) / b - math.log(delta)) / p,
+    )
+    if log_m_star > math.log(_DEGREE_CAP + 1):
+        raise InfeasibleError(
+            f"threshold degree m* = e^{log_m_star:.6g} is beyond desk scale; "
+            "relax a, b or delta"
+        )
+    if log_lead > 708.0:  # C0 e^(a/b) would overflow before b^(1/b) / delta brings it down
+        m_star = math.exp(log_m_star)
+    else:
+        m_star = max(
+            10.0 ** b * b / r0_eff ** b,
+            (2.0 * c0 * math.exp(a / b) * b ** (1.0 / b) / delta) ** (1.0 / p),
+        )
+    xi = i["log_X"] / (log_d + LOG2) + m_star
+    n0 = math.floor(xi)
+    if n0 > _DEGREE_CAP:
+        raise InfeasibleError(f"threshold degree {n0} is beyond desk scale; relax a, b or delta")
+    return {"log_D": log_d, "m_star": m_star, "xi": xi, "n0": float(n0)}
+
+
+def _propagation_factor(i: Values, o: Values | None = None) -> Values:
+    """ln(2 kappa^(K + concentric)), and the total with the extra 2 from the
+    near-max point selection."""
+    log_factor = LOG2 + (i["chain_steps"] + i["concentric_steps"]) * math.log(i["kappa"])
+    return {"log_factor": log_factor, "log_total": log_factor + LOG2}
+
+
+def _assembly(i: Values, o: Values) -> Values:
+    e = i["exponent"]
+    log_inner = log_add(
+        i["log_poly"] - i["log_sup_set"],
+        i["log_remainder_coeff"] + i["log_sup_domain"] - i["log_sup_set"],
+    )
+    log_a = i["log_T_base"] + e * i["log_M"] + log_inner
+    identity_lhs = log_a + e * i["log_sup_domain"] + (1 - e) * i["log_sup_set"]
+    return {"log_A": log_a, "identity_lhs": identity_lhs}
+
+
+def _ucp_assembly(i: Values, o: Values) -> Values:
+    log_d, m_star = i["log_D"], i["m_star"]
+    gamma = log_d / (log_d + LOG2)
+    log_c1 = (
+        math.log(i["C0"]) + i["a"] / i["b"] + gamma * i["log_M"]
+        + log_add(m_star * log_d, -m_star * LOG2)
+    )
+    return {"gamma": gamma, "log_C1": log_c1}
+
+
+def _ucp_radius(i: Values, o: Values) -> Values:
+    r = 10.0 * (i["b"] / (i["n0"] + 1)) ** (1.0 / i["b"])
+    return {"r": r, "lhs_log": to_log(r)}
+
+
+STEP_KINDS: dict[str, StepKind] = {kind.name: kind for kind in (
+    StepKind("cover", "lattice ball cover of the domain"),
+    StepKind(
+        "pigeonhole-ball", "densest cover ball intersection with the set",
+        lambda i, o: {
+            "lhs_log": to_log(i["set_measure"]) - math.log(i["cover_count"]),
+            "rhs_log": to_log(o["intersection_measure"]),
+        },
+        _RELATIVE,
+    ),
+    StepKind("ray-selection", "best direction through the near-maximiser"),
+    StepKind("point-separation", "greedy separated interpolation nodes inside the trace"),
+    StepKind(
+        "polynomial-sup-bound", "sup bound on the interpolation polynomial over the segment",
+        lambda i, o: {"log_bound": poly_sup_bound(
+            int(i["n"]), i["t_max"], i["gap"], i["data_sup"]
+        ).log_value},
+    ),
+    StepKind(
+        "remainder-bound", "interpolation remainder coefficient (per unit domain sup)",
+        lambda i, o: {"log_coeff": remainder_bound(
+            int(i["n"]), i["t_max"], GevreyCertificate(i["M"], i["delta"], i["sigma"]), 1.0
+        )},
+    ),
+    StepKind(
+        "near-max-point", "small-ball sup against twice the selected point value",
+        tol=_RELATIVE,
+    ),
+    StepKind(
+        "interpolation-split", "selected point value under polynomial plus remainder bounds",
+        lambda i, o: {"rhs_log": log_add(i["log_poly"], i["log_remainder"])},
+        _RELATIVE,
+    ),
+    StepKind(
+        "master-inequality", "domain sup bounded by propagation times (poly + remainder)",
+        lambda i, o: {
+            "rhs_log": i["log_total_factor"] + log_add(i["log_poly"], i["log_remainder"])
+        },
+        _STRICT,
+    ),
+    StepKind(
+        "global-max-slack", "domain sup against twice the grid near-maximiser value",
+        lambda i, o: {"rhs_log": LOG2 + o["lhs_log"]},
+        _RELATIVE,
+    ),
+    StepKind(
+        "chain-propagation", "overlapping chain of balls from the near-maximiser to the target",
+        tol=_RELATIVE,
+    ),
+    StepKind(
+        "concentric-reduction", "halving doublings on concentric balls at the target centre",
+        tol=_RELATIVE,
+    ),
+    StepKind(
+        "propagation-factor", "total propagation factor 4 kappa^(K + concentric)",
+        _propagation_factor,
+    ),
+    StepKind(
+        "prefactor-split", "propagation factor with the (M ratio)^exponent part factored out",
+        lambda i, o: {"log_T_base": i["log_total_factor"] - i["exponent"] * i["log_X"]},
+    ),
+    StepKind(
+        "assembly", "master right side rewritten as A * supD^e * supE^(1-e)",
+        _assembly, _RELATIVE, identity=True,
+    ),
+    StepKind(
+        "resolution", "implicit inequality resolved as C = A^(1/(1-e))",
+        lambda i, o: {"log_C": i["log_A"] / (1.0 - i["exponent"])},
+    ),
+    StepKind("degree-search", "best sound constant over the searched degree window"),
+    StepKind("radius-choice/sigma1", "radius r0_eff * (supE / (M supD))^(1/(n+1))"),
+    StepKind(
+        "radius-choice/sigma-gt1", "radius delta (n+1)^(1-sigma) (supE / (M supD))^(1/(n+1))",
+        lambda i, o: {"lhs_log": to_log(o["r"])},
+        _STRICT,
+    ),
+    StepKind("ucp-threshold", "largest-integer degree threshold", _ucp_threshold),
+    StepKind(
+        "radius-choice/ucp", "radius 10 (b/(n+1))^(1/b) from the threshold degree",
+        _ucp_radius, _STRICT,
+    ),
+    StepKind(
+        "ucp-propagation", "unique continuation applied at the near-maximiser ball",
+        lambda i, o: {"log_factor": LOG2 + _ucp_exponent(i["a"], i["b"], i["rho"])},
+        _RELATIVE,
+    ),
+    StepKind(
+        "shape-poly-term", "polynomial term dominated by C0 e^(a/b) D^n supE",
+        tol=(1e-9, 0.0),
+    ),
+    StepKind(
+        "shape-remainder-term", "remainder term dominated by C0 e^(a/b) M cf^(n+1) supD",
+        lambda i, o: {"log_contraction_factor": _contraction_log(i)},
+        (1e-9, 0.0),
+    ),
+    StepKind(
+        "contraction", "remainder contraction factor at the threshold degree",
+        lambda i, o: {"lhs_log": _contraction_log(i), "rhs_log": -LOG2},
+        (1e-12, 0.0),
+    ),
+    StepKind(
+        "ucp-assembly", "threshold algebra: C1 and the interpolation exponent gamma",
+        _ucp_assembly,
+    ),
+    StepKind(
+        "resolution/ucp", "implicit inequality resolved as C = C1^(1/(1-gamma))",
+        lambda i, o: {"log_C": i["log_C1"] / (1.0 - i["gamma"])},
+    ),
+)}
+
+_KIND_OF_TEXT = {(kind.step, kind.detail): kind for kind in STEP_KINDS.values()}
+
+
+def _put(
+    steps: list[TraceStep], name: str, inputs: Values, measured: Values | None = None
+) -> Values:
+    """Append a step of kind `name` with its inputs, its measured outputs and
+    the outputs its rule derives; returns the outputs.  A step whose
+    inequality fails makes the run infeasible."""
+    kind = STEP_KINDS[name]
+    measured = measured or {}
+    step = TraceStep(kind.step, kind.detail, dict(inputs), measured | kind.derive(inputs, measured))
+    failure = kind.failure(step.outputs)
+    if failure:
+        raise InfeasibleError(f"trace step {step.step!r} does not hold: {failure}")
+    steps.append(step)
+    return step.outputs
+
+
+def audit_trace(trace: Sequence[Mapping[str, Any]]) -> None:
+    """Replay a written trace through the step table: every derived output
+    must equal its recorded value and every inequality must pass its check.
+    A broken step raises `SoundnessError` naming it."""
+    for index, record in enumerate(trace):
+        where = f"trace step {index}"
+        try:
+            kind = _KIND_OF_TEXT[record["step"], record["detail"]]
+            where += f" {kind.step!r}"
+            outputs = record["outputs"]
+            moved = [
+                f"{key} is recorded as {outputs.get(key)!r}, the replay gives {value!r}"
+                for key, value in kind.derive(record["inputs"], outputs).items()
+                if outputs.get(key) != value
+            ]
+            failure = kind.failure(outputs)
+        except (ObscertError, LookupError, ArithmeticError, ValueError, TypeError,
+                AttributeError) as exc:
+            raise SoundnessError(f"{where} cannot be replayed: {exc!r}") from exc
+        if moved:
+            raise SoundnessError(f"{where}: {moved[0]}")
+        if failure:
+            raise SoundnessError(f"{where} does not hold: {failure}")
+
+
+# ---------------------------------------------------------------------------
+# Shared steps: the problem, geometric run at one (n, r), proof tail
+# ---------------------------------------------------------------------------
+
+class _Problem:
+    """What every branch reads before its first degree: the model, the set
+    and its grid, the Gevrey certificate, the shared field, the domain and
+    set sups with their logs, log_X = log(M supD / supE) and the effective
+    radius bound r0_eff = min(r0, 1, max ball radius)."""
+
+    def __init__(self, f: FunctionModel, mset: MeasurableSet, gc: GevreyCertificate, r0: float):
+        self.f, self.mset, self.grid, self.gc = f, mset, mset.grid, gc
+        self.field = GridField.of(f, self.grid)
+        self.sup_domain, self.x_bar = self.field.sup_domain()
+        self.sup_set, _ = self.field.sup_mask(mset.mask)
+        if self.sup_set <= 0.0:
+            raise InfeasibleError("observability from a null-data set is vacuous")
+        self.log_sup_domain = to_log(self.sup_domain)
+        self.log_sup_set = to_log(self.sup_set)
+        self.log_x = math.log(gc.M) + self.log_sup_domain - self.log_sup_set
+        self.r0_eff = min(r0, 1.0, self.grid.domain.max_ball_radius)
 
 
 @dataclass
 class _GeometryRun:
+    """What the rest of a run reads from the geometric steps, with the aux
+    keys every branch records."""
+
     r: float
     rho: float
     ball: Ball
-    intersection: float
-    cover_count: int
     w: np.ndarray
     sup_ball_rho: float
-    t_max: float
-    ell: float
-    gap: float
-    data_sup: float
-    poly: PolyBound
+    log_poly: float
     log_remainder_coeff: float
-    steps: list[TraceStep]
+    aux: dict[str, float]
 
 
-def _run_geometry(
-    f: FunctionModel,
-    mset: MeasurableSet,
-    gc: GevreyCertificate,
-    s: _Sups,
-    n: int,
-    r: float,
-) -> _GeometryRun:
-    if r < 2.0 * s.grid.h:
-        raise InfeasibleError(f"radius {r:.3e} below grid resolution {s.grid.h:.3e}")
-    domain = s.grid.domain
-    steps: list[TraceStep] = []
+def _run_geometry(p: _Problem, n: int, r: float, steps: list[TraceStep]) -> _GeometryRun:
+    """Append the cover, pigeonhole, ray, node and interpolation-bound steps
+    at one (n, r)."""
+    f, mset, gc, domain = p.f, p.mset, p.gc, p.grid.domain
+    if r < 2.0 * p.grid.h:
+        raise InfeasibleError(f"radius {r:.3e} below grid resolution {p.grid.h:.3e}")
 
     cover = cover_domain(domain, r)
     ball, inter = densest_ball(mset, cover)
-    bound = cover_count_bound(domain, r)
-    steps.append(
-        TraceStep(
-            "cover",
-            "lattice ball cover of the domain",
-            {"r": r, "diameter": domain.diameter, "dimension": float(domain.dimension)},
-            {"count": float(len(cover)), "count_bound": float(bound)},
-        )
+    _put(
+        steps, "cover",
+        {"r": r, "diameter": domain.diameter, "dimension": float(domain.dimension)},
+        {"count": float(len(cover)), "count_bound": float(cover_count_bound(domain, r))},
     )
-    steps.append(
-        TraceStep(
-            "pigeonhole-ball",
-            "densest cover ball intersection with the set",
-            {"set_measure": mset.measure, "cover_count": float(len(cover))},
-            {
-                "intersection_measure": inter,
-                "lhs_log": to_log(mset.measure) - math.log(len(cover)),
-                "rhs_log": to_log(inter),
-            },
-        )
+    _put(
+        steps, "pigeonhole-ball",
+        {"set_measure": mset.measure, "cover_count": float(len(cover))},
+        {"intersection_measure": inter},
     )
 
     x = np.asarray(ball.center)
     rho = r / 10.0
-    sup_rho, w = s.field.sup_ball(x, rho)
+    sup_rho, w = p.field.sup_ball(x, rho)
     x_val = float(np.abs(f.evaluate(x)))
     if x_val > sup_rho:  # the ball's own centre competes with its cells
         sup_rho, w = x_val, x
@@ -321,313 +555,176 @@ def _run_geometry(
 
     seg, trace_set = best_ray_interval(ball, mset, w)
     ell = trace_set.total
-    steps.append(
-        TraceStep(
-            "ray-selection",
-            "best direction through the near-maximiser",
-            {
-                "r": r,
-                "n_directions": float(len(ray_directions(domain.dimension))),
-                "intersection_measure": inter,
-            },
-            {"trace_length": ell, "t_max": seg.t_max},
-        )
+    ray = _put(
+        steps, "ray-selection",
+        {
+            "r": r,
+            "n_directions": float(len(ray_directions(domain.dimension))),
+            "intersection_measure": inter,
+        },
+        {"trace_length": ell, "t_max": seg.t_max},
     )
 
     nodes = separate_points(trace_set, n)
     node_pts = seg.points(nodes.nodes)
     node_vals = np.abs(f.evaluate(node_pts))
-    data_sup = max(s.sup_set, float(np.max(node_vals)))
-    steps.append(
-        TraceStep(
-            "point-separation",
-            "greedy separated interpolation nodes inside the trace",
-            {"trace_length": ell, "n": float(n)},
-            {"gap": nodes.gap, "data_sup": data_sup},
-        )
+    data_sup = max(p.sup_set, float(np.max(node_vals)))
+    nodes_out = _put(
+        steps, "point-separation",
+        {"trace_length": ell, "n": float(n)},
+        {"gap": nodes.gap, "data_sup": data_sup},
     )
-
-    poly = poly_sup_bound(n, seg.t_max, nodes.gap, data_sup)
-    steps.append(
-        TraceStep(
-            "polynomial-sup-bound",
-            "sup bound on the interpolation polynomial over the segment",
-            {"n": float(n), "t_max": seg.t_max, "gap": nodes.gap, "data_sup": data_sup},
-            {"log_bound": poly.log_value},
-        )
-    )
-    log_rem_coeff = remainder_bound(n, seg.t_max, gc, 1.0)
-    steps.append(
-        TraceStep(
-            "remainder-bound",
-            "interpolation remainder coefficient (per unit domain sup)",
-            {"n": float(n), "t_max": seg.t_max, "M": gc.M, "delta": gc.delta, "sigma": gc.sigma},
-            {"log_coeff": log_rem_coeff},
-        )
-    )
-    return _GeometryRun(
-        r=r,
-        rho=rho,
-        ball=ball,
-        intersection=inter,
-        cover_count=len(cover),
-        w=w,
-        sup_ball_rho=sup_rho,
-        t_max=seg.t_max,
-        ell=ell,
-        gap=nodes.gap,
-        data_sup=data_sup,
-        poly=poly,
-        log_remainder_coeff=log_rem_coeff,
-        steps=steps,
-    )
-
-
-def _proof_tail(
-    f: FunctionModel,
-    geo: _GeometryRun,
-    s: _Sups,
-    log_t: float,
-    steps: list[TraceStep],
-    failure: str,
-    before_split: Sequence[TraceStep] = (),
-) -> MasterBound:
-    """Append near-max-point, `before_split`, interpolation-split and the
-    master inequality supD <= T (poly + remainder) with log T = `log_t`;
-    a failed master inequality makes the run infeasible with `failure`."""
-    log_w_val = to_log(float(np.abs(f.evaluate(geo.w))))
-    log_remainder = geo.log_remainder_coeff + s.log_sup_domain
-    steps.append(
-        TraceStep(
-            "near-max-point",
-            "small-ball sup against twice the selected point value",
-            {"rho": geo.rho},
-            {"lhs_log": to_log(geo.sup_ball_rho), "rhs_log": LOG2 + log_w_val},
-        )
-    )
-    steps.extend(before_split)
-    steps.append(
-        TraceStep(
-            "interpolation-split",
-            "selected point value under polynomial plus remainder bounds",
-            {"log_poly": geo.poly.log_value, "log_remainder": log_remainder},
-            {"lhs_log": log_w_val, "rhs_log": log_add(geo.poly.log_value, log_remainder)},
-        )
-    )
-    mb = master_bound(log_t, geo.poly, log_remainder)
-    steps.append(
-        TraceStep(
-            "master-inequality",
-            "domain sup bounded by propagation times (poly + remainder)",
-            {
-                "log_total_factor": log_t,
-                "log_poly": geo.poly.log_value,
-                "log_remainder": log_remainder,
-            },
-            {"lhs_log": s.log_sup_domain, "rhs_log": mb.log_total},
-        )
-    )
-    if s.log_sup_domain > mb.log_total:
-        raise InfeasibleError(f"master inequality fails numerically; {failure}")
-    return mb
-
-
-def _require_holds(steps: Sequence[TraceStep]) -> None:
-    """Runtime trace check: every inequality step of a finished run holds."""
-    for step in steps:
-        if step.holds is False:
-            raise InfeasibleError(
-                f"trace step {step.step!r} does not hold: lhs_log "
-                f"{step.outputs['lhs_log']!r} > rhs_log {step.outputs['rhs_log']!r}"
-            )
-
-
-def _shared_aux(geo: _GeometryRun, s: _Sups, gc: GevreyCertificate) -> dict[str, float]:
-    """The aux keys every branch records."""
-    return {
-        "cover_count": float(geo.cover_count),
-        "intersection_measure": geo.intersection,
-        "trace_length": geo.ell,
-        "t_max": geo.t_max,
-        "gap": geo.gap,
-        "data_sup": geo.data_sup,
-        "r0_eff": s.r0_eff,
-        "sup_domain": s.sup_domain,
-        "sup_set": s.sup_set,
+    log_poly = _put(
+        steps, "polynomial-sup-bound",
+        {"n": float(n), "t_max": seg.t_max, "gap": nodes.gap, "data_sup": data_sup},
+    )["log_bound"]
+    log_rem_coeff = _put(
+        steps, "remainder-bound",
+        {"n": float(n), "t_max": seg.t_max, "M": gc.M, "delta": gc.delta, "sigma": gc.sigma},
+    )["log_coeff"]
+    aux = ray | nodes_out | {
+        "cover_count": float(len(cover)),
+        "intersection_measure": inter,
+        "r0_eff": p.r0_eff,
+        "sup_domain": p.sup_domain,
+        "sup_set": p.sup_set,
         "M": gc.M,
         "delta": gc.delta,
         "sigma": gc.sigma,
     }
+    return _GeometryRun(r, rho, ball, w, sup_rho, log_poly, log_rem_coeff, aux)
+
+
+def _proof_tail(
+    p: _Problem,
+    geo: _GeometryRun,
+    steps: list[TraceStep],
+    log_t: float = math.nan,
+    factor: Values | None = None,
+) -> tuple[float, float]:
+    """Append near-max-point; then, in the doubling branches, the
+    propagation-factor step with inputs `factor`, which gives log T in place
+    of `log_t`; then interpolation-split and the master inequality
+    supD <= T (poly + remainder).  Returns log T and the master right side."""
+    log_w_val = to_log(float(np.abs(p.f.evaluate(geo.w))))
+    _put(
+        steps, "near-max-point",
+        {"rho": geo.rho},
+        {"lhs_log": to_log(geo.sup_ball_rho), "rhs_log": LOG2 + log_w_val},
+    )
+    if factor is not None:
+        log_t = _put(steps, "propagation-factor", factor)["log_total"]
+    log_remainder = geo.log_remainder_coeff + p.log_sup_domain
+    _put(
+        steps, "interpolation-split",
+        {"log_poly": geo.log_poly, "log_remainder": log_remainder},
+        {"lhs_log": log_w_val},
+    )
+    return log_t, _put(
+        steps, "master-inequality",
+        {"log_total_factor": log_t, "log_poly": geo.log_poly, "log_remainder": log_remainder},
+        {"lhs_log": p.log_sup_domain},
+    )["rhs_log"]
 
 
 # ---------------------------------------------------------------------------
 # Doubling branches (sigma = 1 and sigma > 1)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _RunResult:
-    n: int
-    r: float
-    log_constant: float
-    aux: dict[str, float]
-    steps: list[TraceStep]
-
-
 def _doubling_run(
-    f: FunctionModel,
-    mset: MeasurableSet,
-    dc: DoublingCertificate,
-    gc: GevreyCertificate,
-    s: _Sups,
-    n: int,
-    r: float,
-    radius_step: TraceStep,
-) -> _RunResult:
+    branch: str, p: _Problem, dc: DoublingCertificate, n: int, r: float, steps: list[TraceStep]
+) -> ObservabilityCertificate:
+    """The certificate at degree n and radius r, after the radius-choice
+    step already in `steps`."""
     exponent = dc.log2_kappa / (n + 1)
     if exponent >= 1.0:
         raise InfeasibleError(f"degree {n} too small for doubling constant {dc.kappa}")
 
-    geo = _run_geometry(f, mset, gc, s, n, r)
-    steps = [radius_step, *geo.steps]
-
+    geo = _run_geometry(p, n, r, steps)
     chain = chain_of_balls(
-        s.grid.domain, s.x_bar, np.asarray(geo.ball.center), hat_radius(dc, geo.rho)[0]
+        p.grid.domain, p.x_bar, np.asarray(geo.ball.center), hat_radius(dc, geo.rho)[0]
     )
     prop = propagate_doubling(dc, geo.rho, chain)
 
-    (sup_rhat,) = s.field.ball_maxima(geo.ball.center, [prop.r_hat])
+    (sup_rhat,) = p.field.ball_maxima(geo.ball.center, [prop.r_hat])
     if sup_rhat < 0.0:
         raise InfeasibleError("ball contains no sample points")
-    steps.append(
-        TraceStep(
-            "global-max-slack",
-            "domain sup against twice the grid near-maximiser value",
-            {},
-            {"lhs_log": s.log_sup_domain, "rhs_log": LOG2 + s.log_sup_domain},
-        )
-    )
-    steps.append(
-        TraceStep(
-            "chain-propagation",
-            "overlapping chain of balls from the near-maximiser to the target",
-            {"kappa": dc.kappa, "r_hat": prop.r_hat, "chain_steps": float(prop.chain_steps)},
-            {
-                "lhs_log": s.log_sup_domain,
-                "rhs_log": prop.chain_steps * math.log(dc.kappa) + to_log(sup_rhat),
-            },
-        )
-    )
-    steps.append(
-        TraceStep(
-            "concentric-reduction",
-            "halving doublings on concentric balls at the target centre",
-            {"kappa": dc.kappa, "concentric_steps": float(prop.concentric_steps)},
-            {
-                "lhs_log": to_log(sup_rhat),
-                "rhs_log": prop.concentric_steps * math.log(dc.kappa)
-                + to_log(geo.sup_ball_rho),
-            },
-        )
-    )
-
-    log_t = prop.log_factor + LOG2  # extra 2 from the near-max point selection
-    factor_step = TraceStep(
-        "propagation-factor",
-        "total propagation factor 4 kappa^(K + concentric)",
+    _put(steps, "global-max-slack", {}, {"lhs_log": p.log_sup_domain})
+    _put(
+        steps, "chain-propagation",
+        {"kappa": dc.kappa, "r_hat": prop.r_hat, "chain_steps": float(prop.chain_steps)},
         {
-            "kappa": dc.kappa,
-            "chain_steps": float(prop.chain_steps),
-            "concentric_steps": float(prop.concentric_steps),
+            "lhs_log": p.log_sup_domain,
+            "rhs_log": prop.chain_steps * math.log(dc.kappa) + to_log(sup_rhat),
         },
-        {"log_factor": prop.log_factor, "log_total": log_t},
     )
-    mb = _proof_tail(
-        f, geo, s, log_t, steps,
-        "hypothesis certificates do not control this function at the sampled resolution",
-        before_split=[factor_step],
+    _put(
+        steps, "concentric-reduction",
+        {"kappa": dc.kappa, "concentric_steps": float(prop.concentric_steps)},
+        {
+            "lhs_log": to_log(sup_rhat),
+            "rhs_log": prop.concentric_steps * math.log(dc.kappa) + to_log(geo.sup_ball_rho),
+        },
     )
 
-    log_t_base = log_t - exponent * s.log_x
-    steps.append(
-        TraceStep(
-            "prefactor-split",
-            "propagation factor with the (M ratio)^exponent part factored out",
-            {"log_total_factor": log_t, "exponent": exponent, "log_X": s.log_x},
-            {"log_T_base": log_t_base},
-        )
-    )
-    log_rb_e = geo.log_remainder_coeff + s.log_sup_domain - s.log_sup_set
-    log_inner = log_add(geo.poly.log_value - s.log_sup_set, log_rb_e)
-    log_a = log_t_base + exponent * math.log(gc.M) + log_inner
-    identity_lhs = log_a + exponent * s.log_sup_domain + (1 - exponent) * s.log_sup_set
-    steps.append(
-        TraceStep(
-            "assembly",
-            "master right side rewritten as A * supD^e * supE^(1-e)",
-            {
-                "log_T_base": log_t_base,
-                "exponent": exponent,
-                "log_M": math.log(gc.M),
-                "log_poly": geo.poly.log_value,
-                "log_remainder_coeff": geo.log_remainder_coeff,
-                "log_sup_domain": s.log_sup_domain,
-                "log_sup_set": s.log_sup_set,
-            },
-            {"log_A": log_a, "identity_lhs": identity_lhs, "identity_rhs": mb.log_total},
-        )
-    )
-    if abs(identity_lhs - mb.log_total) > 1e-9 * max(1.0, abs(mb.log_total)):
-        raise RuntimeError("internal: power-split identity failed")
-
-    log_c = log_a / (1.0 - exponent)
-    steps.append(
-        TraceStep(
-            "resolution",
-            "implicit inequality resolved as C = A^(1/(1-e))",
-            {"log_A": log_a, "exponent": exponent},
-            {"log_C": log_c},
-        )
-    )
-    _require_holds(steps)
-    aux = _shared_aux(geo, s, gc) | {
+    factor = {
         "kappa": dc.kappa,
         "chain_steps": float(prop.chain_steps),
         "concentric_steps": float(prop.concentric_steps),
+    }
+    log_t, log_master = _proof_tail(p, geo, steps, factor=factor)
+
+    log_t_base = _put(
+        steps, "prefactor-split",
+        {"log_total_factor": log_t, "exponent": exponent, "log_X": p.log_x},
+    )["log_T_base"]
+    log_a = _put(
+        steps, "assembly",
+        {
+            "log_T_base": log_t_base,
+            "exponent": exponent,
+            "log_M": math.log(p.gc.M),
+            "log_poly": geo.log_poly,
+            "log_remainder_coeff": geo.log_remainder_coeff,
+            "log_sup_domain": p.log_sup_domain,
+            "log_sup_set": p.log_sup_set,
+        },
+        {"identity_rhs": log_master},
+    )["log_A"]
+    log_c = _put(steps, "resolution", {"log_A": log_a, "exponent": exponent})["log_C"]
+    aux = geo.aux | factor | {
         "r_hat": prop.r_hat,
         "exponent": exponent,
-        "log_X": s.log_x,
+        "log_X": p.log_x,
         "log_A": log_a,
         "log_total_factor": log_t,
     }
-    return _RunResult(n=n, r=r, log_constant=max(log_c, 0.0), aux=aux, steps=steps)
+    return ObservabilityCertificate(branch, max(log_c, 0.0), n, r, aux, steps)
 
 
 def _certify_doubling(
     branch: str,
-    f: FunctionModel,
-    mset: MeasurableSet,
+    p: _Problem,
     dc: DoublingCertificate,
-    gc: GevreyCertificate,
-    s: _Sups,
     n_base: int,
     search: int,
-    radius_rule: Callable[[int], tuple[float, TraceStep]],
+    radius_rule: Callable[[int, list[TraceStep]], float],
     branch_aux: dict[str, float],
 ) -> ObservabilityCertificate:
     """Run the pipeline at n_base..n_base+search with the branch's radius
-    rule (n -> r and its radius-choice step) and keep the smallest sound
-    constant; the run at n_base is the prescribed one."""
+    rule (n -> r, appending its radius-choice step) and keep the smallest
+    sound constant; the run at n_base is the prescribed one."""
     if n_base + search > _DEGREE_CAP:
         raise InfeasibleError(
             f"degree {n_base + search} is beyond desk scale; the cap is {_DEGREE_CAP}"
         )
-    best: _RunResult | None = None
-    prescribed: _RunResult | None = None
+    best: ObservabilityCertificate | None = None
+    prescribed: ObservabilityCertificate | None = None
     failures: list[dict[str, float | str]] = []
     for n in range(n_base, n_base + search + 1):
+        steps: list[TraceStep] = []
         try:
-            r, radius_step = radius_rule(n)
-            res = _doubling_run(f, mset, dc, gc, s, n, r, radius_step)
+            res = _doubling_run(branch, p, dc, n, radius_rule(n, steps), steps)
         except (InfeasibleError, ResolutionError) as exc:
             failures.append({"n": n, "status": f"infeasible: {exc}"})
             continue
@@ -640,22 +737,15 @@ def _certify_doubling(
             "certification infeasible at every degree in the search range: "
             + "; ".join(str(a) for a in failures)
         )
-    aux = best.aux | branch_aux | {"n_base": float(n_base)}
+    best.aux |= branch_aux | {"n_base": float(n_base)}
     search_outputs = {"log_C_best": best.log_constant}
     if prescribed is not None:
-        aux["prescribed_n"] = float(prescribed.n)
-        aux["prescribed_log_C"] = prescribed.log_constant
-        aux["prescribed_r"] = prescribed.r
+        best.aux["prescribed_n"] = float(prescribed.n)
+        best.aux["prescribed_log_C"] = prescribed.log_constant
+        best.aux["prescribed_r"] = prescribed.r
         search_outputs["log_C_prescribed"] = prescribed.log_constant
-    search_step = TraceStep(
-        "degree-search",
-        "best sound constant over the searched degree window",
-        {"n_best": float(best.n)},
-        search_outputs,
-    )
-    return ObservabilityCertificate(
-        branch, best.log_constant, best.n, best.r, aux, [*best.steps, search_step]
-    )
+    _put(best.trace, "degree-search", {"n_best": float(best.n)}, search_outputs)
+    return best
 
 
 def certify_sigma1(
@@ -676,22 +766,19 @@ def certify_sigma1(
     """
     if abs(gc.sigma - 1.0) > 1e-12:
         raise ConfigError("sigma-1 branch requires a sigma = 1 certificate")
-    s = _preamble(f, mset, gc, dc.r0)
+    p = _Problem(f, mset, gc, dc.r0)
     n_base = 2 * math.floor(dc.log2_kappa) + 2 if n_override is None else n_override
 
-    def radius_rule(n: int) -> tuple[float, TraceStep]:
-        r = choose_r_sigma1(n, s.sup_set, s.sup_domain, gc.M, s.r0_eff)
-        return r, TraceStep(
-            "radius-choice",
-            "radius r0_eff * (supE / (M supD))^(1/(n+1))",
-            {"n": float(n), "r0_eff": s.r0_eff, "log_X": s.log_x},
+    def radius_rule(n: int, steps: list[TraceStep]) -> float:
+        r = choose_r_sigma1(n, p.sup_set, p.sup_domain, gc.M, p.r0_eff)
+        return _put(
+            steps, "radius-choice/sigma1",
+            {"n": float(n), "r0_eff": p.r0_eff, "log_X": p.log_x},
             {"r": r},
-        )
+        )["r"]
 
     gamma = dc.log2_kappa / (2 * math.floor(dc.log2_kappa) + 3)
-    return _certify_doubling(
-        BRANCH_SIGMA1, f, mset, dc, gc, s, n_base, search, radius_rule, {"gamma": gamma},
-    )
+    return _certify_doubling(BRANCH_SIGMA1, p, dc, n_base, search, radius_rule, {"gamma": gamma})
 
 
 def certify_sigma_gt1(
@@ -711,26 +798,23 @@ def certify_sigma_gt1(
     """
     if gc.sigma <= 1.0:
         raise ConfigError("sigma-gt1 branch requires sigma > 1")
-    s = _preamble(f, mset, gc, dc.r0)
-    if math.log(gc.delta / s.r0_eff) / (gc.sigma - 1.0) > math.log(_DEGREE_CAP):
+    p = _Problem(f, mset, gc, dc.r0)
+    if math.log(gc.delta / p.r0_eff) / (gc.sigma - 1.0) > math.log(_DEGREE_CAP):
         raise InfeasibleError(
             f"B = (delta / r0_eff)^(1/(sigma-1)) exceeds the degree cap {_DEGREE_CAP}; "
             "relax delta or sigma"
         )
-    b_const = (gc.delta / s.r0_eff) ** (1.0 / (gc.sigma - 1.0))
+    b_const = (gc.delta / p.r0_eff) ** (1.0 / (gc.sigma - 1.0))
     floor_n = 2 * math.floor(max(dc.log2_kappa, b_const)) + 1
     n_base = floor_n if n_override is None else max(n_override, floor_n)
 
-    def radius_rule(n: int) -> tuple[float, TraceStep]:
-        r = choose_r_sigma_gt1(n, s.sup_set, s.sup_domain, gc.M, gc.delta, gc.sigma)
-        if r > s.r0_eff * (1 + 1e-12):
-            raise InfeasibleError(f"chosen radius {r} exceeds the bound {s.r0_eff}")
-        return r, TraceStep(
-            "radius-choice",
-            "radius delta (n+1)^(1-sigma) (supE / (M supD))^(1/(n+1))",
-            {"n": float(n), "delta": gc.delta, "sigma": gc.sigma, "log_X": s.log_x},
-            {"r": r, "lhs_log": math.log(r), "rhs_log": math.log(s.r0_eff)},
-        )
+    def radius_rule(n: int, steps: list[TraceStep]) -> float:
+        r = choose_r_sigma_gt1(n, p.sup_set, p.sup_domain, gc.M, gc.delta, gc.sigma)
+        return _put(
+            steps, "radius-choice/sigma-gt1",
+            {"n": float(n), "delta": gc.delta, "sigma": gc.sigma, "log_X": p.log_x},
+            {"r": r, "rhs_log": math.log(p.r0_eff)},
+        )["r"]
 
     branch_aux = {
         "B": b_const,
@@ -739,35 +823,12 @@ def certify_sigma_gt1(
             (gc.sigma - 1.0) * dc.log2_kappa * math.log(max(dc.log2_kappa, b_const))
         ),
     }
-    return _certify_doubling(
-        BRANCH_SIGMA_GT1, f, mset, dc, gc, s, n_base, search, radius_rule, branch_aux,
-    )
+    return _certify_doubling(BRANCH_SIGMA_GT1, p, dc, n_base, search, radius_rule, branch_aux)
 
 
 # ---------------------------------------------------------------------------
 # Unique-continuation branch
 # ---------------------------------------------------------------------------
-
-def _ucp_threshold(
-    uc: UcpCertificate,
-    gc: GevreyCertificate,
-    c0: float,
-    vol_domain: float,
-    set_measure: float,
-    log_x: float,
-    r0_eff: float,
-) -> tuple[float, float, int, float]:
-    """(log_D, m_star, n0, xi) for the largest-integer degree rule."""
-    a, b = uc.a, uc.b
-    log_d = math.log(c0) + a / b + math.log(vol_domain / set_measure)
-    p = 1.0 / b - gc.sigma + 1.0
-    m_star = max(
-        10.0 ** b * b / r0_eff ** b,
-        (2.0 * c0 * math.exp(a / b) * b ** (1.0 / b) / gc.delta) ** (1.0 / p),
-    )
-    xi = log_x / (log_d + LOG2) + m_star
-    return log_d, m_star, math.floor(xi), xi
-
 
 def certify_ucp(
     f: FunctionModel,
@@ -779,158 +840,85 @@ def certify_ucp(
 
     Requires 1 <= sigma < 1 + 1/b.  The degree comes from the largest-integer
     threshold rule, which simultaneously forces the chosen radius under the
-    radius bound and the remainder contraction factor under 1/2; a violated
-    contraction at the computed degree is an internal error, not an input
-    error.
+    radius bound and the remainder contraction factor under 1/2; the table
+    checks both when their steps are appended.
     """
     if gc.sigma >= 1.0 + 1.0 / uc.b:
         raise HypothesisError(
             f"hypothesis violated: sigma = {gc.sigma} is not below 1 + 1/b = "
             f"{1.0 + 1.0 / uc.b}"
         )
-    s = _preamble(f, mset, gc, uc.r0)
-    vol_domain = s.grid.n_interior * s.grid.h ** s.grid.dimension
+    p = _Problem(f, mset, gc, uc.r0)
+    vol_domain = p.grid.n_interior * p.grid.h ** p.grid.dimension
     a, b = uc.a, uc.b
-    p = 1.0 / b - gc.sigma + 1.0
+    log_spread = math.log(vol_domain / mset.measure)
 
     c0 = UCP_BASE_CONSTANT
     for _ in range(40):
-        log_d, m_star, n0, xi = _ucp_threshold(
-            uc, gc, c0, vol_domain, mset.measure, s.log_x, s.r0_eff
+        steps: list[TraceStep] = []
+        threshold = _put(
+            steps, "ucp-threshold",
+            {
+                "a": a, "b": b, "C0": c0, "vol_domain": vol_domain, "set_measure": mset.measure,
+                "log_X": p.log_x, "r0_eff": p.r0_eff, "delta": gc.delta, "sigma": gc.sigma,
+            },
         )
-        if n0 > _DEGREE_CAP:
-            raise InfeasibleError(
-                f"threshold degree {n0} is beyond desk scale; relax a, b or delta"
-            )
-        r = 10.0 * (b / (n0 + 1)) ** (1.0 / b)
-        if r > s.r0_eff * (1 + 1e-9):
-            raise RuntimeError("internal: threshold rule failed to force r <= r0")
-        geo = _run_geometry(f, mset, gc, s, n0, r)
+        n0 = int(threshold["n0"])
+        r = _put(
+            steps, "radius-choice/ucp",
+            {"b": b, "n0": threshold["n0"]},
+            {"rhs_log": math.log(p.r0_eff)},
+        )["r"]
+        geo = _run_geometry(p, n0, r, steps)
         # polynomial-term conversion: 2 * PB <= C0^(n+1) (|O|/|E|)^n supE
-        lhs1 = LOG2 + geo.poly.log_value
-        rhs1 = (
-            (n0 + 1) * math.log(c0)
-            + n0 * math.log(vol_domain / mset.measure)
-            + s.log_sup_set
-        )
+        lhs1 = LOG2 + geo.log_poly
+        rhs1 = (n0 + 1) * math.log(c0) + n0 * log_spread + p.log_sup_set
         if lhs1 <= rhs1 + 1e-12:
             break
-        needed = (lhs1 - n0 * math.log(vol_domain / mset.measure) - s.log_sup_set) / (n0 + 1)
+        needed = (lhs1 - n0 * log_spread - p.log_sup_set) / (n0 + 1)
         c0 = max(c0 * 1.0000001, math.exp(needed) * (1 + 1e-9))
     else:
         raise InfeasibleError("threshold-form constant did not converge")
 
-    rho = geo.rho
-    log_t = LOG2 + a / rho ** b
-    steps = [
-        TraceStep(
-            "ucp-threshold",
-            "largest-integer degree threshold",
-            {
-                "a": a, "b": b, "C0": c0, "vol_domain": vol_domain, "set_measure": mset.measure,
-                "log_X": s.log_x, "r0_eff": s.r0_eff, "delta": gc.delta, "sigma": gc.sigma,
-            },
-            {"log_D": log_d, "m_star": m_star, "xi": xi, "n0": float(n0)},
-        ),
-        TraceStep(
-            "radius-choice",
-            "radius 10 (b/(n+1))^(1/b) from the threshold degree",
-            {"b": b, "n0": float(n0)},
-            {"r": geo.r, "lhs_log": math.log(geo.r), "rhs_log": math.log(s.r0_eff)},
-        ),
-        *geo.steps,
-        TraceStep(
-            "ucp-propagation",
-            "unique continuation applied at the near-maximiser ball",
-            {"a": a, "b": b, "rho": rho},
-            {
-                "log_factor": log_t,
-                "lhs_log": s.log_sup_domain,
-                "rhs_log": a / rho ** b + to_log(geo.sup_ball_rho),
-            },
-        ),
-    ]
-    _proof_tail(
-        f, geo, s, log_t, steps,
-        "the unique-continuation certificate does not control this function",
-    )
+    log_t = _put(
+        steps, "ucp-propagation",
+        {"a": a, "b": b, "rho": geo.rho},
+        {
+            "lhs_log": p.log_sup_domain,
+            "rhs_log": _ucp_exponent(a, b, geo.rho) + to_log(geo.sup_ball_rho),
+        },
+    )["log_factor"]
+    _proof_tail(p, geo, steps, log_t)
 
     # Rewrite both master terms in the threshold form the degree rule needs.
-    lhs1 = log_t + geo.poly.log_value
-    rhs1 = math.log(c0) + a / b + n0 * (log_d) + s.log_sup_set
-    steps.append(
-        TraceStep(
-            "shape-poly-term",
-            "polynomial term dominated by C0 e^(a/b) D^n supE",
-            {"C0": c0, "a": a, "b": b, "log_D": log_d, "n0": float(n0)},
-            {"lhs_log": lhs1, "rhs_log": rhs1},
-        )
+    log_d, m_star = threshold["log_D"], threshold["m_star"]
+    _put(
+        steps, "shape-poly-term",
+        {"C0": c0, "a": a, "b": b, "log_D": log_d, "n0": float(n0)},
+        {
+            "lhs_log": log_t + geo.log_poly,
+            "rhs_log": math.log(c0) + a / b + n0 * log_d + p.log_sup_set,
+        },
     )
-    if lhs1 > rhs1 + 1e-9:
-        raise RuntimeError("internal: polynomial-term conversion failed after fitting C0")
+    at_n0 = {"C0": c0, "a": a, "b": b, "delta": gc.delta, "sigma": gc.sigma, "n0": float(n0)}
+    log_cf = _contraction_log(at_n0)
+    _put(
+        steps, "shape-remainder-term", at_n0,
+        {
+            "lhs_log": log_t + geo.log_remainder_coeff + p.log_sup_domain,
+            "rhs_log": math.log(c0) + a / b + math.log(gc.M) + (n0 + 1) * log_cf
+            + p.log_sup_domain,
+        },
+    )
+    _put(steps, "contraction", at_n0)
 
-    log_cf = (
-        math.log(c0) + a / b + math.log(b) / b - math.log(gc.delta) - p * math.log(n0 + 1)
+    algebra = _put(
+        steps, "ucp-assembly",
+        {"C0": c0, "a": a, "b": b, "log_M": math.log(gc.M), "log_D": log_d, "m_star": m_star},
     )
-    lhs2 = log_t + geo.log_remainder_coeff + s.log_sup_domain
-    rhs2 = math.log(c0) + a / b + math.log(gc.M) + (n0 + 1) * log_cf + s.log_sup_domain
-    steps.append(
-        TraceStep(
-            "shape-remainder-term",
-            "remainder term dominated by C0 e^(a/b) M cf^(n+1) supD",
-            {"C0": c0, "a": a, "b": b, "delta": gc.delta, "sigma": gc.sigma, "n0": float(n0)},
-            {"lhs_log": lhs2, "rhs_log": rhs2, "log_contraction_factor": log_cf},
-        )
-    )
-    if lhs2 > rhs2 + 1e-9:
-        raise RuntimeError("internal: remainder-term conversion failed")
+    log_c = _put(steps, "resolution/ucp", algebra)["log_C"]
 
-    steps.append(
-        TraceStep(
-            "contraction",
-            "remainder contraction factor at the threshold degree",
-            {"C0": c0, "a": a, "b": b, "delta": gc.delta, "sigma": gc.sigma, "n0": float(n0)},
-            {"lhs_log": log_cf, "rhs_log": -LOG2},
-        )
-    )
-    if log_cf > -LOG2 + 1e-12:
-        raise RuntimeError(
-            "internal: contraction factor exceeds 1/2 at the threshold degree"
-        )
-
-    gamma = log_d / (log_d + LOG2)
-    log_c1 = math.log(c0) + a / b + gamma * math.log(gc.M) + log_add(
-        m_star * log_d, -m_star * LOG2
-    )
-    log_c = log_c1 / (1.0 - gamma)
-    steps.append(
-        TraceStep(
-            "ucp-assembly",
-            "threshold algebra: C1 and the interpolation exponent gamma",
-            {"C0": c0, "a": a, "b": b, "log_M": math.log(gc.M), "log_D": log_d, "m_star": m_star},
-            {"gamma": gamma, "log_C1": log_c1},
-        )
-    )
-    steps.append(
-        TraceStep(
-            "resolution",
-            "implicit inequality resolved as C = C1^(1/(1-gamma))",
-            {"log_C1": log_c1, "gamma": gamma},
-            {"log_C": log_c},
-        )
-    )
-    _require_holds(steps)
-
-    aux = _shared_aux(geo, s, gc) | {
-        "C0": c0,
-        "log_C1": log_c1,
-        "xi": xi,
-        "n0": float(n0),
-        "gamma": gamma,
-        "m_star": m_star,
-        "log_D": log_d,
-        "contraction_factor": math.exp(log_cf),
-    }
+    aux = geo.aux | threshold | algebra | {"C0": c0, "contraction_factor": math.exp(log_cf)}
     return ObservabilityCertificate(BRANCH_UCP, max(log_c, 0.0), n0, geo.r, aux, steps)
 
 
@@ -942,11 +930,11 @@ def empirical_ratio(f: FunctionModel, mset: MeasurableSet) -> EmpiricalRatio:
     """Same-grid sup ratio sup_domain / sup_set, the oracle a certificate
     must dominate."""
     grid_field = GridField.of(f, mset.grid)
-    sup_d, arg_d = grid_field.sup_domain()
-    sup_e, arg_e = grid_field.sup_mask(mset.mask)
+    sup_d, _ = grid_field.sup_domain()
+    sup_e, _ = grid_field.sup_mask(mset.mask)
     if sup_e <= 0.0:
         raise InfeasibleError("empirical ratio undefined: sup over the set is zero")
-    return EmpiricalRatio(sup_d, sup_e, sup_d / sup_e, arg_d, arg_e)
+    return EmpiricalRatio(sup_d, sup_e, sup_d / sup_e)
 
 
 def soundness_check(cert: ObservabilityCertificate, ratio: EmpiricalRatio) -> SoundnessResult:

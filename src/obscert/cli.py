@@ -2,7 +2,8 @@
 
 Configuration is a single sectioned key=value file; the only positional
 pieces on the command line are the command name and the config path, plus
---output-dir and --seed overrides, so batch runs stay reproducible.  Reports
+--output-dir and --seed overrides, so batch runs stay reproducible.  `audit`
+takes a written certify report instead and replays its trace.  Reports
 are sorted-key JSON with no wall-clock content; two runs with the same seed
 produce byte-identical files.  Randomised masks come from a named, versioned
 generator recorded in the report.
@@ -23,7 +24,7 @@ from typing import Any
 
 import numpy as np
 
-from .certify import certify_auto, empirical_ratio, soundness_check
+from .certify import audit_trace, certify_auto, empirical_ratio, soundness_check
 from .errors import (
     ConfigError,
     HypothesisError,
@@ -438,6 +439,20 @@ def cmd_verify(cfg: RunConfig, out_dir: Path) -> Report:
     return report
 
 
+def cmd_audit(path: Path) -> Report:
+    """Replay the trace of a written certify report through the step table."""
+    t0 = time.monotonic()
+    try:
+        payload = json.loads(path.read_text(encoding="ascii"))
+        trace = payload["certificate"]["trace"]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{path} is not a readable certify report: {exc!r}") from exc
+    if not isinstance(trace, list):
+        raise ConfigError(f"{path} holds no certificate trace")
+    audit_trace(trace)
+    return Report(payload, runtime_seconds=time.monotonic() - t0)
+
+
 def _sweep_values(cfg: RunConfig) -> tuple[str, list[float]]:
     sec = cfg.section("sweep")
     axis = sec.get("axis", "")
@@ -580,15 +595,20 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("config", help="path to the run configuration")
         p.add_argument("--output-dir", default=".", help="directory for reports")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    sub.add_parser("audit", help="replay a certify report's trace").add_argument(
+        "report", help="path to a certify report"
+    )
 
     args = parser.parse_args(argv)
     try:
-        cfg = RunConfig.load(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        out_dir = Path(args.output_dir)
-        command = {"certify": cmd_certify, "sweep": cmd_sweep, "verify": cmd_verify}[args.command]
-        report = command(cfg, out_dir)
+        if args.command == "audit":
+            report = cmd_audit(Path(args.report))
+        else:
+            cfg = RunConfig.load(args.config)
+            if args.seed is not None:
+                cfg.seed = args.seed
+            command = {"certify": cmd_certify, "sweep": cmd_sweep, "verify": cmd_verify}
+            report = command[args.command](cfg, Path(args.output_dir))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

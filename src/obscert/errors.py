@@ -27,4 +27,4 @@ class ResolutionError(ObscertError):
 
 
 class SoundnessError(ObscertError):
-    """A certified constant failed the brute-force soundness oracle."""
+    """A certified constant failed the soundness oracle, or its trace does not replay."""

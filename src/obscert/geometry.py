@@ -261,12 +261,12 @@ class Grid:
         """The first cell of each block, per axis."""
         return tuple(np.arange(0, c, BLOCK) for c in self.cells)
 
-    def block_reduce(self, ufunc: np.ufunc, values: np.ndarray, dtype=None) -> np.ndarray:
+    def block_reduce(self, ufunc: np.ufunc, values: np.ndarray) -> np.ndarray:
         """`ufunc` reduced over the cells of each block of a 2D field; a short
         last block is reduced over the cells it has.  The contiguous axis goes
         first, which numpy reduces about twice as fast."""
         rows, cols = self.block_starts
-        return ufunc.reduceat(ufunc.reduceat(values, cols, axis=1, dtype=dtype), rows, axis=0)
+        return ufunc.reduceat(ufunc.reduceat(values, cols, axis=1), rows, axis=0)
 
     def ball_blocks(self, center: Sequence[float], radii: Sequence[float]) -> list[BallBlocks]:
         """Each block of a 2D grid classed against each ball of the given radii
@@ -433,11 +433,6 @@ class MeasurableSet:
         return MeasurableSet(grid, mask.reshape(grid.cells))
 
 
-def measure(mset: MeasurableSet) -> float:
-    """Exact cell-counting measure of the set."""
-    return mset.measure
-
-
 # ---------------------------------------------------------------------------
 # Segments and interval sets
 # ---------------------------------------------------------------------------
@@ -572,11 +567,6 @@ def cover_count_bound(domain: Domain, r: float) -> int:
 # ---------------------------------------------------------------------------
 # Pigeonhole densest ball
 # ---------------------------------------------------------------------------
-
-def intersection_cells(mset: MeasurableSet, ball: Ball) -> int:
-    """Number of true cells whose centre lies in the ball."""
-    return int(np.count_nonzero(mset.mask & mset.grid.ball_field(ball)))
-
 
 # (ball, row) pairs a chunk of the cover takes at once in `_row_counts`
 _PAIRS_PER_CHUNK = 1 << 16

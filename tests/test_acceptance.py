@@ -419,6 +419,127 @@ def test_criterion_5_sigma_gt1_trace_reproduction():
     _pass(5, "sigma>1 trace reproduced term-by-term at 1e-10 log precision")
 
 
+def test_criterion_5_sigma1_trace_reproduction():
+    domain = Domain.box([1.0])
+    grid = Grid(domain, (1024,))
+    f = TrigSum.of([([1], 1.0, 0.0), ([3], 0.4, 0.2)], 1)
+    mset = MeasurableSet.random(grid, 0.15, np.random.default_rng(17))
+    gc = derive_gevrey(f, domain, grid)
+    dc, _ = estimate_doubling(f, domain, grid)
+    cert = certify_sigma1(f, mset, dc, gc, search=4)
+    trace, n = cert.trace, cert.n
+    log_sup_d, log_sup_e = math.log(cert.aux["sup_domain"]), math.log(cert.aux["sup_set"])
+
+    # r = r0_eff (supE / (M supD))^(1/(n+1))
+    rc = _step(trace, "radius-choice")
+    r_re = cert.aux["r0_eff"] * math.exp((log_sup_e - math.log(gc.M) - log_sup_d) / (n + 1))
+    _close_log(math.log(rc.outputs["r"]), math.log(r_re), "radius")
+
+    # pigeonhole: |E| / N <= |B ∩ E|
+    ph = _step(trace, "pigeonhole-ball")
+    _close_log(ph.outputs["lhs_log"],
+               math.log(mset.measure) - math.log(cert.aux["cover_count"]), "pigeonhole left")
+    _close_log(ph.outputs["rhs_log"], math.log(cert.aux["intersection_measure"]),
+               "pigeonhole right")
+
+    # T = 4 kappa^(K + concentric)
+    pf = _step(trace, "propagation-factor")
+    k_total = cert.aux["chain_steps"] + cert.aux["concentric_steps"]
+    _close_log(pf.outputs["log_total"], math.log(4.0) + k_total * math.log(dc.kappa), "factor")
+
+    # (t/g)^n 2^n / n! data_sup and t^(n+1) M (n+1)!^0 delta^-(n+1)
+    spacing = 2.0 * cert.aux["t_max"] / cert.aux["gap"]
+    log_poly = math.log(cert.aux["data_sup"]) + n * math.log(spacing) - log_factorial(n)
+    _close_log(_step(trace, "polynomial-sup-bound").outputs["log_bound"], log_poly, "poly bound")
+    log_rem = (n + 1) * math.log(cert.aux["t_max"] / gc.delta) + math.log(gc.M)
+    _close_log(_step(trace, "remainder-bound").outputs["log_coeff"], log_rem, "remainder")
+
+    # supD <= T (PB + RB supD)
+    master_rhs = pf.outputs["log_total"] + log_add(log_poly, log_rem + log_sup_d)
+    _close_log(_step(trace, "master-inequality").outputs["rhs_log"], master_rhs, "master")
+    assert log_sup_d <= master_rhs
+
+    # A = T (M X)^(-e) M^e (PB / supE + RB supD / supE), C = A^(1/(1-e))
+    e = dc.log2_kappa / (n + 1)
+    _close_log(cert.aux["exponent"], e, "exponent")
+    log_x = math.log(gc.M) + log_sup_d - log_sup_e
+    log_a = (pf.outputs["log_total"] - e * log_x + e * math.log(gc.M)
+             + log_add(log_poly - log_sup_e, log_rem + log_sup_d - log_sup_e))
+    _close_log(_step(trace, "assembly").outputs["log_A"], log_a, "assembly")
+    _close_log(log_a + e * log_sup_d + (1 - e) * log_sup_e, master_rhs, "power split")
+    _close_log(cert.log_constant, log_a / (1.0 - e), "resolution")
+    assert soundness_check(cert, empirical_ratio(f, mset)).passed
+    _pass(5, "sigma=1 trace reproduced term-by-term at 1e-10 log precision")
+
+
+def test_criterion_5_ucp_trace_reproduction():
+    domain = Domain.box([1.0])
+    grid = Grid(domain, (1024,))
+    f = TrigSum.sine([1])
+    mset = MeasurableSet.random(grid, 0.25, np.random.default_rng(23))
+    base = derive_gevrey(f, domain, grid)
+    gc = GevreyCertificate(base.M, base.delta, 1.2)
+    probe = verify_ucp(f, UcpCertificate(10.0, 1.0, 0.5), domain, grid)
+    a, b = max(1.5 * probe.min_sufficient_a, 0.05), 1.0
+    cert = certify_ucp(f, mset, UcpCertificate(a, b, 0.5), gc)
+    trace, aux, n0 = cert.trace, cert.aux, cert.n
+    log_sup_d, log_sup_e = math.log(aux["sup_domain"]), math.log(aux["sup_set"])
+    c0, p = aux["C0"], 1.0 / b - gc.sigma + 1.0
+
+    # D = C0 e^(a/b) |O| / |E|; m* = max(10^b b / r0^b, (2 C0 e^(a/b) b^(1/b) / delta)^(1/p));
+    # n0 = floor(log X / log 2D + m*)
+    th = _step(trace, "ucp-threshold")
+    log_d = math.log(c0) + a / b + math.log(grid.n_interior * grid.h / mset.measure)
+    _close_log(th.outputs["log_D"], log_d, "log D")
+    m_star = max(10.0 ** b * b / aux["r0_eff"] ** b,
+                 (2.0 * c0 * math.exp(a / b) * b ** (1.0 / b) / gc.delta) ** (1.0 / p))
+    _close_log(th.outputs["m_star"], m_star, "m*")
+    log_x = math.log(gc.M) + log_sup_d - log_sup_e
+    assert n0 == math.floor(log_x / (log_d + LOG2) + m_star)
+
+    # r = 10 (b / (n0 + 1))^(1/b) <= r0_eff
+    r = 10.0 * (b / (n0 + 1)) ** (1.0 / b)
+    _close_log(_step(trace, "radius-choice").outputs["r"], r, "radius")
+    assert r <= aux["r0_eff"]
+
+    # T = 2 e^(a / rho^b) at rho = r / 10
+    log_t = LOG2 + a / (r / 10.0) ** b
+    _close_log(_step(trace, "ucp-propagation").outputs["log_factor"], log_t, "ucp factor")
+
+    # T PB <= C0 e^(a/b) D^n0 supE and T RB supD <= C0 e^(a/b) M cf^(n0+1) supD
+    log_poly = _step(trace, "polynomial-sup-bound").outputs["log_bound"]
+    log_rem = _step(trace, "remainder-bound").outputs["log_coeff"]
+    sp = _step(trace, "shape-poly-term")
+    _close_log(sp.outputs["lhs_log"], log_t + log_poly, "poly term")
+    _close_log(sp.outputs["rhs_log"], math.log(c0) + a / b + n0 * log_d + log_sup_e, "poly shape")
+    log_cf = math.log(c0 * math.exp(a / b) * b ** (1.0 / b) / gc.delta) - p * math.log(n0 + 1)
+    sr = _step(trace, "shape-remainder-term")
+    _close_log(sr.outputs["log_contraction_factor"], log_cf, "contraction factor")
+    _close_log(sr.outputs["lhs_log"], log_t + log_rem + log_sup_d, "remainder term")
+    _close_log(sr.outputs["rhs_log"],
+               math.log(c0) + a / b + math.log(gc.M) + (n0 + 1) * log_cf + log_sup_d,
+               "remainder shape")
+    for step in (sp, sr):
+        assert step.outputs["lhs_log"] <= step.outputs["rhs_log"] + 1e-9
+
+    # cf <= 1/2
+    ct = _step(trace, "contraction")
+    _close_log(ct.outputs["lhs_log"], log_cf, "contraction")
+    assert log_cf <= -LOG2
+
+    # gamma = log D / log 2D, C1 = C0 e^(a/b) M^gamma (D^m* + 2^-m*), C = C1^(1/(1-gamma))
+    gamma = log_d / (log_d + LOG2)
+    log_c1 = (math.log(c0) + a / b + gamma * math.log(gc.M)
+              + log_add(m_star * log_d, -m_star * LOG2))
+    asm = _step(trace, "ucp-assembly")
+    _close_log(asm.outputs["gamma"], gamma, "gamma")
+    _close_log(asm.outputs["log_C1"], log_c1, "log C1")
+    _close_log(_step(trace, "resolution").outputs["log_C"], log_c1 / (1.0 - gamma), "resolution")
+    _close_log(cert.log_constant, log_c1 / (1.0 - gamma), "certificate constant")
+    assert soundness_check(cert, empirical_ratio(f, mset)).passed
+    _pass(5, "UCP trace reproduced term-by-term at 1e-10 log precision")
+
+
 # ---------------------------------------------------------------------------
 # Criterion 6: unique-continuation contraction <= 1/2, rejection otherwise
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 import obscert.certify as certify_module
 from obscert.certify import (
+    STEP_KINDS,
     ObservabilityCertificate,
     certify_auto,
     certify_sigma1,
@@ -15,7 +16,6 @@ from obscert.certify import (
     choose_r_sigma_gt1,
     empirical_ratio,
     hat_radius,
-    master_bound,
     propagate_doubling,
     soundness_check,
 )
@@ -34,7 +34,7 @@ from obscert.functions import (
 )
 from obscert.geometry import Domain, Grid, MeasurableSet, cover_domain
 from obscert.interp import poly_sup_bound
-from obscert.logspace import NEG_INF
+from obscert.logspace import LOG2, NEG_INF
 
 ONE_D = Domain.box([1.0])
 
@@ -99,9 +99,9 @@ def test_choose_r_rejects_null_data():
 
 def test_master_bound_degenerate_remainder():
     pb = poly_sup_bound(2, 0.5, 0.1, 1.0)
-    mb = master_bound(1.5, pb, NEG_INF)
-    assert mb.log_total == pytest.approx(1.5 + pb.log_value, rel=1e-12)
-    assert mb.log_remainder_term == NEG_INF
+    inputs = {"log_total_factor": 1.5, "log_poly": pb.log_value, "log_remainder": NEG_INF}
+    rhs = STEP_KINDS["master-inequality"].derive(inputs, {})["rhs_log"]
+    assert rhs == pytest.approx(1.5 + pb.log_value, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +457,91 @@ def test_ucp_sigma_between_one_and_limit():
     cert = certify_ucp(f, e, uc, gc)
     assert cert.aux["contraction_factor"] <= 0.5
     assert soundness_check(cert, empirical_ratio(f, e)).passed
+
+
+@pytest.mark.parametrize("uc", [
+    UcpCertificate(1.0, 400.0, 0.5),   # 10^b overflows a float
+    UcpCertificate(1000.0, 1.0, 0.5),  # e^(a/b) overflows a float
+], ids=["b-400", "a-1000"])
+def test_ucp_threshold_beyond_float_range_is_infeasible(uc):
+    g = grid_1d(256)
+    f = TrigSum.sine([1])
+    e = MeasurableSet.from_box(g, [(0.1, 0.6)])
+    assert verify_ucp(f, uc, ONE_D, g).passed
+    with pytest.raises(InfeasibleError, match="beyond desk scale"):
+        certify_ucp(f, e, uc, derive_gevrey(f, ONE_D, g))
+
+
+def test_ucp_threshold_whose_float_product_overflows_under_the_cap():
+    # e^(a/b) = e^769 overflows, but b^(1/b) brings m* back to about 300: the
+    # threshold comes from log space and the run goes on to the geometry
+    g = grid_1d(256)
+    f = TrigSum.sine([1])
+    e = MeasurableSet.from_box(g, [(0.1, 0.6)])
+    with pytest.raises(InfeasibleError, match="below grid resolution"):
+        certify_ucp(f, e, UcpCertificate(10.0, 0.013, 0.5), derive_gevrey(f, ONE_D, g))
+
+
+def test_ucp_factor_whose_rho_to_the_b_underflows_is_infeasible():
+    derive = STEP_KINDS["ucp-propagation"].derive
+    assert derive({"a": 1.0, "b": 2.0, "rho": 0.5}, {})["log_factor"] == LOG2 + 4.0
+    with pytest.raises(InfeasibleError, match="overflows"):
+        derive({"a": 1.0, "b": 400.0, "rho": 1e-3}, {})  # rho^b underflows to 0
+    with pytest.raises(InfeasibleError, match="overflows"):
+        derive({"a": 1e300, "b": 2.0, "rho": 1e-5}, {})  # a / rho^b overflows
+
+
+# ---------------------------------------------------------------------------
+# The step table's checks
+# ---------------------------------------------------------------------------
+
+def _relative(rhs):
+    return 1e-9 * max(1.0, abs(rhs))
+
+
+# The tolerance each inequality kind was decided with before the step table:
+# the smaller of `TraceStep.holds` (1e-9 max(1, |rhs|)) and the kind's own
+# inline check, where it had one.  The radius checks compared r with
+# r0_eff (1 + 1e-12) and r0_eff (1 + 1e-9); log(1 + x) < x bounds them.
+OLD_TOLERANCE = {
+    "pigeonhole-ball": _relative,
+    "near-max-point": _relative,
+    "interpolation-split": _relative,
+    "global-max-slack": _relative,
+    "chain-propagation": _relative,
+    "concentric-reduction": _relative,
+    "ucp-propagation": _relative,
+    "master-inequality": lambda rhs: 0.0,
+    "radius-choice/sigma-gt1": lambda rhs: 1e-12,
+    "radius-choice/ucp": lambda rhs: 1e-9,
+    "shape-poly-term": lambda rhs: 1e-9,
+    "shape-remainder-term": lambda rhs: 1e-9,
+    "contraction": lambda rhs: 1e-12,
+    "assembly": _relative,
+}
+RHS_SAMPLES = [-745.0, -3.0, -LOG2, 0.0, 0.5, 1.0, 7.0, 1e3, 1e5]
+
+
+def test_every_inequality_kind_is_decided_no_looser_than_before():
+    checked = {name for name, kind in STEP_KINDS.items() if kind.tol is not None}
+    assert checked == set(OLD_TOLERANCE)
+    for name in checked:
+        kind, old = STEP_KINDS[name], OLD_TOLERANCE[name]
+        lk, rk = ("identity_lhs", "identity_rhs") if kind.identity else ("lhs_log", "rhs_log")
+        for rhs in RHS_SAMPLES:
+            assert max(kind.tol[0], kind.tol[1] * abs(rhs)) <= old(rhs), (name, rhs)
+            beyond = math.nextafter(rhs + old(rhs), math.inf)
+            assert kind.failure({lk: beyond, rk: rhs}) is not None, (name, rhs)
+            assert kind.failure({lk: rhs, rk: rhs}) is None, (name, rhs)
+            if kind.identity:
+                below = math.nextafter(rhs - old(rhs), -math.inf)
+                assert kind.failure({lk: below, rk: rhs}) is not None, (name, rhs)
+
+
+def test_value_steps_claim_no_inequality():
+    for name, kind in STEP_KINDS.items():
+        if kind.tol is None:
+            assert kind.failure({}) is None, name
 
 
 # ---------------------------------------------------------------------------

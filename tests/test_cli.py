@@ -416,6 +416,35 @@ ucp = 1.0, 400, 0.5
     assert ucp["min_sufficient_a"] == 0.0
 
 
+@pytest.mark.parametrize("ucp", ["1.0, 400, 0.5", "1000, 1, 0.5"])
+def test_certify_ucp_threshold_beyond_float_range_is_infeasible(tmp_path, capsys, ucp):
+    # 10^b and e^(a/b) overflow a float; the threshold is bounded in log space
+    cfg = write_config(tmp_path, f"""
+[run]
+seed = 1
+[domain]
+kind = box
+extent = 1.0
+[grid]
+cells = 256
+[function]
+kind = trig
+modes = 1:1.0:0.0
+[set]
+kind = box
+bounds = 0.1, 0.6
+[hypotheses]
+gevrey = auto
+ucp = {ucp}
+[certify]
+branch = ucp
+""")
+    assert main(["certify", str(cfg), "--output-dir", str(tmp_path)]) == EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "beyond desk scale" in err
+
+
 def test_verify_zero_frequency_trig_sum(tmp_path, capsys):
     # every mode has frequency 0, so f is the constant sin(0.5): all its
     # derivatives vanish and any delta certifies it
