@@ -444,6 +444,24 @@ STEP_KINDS: dict[str, StepKind] = {kind.name: kind for kind in (
 
 _KIND_OF_TEXT = {(kind.step, kind.detail): kind for kind in STEP_KINDS.values()}
 
+# The inputs a step copies from the output of an earlier step: (kind, input)
+# -> the (kind, output) pairs it may come from.  The audit compares each with
+# the last step before it of one of those kinds.
+STEP_LINKS: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {
+    **{(name, "log_poly"): (("polynomial-sup-bound", "log_bound"),)
+       for name in ("interpolation-split", "master-inequality", "assembly")},
+    ("master-inequality", "log_total_factor"): (
+        ("propagation-factor", "log_total"), ("ucp-propagation", "log_factor")),
+    ("prefactor-split", "log_total_factor"): (("propagation-factor", "log_total"),),
+    ("assembly", "log_T_base"): (("prefactor-split", "log_T_base"),),
+    ("assembly", "log_remainder_coeff"): (("remainder-bound", "log_coeff"),),
+    ("resolution", "log_A"): (("assembly", "log_A"),),
+    ("ucp-assembly", "log_D"): (("ucp-threshold", "log_D"),),
+    ("ucp-assembly", "m_star"): (("ucp-threshold", "m_star"),),
+    ("resolution/ucp", "log_C1"): (("ucp-assembly", "log_C1"),),
+    ("resolution/ucp", "gamma"): (("ucp-assembly", "gamma"),),
+}
+
 
 def _put(
     steps: list[TraceStep], name: str, inputs: Values, measured: Values | None = None
@@ -461,22 +479,32 @@ def _put(
     return step.outputs
 
 
-def audit_trace(trace: Sequence[Mapping[str, Any]]) -> None:
+def audit_trace(trace: Sequence[Mapping[str, Any]], log10_c: float | None = None) -> None:
     """Replay a written trace through the step table: every derived output
-    must equal its recorded value and every inequality must pass its check.
-    A broken step raises `SoundnessError` naming it."""
+    must equal its recorded value, every input `STEP_LINKS` declares the
+    output it copies, and every inequality must pass its check.  When
+    `log10_c` is given it must be log10 of the constant the last resolution
+    step gives.  A broken step raises `SoundnessError` naming it."""
+    last: dict[str, tuple[int, Mapping[str, float]]] = {}  # kind -> its last step's outputs
+    log_c = None
     for index, record in enumerate(trace):
         where = f"trace step {index}"
         try:
             kind = _KIND_OF_TEXT[record["step"], record["detail"]]
             where += f" {kind.step!r}"
-            outputs = record["outputs"]
+            inputs, outputs = record["inputs"], record["outputs"]
             moved = [
                 f"{key} is recorded as {outputs.get(key)!r}, the replay gives {value!r}"
-                for key, value in kind.derive(record["inputs"], outputs).items()
+                for key, value in kind.derive(inputs, outputs).items()
                 if outputs.get(key) != value
+            ] + [
+                f"input {key} is {inputs[key]!r}, not the {out} {value!r} of trace step {at}"
+                for key, (at, out, value) in _copied(last, kind.name)
+                if inputs[key] != value
             ]
             failure = kind.failure(outputs)
+            if kind.step == "resolution":
+                log_c = outputs["log_C"]
         except (ObscertError, LookupError, ArithmeticError, ValueError, TypeError,
                 AttributeError) as exc:
             raise SoundnessError(f"{where} cannot be replayed: {exc!r}") from exc
@@ -484,6 +512,28 @@ def audit_trace(trace: Sequence[Mapping[str, Any]]) -> None:
             raise SoundnessError(f"{where}: {moved[0]}")
         if failure:
             raise SoundnessError(f"{where} does not hold: {failure}")
+        last[kind.name] = index, outputs
+    # the certifiers give the constant as max(log C, 0) in natural logs
+    if log10_c is not None and (log_c is None or log10_c != max(log_c, 0.0) / math.log(10.0)):
+        raise SoundnessError(
+            f"log10_C {log10_c!r} is not the constant of the last resolution step, "
+            f"log_C {log_c!r}"
+        )
+
+
+def _copied(last: Mapping[str, tuple[int, Mapping[str, float]]],
+            name: str) -> list[tuple[str, tuple[int, str, float]]]:
+    """Each input of a step of kind `name` that `STEP_LINKS` declares, with
+    the index, name and value of the output it copies: that of the last step
+    before it of a source kind.  A missing source raises `LookupError`."""
+    copied = []
+    for (kind, key), sources in STEP_LINKS.items():
+        if kind == name:
+            found = [(last[src][0], out, last[src][1][out]) for src, out in sources if src in last]
+            if not found:
+                raise LookupError(f"no step before it gives the input {key}")
+            copied.append((key, max(found)))
+    return copied
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +579,10 @@ def _run_geometry(p: _Problem, n: int, r: float, steps: list[TraceStep]) -> _Geo
     at one (n, r)."""
     f, mset, gc, domain = p.f, p.mset, p.gc, p.grid.domain
     if r < 2.0 * p.grid.h:
-        raise InfeasibleError(f"radius {r:.3e} below grid resolution {p.grid.h:.3e}")
+        raise InfeasibleError(
+            f"radius {r:.3e} below twice the grid resolution, 2h = {2.0 * p.grid.h:.3e} "
+            f"(h = {p.grid.h:.3e})"
+        )
 
     cover = cover_domain(domain, r)
     ball, inter = densest_ball(mset, cover)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import json
 import math
 import sys
@@ -444,12 +445,13 @@ def cmd_audit(path: Path) -> Report:
     t0 = time.monotonic()
     try:
         payload = json.loads(path.read_text(encoding="ascii"))
-        trace = payload["certificate"]["trace"]
+        certificate = payload["certificate"]
+        trace, log10_c = certificate["trace"], float(certificate["log10_C"])
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{path} is not a readable certify report: {exc!r}") from exc
     if not isinstance(trace, list):
         raise ConfigError(f"{path} holds no certificate trace")
-    audit_trace(trace)
+    audit_trace(trace, log10_c)
     return Report(payload, runtime_seconds=time.monotonic() - t0)
 
 
@@ -580,7 +582,9 @@ def _write_sweep_csv(path: Path, rows: list[dict[str, Any]]) -> None:
 # Entry point
 # ---------------------------------------------------------------------------
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="obscert",
         description="certified sup-norm observability constants on measurable sets",
@@ -598,8 +602,11 @@ def main(argv: list[str] | None = None) -> int:
     sub.add_parser("audit", help="replay a certify report's trace").add_argument(
         "report", help="path to a certify report"
     )
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "audit":
             report = cmd_audit(Path(args.report))

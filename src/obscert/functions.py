@@ -437,19 +437,54 @@ class GridField:
         """The field's maximum over each block of a 2D grid."""
         return self.grid.block_reduce(np.maximum, self.values)
 
-    def ball_maxima(self, center: Sequence[float], radii: Sequence[float]) -> list[float]:
-        """Max over the cells of each ball of the given radii about `center`;
-        -1 for a ball that holds no interior cell.
+    def ball_maxima(self, centers, radii: Sequence[float]) -> list:
+        """Max over the cells of each ball of the given radii about `centers`;
+        -1 for a ball that holds no interior cell.  For one centre, shaped
+        (d,), a list over the radii; for centres shaped (k, d), a list of
+        such lists.
 
-        A 1D ball is a mask over the line.  In 2D the maximum starts from the
-        inside blocks' maxima; boundary blocks are then visited in descending
-        order of their maxima, testing their cells, until a block's maximum
-        cannot beat the best value so far.
+        A 1D ball is a run of cells (`Grid.line_runs`), and its maximum two
+        lookups in a sparse table (`_run_maxima`).  In 2D the maximum starts
+        from the inside blocks' maxima; boundary blocks are then visited in
+        descending order of their maxima, testing their cells, until a
+        block's maximum cannot beat the best value so far.
         """
+        points = self.grid._centers(centers)
+        flat = points.reshape(-1, self.grid.dimension)
         if self.grid.dimension == 1:
-            return [float(self.values.max(initial=-1.0, where=in_ball))
-                    for in_ball in self.grid.line_balls(center, radii)]
-        return [self._block_walk(bb) for bb in self.grid.ball_blocks(center, radii)]
+            x = np.repeat(flat[:, 0], len(radii))
+            r = np.tile(np.asarray(radii, dtype=float), len(flat))
+            maxima = self._run_maxima(*self.grid.line_runs(x, r))
+        else:
+            maxima = np.array([[self._block_walk(bb) for bb in self.grid.ball_blocks(c, radii)]
+                               for c in flat])
+        return maxima.reshape(points.shape[:-1] + (len(radii),)).tolist()
+
+    def _run_maxima(self, start: np.ndarray, count: np.ndarray) -> np.ndarray:
+        """The maximum over each run of `count` cells from `start` of a 1D
+        field, -1 for an empty run.
+
+        Level k of a sparse table holds the maximum over the 2^k cells from
+        each cell, so a run of c cells is the union of the two windows of the
+        largest 2^k <= c at its ends (Bender and Farach-Colton, LATIN 2000).
+        On the torus the table runs over the field laid twice, so a run that
+        wraps is one pair of windows too.  The table takes one pass over the
+        field per level, up to the level the longest run reads.  It is built
+        per call: held on the field, it would stay with every model for as
+        long as the model lives.
+        """
+        values = self.values
+        if self.grid.domain.kind == "torus":
+            values = np.concatenate((values, values))
+        level = np.frexp(np.maximum(count, 1))[1] - 1  # floor(log2 count)
+        depth = int(level.max(initial=0)) + 1
+        table = np.empty((depth, values.size))  # level k is read up to size - 2^k
+        table[0] = values
+        for k in range(1, depth):
+            w, m = 1 << (k - 1), values.size - (1 << k) + 1
+            np.maximum(table[k - 1, :m], table[k - 1, w:w + m], out=table[k, :m])
+        last = start + count - (1 << level)
+        return np.where(count > 0, np.maximum(table[level, start], table[level, last]), -1.0)
 
     def _block_walk(self, bb: BallBlocks) -> float:
         """The ball's maximum by the block walk `ball_maxima` describes."""
@@ -474,10 +509,16 @@ class GridField:
         order, attaining it; (-1, None) for a ball with no interior cell.  In
         2D only the blocks of the ball whose maximum reaches it can hold it."""
         if self.grid.dimension == 1:
-            (in_ball,) = self.grid.line_balls(center, [radius])
-            masked = np.where(in_ball, self.values, -1.0)
-            i = int(np.argmax(masked))
-            return SupResult(float(masked[i]), self.grid.points[i] if masked[i] >= 0.0 else None)
+            (start,), (count,) = self.grid.line_runs(self.grid._center(center), np.array([radius]))
+            if count == 0:
+                return SupResult(-1.0, None)
+            # the run's cells in index order: a run that wraps puts cells 0, 1, ... first
+            end, wrap = start + count, max(start + count - self.values.size, 0)
+            run = np.concatenate((self.values[:wrap], self.values[start:end]))
+            i = int(np.argmax(run))
+            value = float(run[i])
+            cell = i if i < wrap else start + i - wrap
+            return SupResult(value, self.grid.points[cell] if value >= 0.0 else None)
         (bb,) = self.grid.ball_blocks(center, [radius])
         best = self._block_walk(bb)
         if best < 0.0:
@@ -726,26 +767,30 @@ def _doubling_estimate(
     # each distinct sup once
     distinct = sorted(set(radii) | {2.0 * r for r in radii})
 
-    samples: list[DoublingSample] = []
-    worst: DoublingSample | None = None
-    for x in np.atleast_2d(centers):
-        sups = dict(zip(distinct, grid_field.ball_maxima(x, distinct)))
-        for r in radii:
-            inner, outer = sups[r], sups[2.0 * r]
-            if inner < 0.0 or outer < 0.0:
-                continue  # ball too small for this grid
-            if inner == 0.0:
-                raise HypothesisError(
-                    f"doubling fails: |f| vanishes on the ball at {x} radius {r}"
-                )
-            s = DoublingSample(np.asarray(x), float(r), outer / inner)
-            if not math.isfinite(s.ratio):
-                raise HypothesisError(f"doubling ratio {s.ratio} at {x} radius {r} is not finite")
-            samples.append(s)
-            if worst is None or s.ratio > worst.ratio:
-                worst = s
-    if worst is None:
+    centers = np.atleast_2d(centers)
+    maxima = np.array(grid_field.ball_maxima(centers, distinct)).reshape(len(centers), -1)
+    column = {r: i for i, r in enumerate(distinct)}
+    inner = maxima[:, [column[r] for r in radii]]
+    outer = maxima[:, [column[2.0 * r] for r in radii]]
+    kept = ~((inner < 0.0) | (outer < 0.0))  # a ball too small for this grid is skipped
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = outer / inner
+    bad = kept & ((inner == 0.0) | ~np.isfinite(ratio))
+    if bad.any():  # the first in (centre, radius) order raises
+        i, j = np.argwhere(bad)[0]
+        x, r = centers[i], radii[j]
+        if inner[i, j] == 0.0:
+            raise HypothesisError(f"doubling fails: |f| vanishes on the ball at {x} radius {r}")
+        raise HypothesisError(
+            f"doubling ratio {float(ratio[i, j])} at {x} radius {r} is not finite")
+    rows, cols = kept.nonzero()
+    if rows.size == 0:
         raise InfeasibleError("no sampled ball contained a grid point")
+    ratios = ratio[rows, cols]
+    views = list(centers)  # one view per centre, shared by its samples
+    samples = [DoublingSample(views[i], float(radii[j]), q)
+               for i, j, q in zip(rows.tolist(), cols.tolist(), ratios.tolist())]
+    worst = samples[int(np.argmax(ratios))]  # the first of the largest ratios
     kappa = max(2.0, worst.ratio)
     cert = DoublingCertificate(kappa, min(1.0, max(radii)))
     return cert, DoublingReport(kappa_hat=worst.ratio, worst=worst, samples=samples)
@@ -789,8 +834,9 @@ def verify_ucp(
     worst_margin = -math.inf
     min_a = 0.0
     n = 0
-    for x in np.atleast_2d(centers):
-        for r, inner in zip(radii, grid_field.ball_maxima(x, radii)):
+    centers = np.atleast_2d(centers)
+    for x, maxima in zip(centers, grid_field.ball_maxima(centers, radii)):
+        for r, inner in zip(radii, maxima):
             if inner < 0.0:
                 continue
             n += 1

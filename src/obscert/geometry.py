@@ -231,6 +231,19 @@ class Grid:
             raise ConfigError(f"ball centre {c.tolist()} needs {self.dimension} coordinates")
         return c
 
+    def _centers(self, centers) -> np.ndarray:
+        """Ball centres as an array shaped (k, d), or one centre shaped (d,);
+        the first centre without one coordinate per axis is rejected as
+        `_center` rejects it."""
+        try:
+            c = np.asarray(centers, dtype=float)
+        except ValueError:  # centres of unequal length
+            c = None
+        if c is None or c.ndim not in (1, 2) or c.shape[-1] != self.dimension:
+            for center in (centers if c is None or c.ndim == 2 else [centers]):
+                self._center(center)
+        return c
+
     def _squared_offsets(self, center: Sequence[float]) -> list[np.ndarray]:
         """Per axis, the squared offset of each cell centre from `center`,
         wrapped per axis on the torus.  Summed in axis order, as
@@ -248,13 +261,61 @@ class Grid:
             d = np.minimum(d, self.domain.extent[axis] - d)
         return d * d
 
-    def line_balls(self, center: Sequence[float], radii: Sequence[float]) -> list[np.ndarray]:
-        """For each ball of the given radii about `center`, the mask of the
-        cells of a 1D grid whose centre lies in it: ``sqrt(offset) <= r``,
-        equal to ``domain.distance(points, center) <= r`` bit for bit."""
-        (offset,) = self._squared_offsets(center)
-        root = np.sqrt(offset)
-        return [root <= radius for radius in radii]
+    def line_runs(self, centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The cells of a 1D grid in the balls about `centers` of `radii`,
+        given as two arrays of one centre coordinate and one radius per ball,
+        each as a run: its first cell and its cell count.  On the torus the
+        run is read cyclically, so it may wrap past the last cell.  A cell is
+        in the ball when ``sqrt(offset) <= r``, equal to
+        ``domain.distance(points, center) <= r`` bit for bit.
+
+        Along the line the squared offset falls and then rises; on the torus
+        it rises from the centre both ways round the ring to the cells
+        flanking the antipode.  A rounded root is monotone, so the cells in
+        the ball are one run, cyclic on the torus.  Those two flanking cells
+        are farther from the centre than every other cell by at least h/2,
+        far beyond the rounding of the offsets: when neither fails, the ball
+        is the whole ring.  Otherwise the run lies in the n - 1 cells that
+        follow a failing one.  The window is placed about the centre taken
+        modulo L; a torus centre more than half a period outside [0, L] has,
+        by the same wrapped formula, the offsets along the line from x - L or
+        x + L, so its ball is a run of the line.  The run starts from the
+        cells within r of the centre, widened to hold the cells nearest it,
+        and its ends settle as in `_settle_runs`.
+        """
+        x, r = np.asarray(centers, dtype=float), np.asarray(radii, dtype=float)
+        (n,), h = self.cells, self.h
+        cell_x = self.axis_centers[0]
+        torus = self.domain.kind == "torus"
+
+        def passes(j, x, r):
+            return np.sqrt(self._axis_offsets(0, x, cell_x[j % n])) <= r
+
+        p = x
+        if torus:
+            ext = self.domain.extent[0]
+            far = np.abs(x - ext / 2.0) > ext
+            with np.errstate(invalid="ignore"):  # an infinite centre is far
+                p = np.where(far, x - np.copysign(ext, x), np.mod(x, ext))
+        # the centre in cell units, a NaN or far centre put on the line
+        y = np.fmin(np.fmax(p / h - 0.5, -0.5), n - 0.5)
+        if torus:
+            # the n cells about the centre, whose ends flank the antipode
+            left = np.ceil(y - n / 2.0).astype(np.int64)
+            right = left + (n - 1)
+            left_in, right_in = passes(np.concatenate((left, right)).reshape(2, -1), x, r)
+            ring = left_in & right_in & ~far
+            left = np.where(far, 0, left + ~left_in)
+            right = np.where(far, n - 1, right - (left_in & ~right_in))
+        else:
+            left, right, ring = np.zeros(x.shape, np.int64), np.full(x.shape, n - 1), False
+        half = r / h
+        lo = np.minimum(np.maximum(np.fmin(np.ceil(y - half), np.floor(y)), left), right)
+        hi = np.minimum(np.maximum(np.fmax(np.floor(y + half), np.ceil(y)), left), right)
+        lo = np.where(ring, left, lo).astype(np.int64)
+        hi = np.where(ring, right, hi).astype(np.int64)
+        lo, hi = _settle_runs(passes, lo, hi, left, right, x, r)
+        return lo % n, np.maximum(hi - lo + 1, 0)
 
     @cached_property
     def block_starts(self) -> tuple[np.ndarray, ...]:
@@ -351,10 +412,11 @@ class MeasurableSet:
 
     @cached_property
     def row_prefix(self) -> np.ndarray:
-        """Per row of a 2D mask, the number of true cells before each column,
-        in int32.  On the torus each row is taken twice over, so that a run of
-        cells wrapping past the last column is one difference as well."""
-        rows = self.mask
+        """Per row of the mask, the number of true cells before each column,
+        in int32; a 1D mask is one row.  On the torus each row is taken twice
+        over, so that a run of cells wrapping past the last column is one
+        difference as well."""
+        rows = self.mask.reshape(-1, self.grid.cells[-1])
         if self.grid.domain.kind == "torus":
             rows = np.concatenate((rows, rows), axis=1)
         prefix = np.zeros((rows.shape[0], rows.shape[1] + 1), dtype=np.int32)
@@ -582,12 +644,9 @@ def _row_counts(mset: MeasurableSet, cover: Sequence[Ball]) -> np.ndarray:
     consecutive.  Each ball takes a band of ``2 ceil(r/h) + 3`` rows about
     its centre, which holds every row it can reach.  A row's run starts as
     the columns within the half-width ``sqrt(r^2 - ox)`` of the centre,
-    widened to hold the columns nearest it; each end then steps one cell at
-    a time, out while the next cell passes the test and in while its own
-    cell fails, until neither end moves.  Only failing cells leave the run,
-    so a run that empties had no passing cell, though it held the columns
-    nearest the centre: no cell of the row passes.  The count is then a
-    difference of the set's row prefix sums per row.
+    widened to hold the columns nearest it, and its ends settle as in
+    `_settle_runs`.  The count is then a difference of the set's row prefix
+    sums per row.
 
     The torus window presumes centres within half a period of the
     fundamental domain, as every cover centre is.
@@ -597,13 +656,7 @@ def _row_counts(mset: MeasurableSet, cover: Sequence[Ball]) -> np.ndarray:
     torus = grid.domain.kind == "torus"
     prefix = mset.row_prefix
     radii = np.array([b.radius for b in cover], dtype=float)
-    try:
-        centers = np.array([b.center for b in cover], dtype=float)
-    except ValueError:  # centres of unequal length
-        centers = None
-    if centers is None or centers.shape != (len(cover), 2):
-        for b in cover:
-            grid._center(b.center)  # the first bad centre raises, as in every ball query
+    centers = grid._centers([b.center for b in cover])
     reach = int(min(np.ceil(radii.max() / h), n0))
     band = min(2 * reach + 3, n0)
     counts = np.zeros(len(cover), dtype=np.int64)
@@ -639,23 +692,42 @@ def _row_runs(grid: Grid, cy: np.ndarray, ox: np.ndarray,
     hi = np.clip(np.maximum(np.floor(y + half), np.ceil(y)), left, right).astype(np.int64)
     left, right = left.astype(np.int64), right.astype(np.int64)
 
-    def inside(j):
+    def passes(j, cy, ox, r):
         oy = grid._axis_offsets(1, cy, grid.axis_centers[1][j % n1])
-        return (np.sqrt(ox + oy) <= r) & (j >= left) & (j <= right)
+        return np.sqrt(ox + oy) <= r
 
-    live = np.arange(len(r))
+    return _settle_runs(passes, lo, hi, left, right, cy, ox, r)
+
+
+def _settle_runs(passes, lo: np.ndarray, hi: np.ndarray, left: np.ndarray,
+                 right: np.ndarray, *params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Settle runs of cells [lo, hi] in place, each inside its window [left,
+    right] of cell indices, in which the cells passing ``passes(j, *params)``
+    (with the run's own parameters) are consecutive.  Each end steps one cell
+    at a time, out while the next cell passes and in while its own cell
+    fails, until neither end moves.  The ends stop on passing cells with
+    failing neighbours, which fixes the run; only failing cells leave it, so
+    a run that empties met no passing cell, provided it started with the
+    window's cells nearest the centre.  The last cell is below the first for
+    an empty run."""
+    def inside(j):
+        return passes(j, *params) & (j >= left) & (j <= right)
+
+    live = np.arange(len(lo))
     a, b = lo, hi
     while True:
+        out_a, in_a, in_b, out_b = (inside(j) for j in (a - 1, a, b, b + 1))
         held = a <= b
-        new_a = np.where(inside(a - 1), a - 1, np.where(held & ~inside(a), a + 1, a))
-        new_b = np.where(inside(b + 1), b + 1, np.where(held & ~inside(b), b - 1, b))
-        moved = (new_a != a) | (new_b != b)
-        lo[live], hi[live] = new_a, new_b
+        shrink_a, shrink_b = held & ~in_a, held & ~in_b
+        moved = out_a | shrink_a | out_b | shrink_b
         if not moved.any():
             return lo, hi
-        # `inside` reads the narrowed arrays from here on
-        live, a, b = live[moved], new_a[moved], new_b[moved]
-        cy, ox, r, left, right = cy[moved], ox[moved], r[moved], left[moved], right[moved]
+        a = np.where(out_a, a - 1, a + shrink_a)
+        b = np.where(out_b, b + 1, b - shrink_b)
+        lo[live], hi[live] = a, b
+        live, a, b = live[moved], a[moved], b[moved]
+        left, right = left[moved], right[moved]
+        params = tuple(p[moved] for p in params)
 
 
 def densest_ball(mset: MeasurableSet, cover: Sequence[Ball]) -> tuple[Ball, float]:
@@ -669,13 +741,16 @@ def densest_ball(mset: MeasurableSet, cover: Sequence[Ball]) -> tuple[Ball, floa
         raise InfeasibleError("densest_ball requires a set of positive measure")
     if not cover:
         raise ConfigError("empty cover")
-    if mset.grid.dimension == 1:
-        counts = [int(np.count_nonzero(mset.mask & mset.grid.line_balls(b.center, [b.radius])[0]))
-                  for b in cover]
+    grid = mset.grid
+    if grid.dimension == 1:
+        centers = grid._centers([b.center for b in cover])
+        start, count = grid.line_runs(centers[:, 0], np.array([b.radius for b in cover]))
+        (prefix,) = mset.row_prefix
+        counts = prefix[start + count] - prefix[start]
     else:
         counts = _row_counts(mset, cover)
     best = int(np.argmax(counts))  # the first of the largest counts
-    return cover[best], int(counts[best]) * mset.grid.h ** mset.grid.dimension
+    return cover[best], int(counts[best]) * grid.h ** grid.dimension
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """`obscert audit`: replaying written certify reports through the step table.
 
 One certify report per branch is written through the CLI.  Each must replay
-cleanly; moving any derived output by one ulp, or raising any inequality's
-lhs_log above its rhs_log, must stop the audit at that step with exit code
-5; a file that holds no certificate is a configuration error.
+cleanly; moving any derived output by one ulp, raising any inequality's
+lhs_log above its rhs_log, moving an input away from the output it copies,
+or moving the reported log10 C must stop the audit with exit code 5; a file
+that holds no certificate is a configuration error.
 """
 
 import json
@@ -11,7 +12,7 @@ import math
 
 import pytest
 
-from obscert.certify import STEP_KINDS
+from obscert.certify import STEP_KINDS, STEP_LINKS
 from obscert.cli import EXIT_CONFIG, EXIT_OK, EXIT_UNSOUND, main
 from obscert.functions import TrigSum, UcpCertificate, derive_gevrey, verify_ucp
 from obscert.geometry import Domain, Grid
@@ -130,6 +131,57 @@ def test_audit_names_an_inequality_whose_lhs_exceeds_its_rhs(reports, capsys, tm
         assert f"trace step {index} {record['step']!r}" in err
         raised += 1
     assert raised >= 7
+
+
+def _write(tmp_path, payload):
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+@pytest.mark.parametrize("branch", ["sigma1", "sigma-gt1", "ucp"])
+def test_audit_names_an_input_moved_off_the_output_it_copies(reports, capsys, tmp_path, branch):
+    # the step is re-derived from the moved input, so it replays by itself:
+    # only the comparison with its source can catch it
+    payload = json.loads(reports[branch].read_text())
+    trace = payload["certificate"]["trace"]
+    linked = 0
+    for index, record in enumerate(trace):
+        kind = _kind(record)
+        for (name, key) in STEP_LINKS:
+            if name != kind.name:
+                continue
+            inputs, outputs = dict(record["inputs"]), dict(record["outputs"])
+            record["inputs"][key] = math.nextafter(inputs[key], math.inf)
+            record["outputs"].update(kind.derive(record["inputs"], record["outputs"]))
+            path = _write(tmp_path, payload)
+            record["inputs"], record["outputs"] = inputs, outputs
+            rc, err = _audit(path, capsys)
+            assert rc == EXIT_UNSOUND, (index, key)
+            assert f"trace step {index} {record['step']!r}: input {key} is" in err
+            linked += 1
+    assert linked == {"sigma1": 8, "sigma-gt1": 8, "ucp": 7}[branch]
+
+
+@pytest.mark.parametrize("branch", ["sigma1", "sigma-gt1"])
+def test_audit_rejects_a_resolution_step_that_lowers_log_a(reports, capsys, tmp_path, branch):
+    payload = json.loads(reports[branch].read_text())
+    (resolution,) = [s for s in payload["certificate"]["trace"] if s["step"] == "resolution"]
+    resolution["inputs"]["log_A"] -= 1.0
+    resolution["outputs"].update(_kind(resolution).derive(resolution["inputs"], {}))
+    rc, err = _audit(_write(tmp_path, payload), capsys)
+    assert rc == EXIT_UNSOUND
+    assert "'resolution': input log_A is" in err
+
+
+@pytest.mark.parametrize("branch", ["sigma1", "sigma-gt1", "ucp"])
+def test_audit_rejects_a_log10_c_off_the_last_resolution(reports, capsys, tmp_path, branch):
+    payload = json.loads(reports[branch].read_text())
+    certificate = payload["certificate"]
+    certificate["log10_C"] = math.nextafter(certificate["log10_C"], -math.inf)
+    rc, err = _audit(_write(tmp_path, payload), capsys)
+    assert rc == EXIT_UNSOUND
+    assert "is not the constant of the last resolution step" in err
 
 
 def test_audit_names_an_unknown_step(reports, capsys, tmp_path):

@@ -2,9 +2,10 @@
 
 Each example draws a grid (kind, extent, cell counts, many not multiples of
 the block side), a stepped field with many tied values, a random set, and
-balls whose centres include points on and next to the torus seams and whose
-radii include exact cell distances.  Every ball query must equal the same
-query answered over the full grid with `Domain.distance`.
+balls whose centres include points on and next to the torus seams and
+outside the domain, and whose radii include exact cell distances and the
+distance of the farthest cell.  Every ball query must equal the same query
+answered over the full grid with `Domain.distance`.
 """
 
 import math
@@ -50,23 +51,29 @@ def grids(draw):
 @st.composite
 def centres(draw, grid):
     """Per axis: anywhere in the extent, on or next to the seam at 0 and at
-    the extent, or on a cell centre."""
+    the extent, or on a cell centre; off a box or torus also up to half the
+    extent outside it."""
     coords = []
     for cells, ext in zip(grid.cells, grid.domain.extent):
         seam = draw(st.sampled_from([0.0, 1e-12, grid.h / 3.0, ext - grid.h / 3.0,
                                      ext - 1e-12, ext]))
         cell = (draw(st.integers(0, cells - 1)) + 0.5) * grid.h
         anywhere = draw(st.floats(0.0, ext))
-        coords.append(draw(st.sampled_from([seam, cell, anywhere])))
+        choices = [seam, cell, anywhere]
+        if grid.domain.kind != "disk":
+            choices.append(draw(st.floats(-ext / 2.0, 1.5 * ext)))
+        coords.append(draw(st.sampled_from(choices)))
     return tuple(coords)
 
 
 def _radius(draw, grid, dist):
-    """A radius equal to some cell's distance from the centre, or any radius
-    up to the domain's diameter."""
+    """A radius equal to some cell's distance from the centre, any radius up
+    to the domain's diameter, the distance of the farthest cell (the ball is
+    then the whole grid or ring) or a radius past it."""
     exact = float(dist.ravel()[draw(st.integers(0, dist.size - 1))])
     anywhere = draw(st.floats(1e-3, grid.domain.diameter))
-    r = draw(st.sampled_from([exact, anywhere]))
+    farthest = float(dist.max())
+    r = draw(st.sampled_from([exact, anywhere, farthest, 2.0 * grid.domain.diameter]))
     return r if r > 0.0 else grid.h / 2.0
 
 
@@ -82,10 +89,11 @@ def test_ball_queries_equal_full_grid_distance(data):
     mset = MeasurableSet.from_mask(grid, rng.random(grid.cells) < 0.4)
     h_d = grid.h ** grid.dimension
 
-    balls = []
+    balls, dists = [], []
     for _ in range(3):
         c = data.draw(centres(grid))
         dist = grid.domain.distance(grid.points, np.asarray(c))
+        dists.append(dist)
         radii = [_radius(data.draw, grid, dist) for _ in range(3)]
         masks = [dist <= r for r in radii]
 
@@ -102,6 +110,11 @@ def test_ball_queries_equal_full_grid_distance(data):
             ball = Ball.at(c, r)
             assert np.array_equal(grid.ball_field(ball), m & grid.interior)
             balls.append((ball, int(np.count_nonzero(mset.mask & m))))
+
+    # all centres at once, as the doubling estimate and the UCP check ask
+    radii = [ball.radius for ball, _ in balls]
+    assert gf.ball_maxima(np.asarray([ball.center for ball, _ in balls[::3]]), radii) == [
+        [float(np.where(dist <= r, vals, -1.0).max()) for r in radii] for dist in dists]
 
     if mset.cell_count:
         for ball, count in balls:

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -478,7 +479,9 @@ def test_ucp_threshold_whose_float_product_overflows_under_the_cap():
     g = grid_1d(256)
     f = TrigSum.sine([1])
     e = MeasurableSet.from_box(g, [(0.1, 0.6)])
-    with pytest.raises(InfeasibleError, match="below grid resolution"):
+    # (b/(n0+1))^(1/b) underflows: the radius is 0, below 2h for h = 1/256
+    with pytest.raises(InfeasibleError, match=re.escape(
+            "radius 0.000e+00 below twice the grid resolution, 2h = 7.812e-03 (h = 3.906e-03)")):
         certify_ucp(f, e, UcpCertificate(10.0, 0.013, 0.5), derive_gevrey(f, ONE_D, g))
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -688,6 +689,43 @@ def test_seed_override_changes_mask(tmp_path):
     a = json.loads((out1 / "report.json").read_text())
     b = json.loads((out2 / "report.json").read_text())
     assert a["seed"] != b["seed"]
+
+
+def test_main_builds_its_parser_once_and_parses_as_before(tmp_path, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._parser.cache_clear()
+    try:
+        cfg_path = write_config(tmp_path, BASE_CONFIG)
+        for seed in ("99", "7"):
+            out = tmp_path / seed
+            assert main(["certify", str(cfg_path), "--output-dir", str(out),
+                         "--seed", seed]) == EXIT_OK
+            assert json.loads((out / "report.json").read_text())["seed"] == int(seed)
+            assert main(["audit", str(out / "report.json")]) == EXIT_OK
+        assert main(["certify", "/nonexistent/run.cfg"]) == EXIT_CONFIG
+        capsys.readouterr()
+        for argv, code in ((["--help"], 0), (["certify", "--help"], 0), ([], 2),
+                           (["certify", str(cfg_path), "--seed", "x"], 2)):
+            with pytest.raises(SystemExit) as stop:
+                main(argv)
+            assert stop.value.code == code
+        out, err = capsys.readouterr()
+        assert "usage: obscert [-h] {certify,sweep,verify,audit}" in out
+        assert "--seed SEED" in out and "override the config seed" in out
+        assert "the following arguments are required: command" in err
+        assert "argument --seed: invalid int value: 'x'" in err
+        # one build: the parser and its four sub-command parsers
+        assert built == ["obscert", "obscert certify", "obscert sweep", "obscert verify",
+                         "obscert audit"]
+    finally:
+        cli._parser.cache_clear()
 
 
 # ---------------------------------------------------------------------------

@@ -223,26 +223,28 @@ def test_calibration_estimates_each_member_once(monkeypatch):
 
 def test_one_study_estimates_each_members_doubling_once(monkeypatch, tmp_path):
     # calibration, growth study and study table all read a member's default
-    # doubling estimate: one pass of default-ladder ball maxima per member
+    # doubling estimate: one call of default-ladder ball maxima per member,
+    # over all its centres at once
     g = torus_grid(256)
     fam = family_k(3)
     msets = [MeasurableSet.random(g, 0.3, np.random.default_rng(4))]
     radii = default_radii(TORUS_1D)
     ladder = sorted(set(radii) | {2.0 * r for r in radii})
-    centers = halton_points(TORUS_1D, 64)
+    centers_all = halton_points(TORUS_1D, 64)
     passes = []
     ball_maxima = GridField.ball_maxima
 
-    def counting(self, center, radii):
+    def counting(self, centers, radii):
         if list(radii) == ladder:
+            assert np.array_equal(centers, centers_all)
             passes.append(self)
-        return ball_maxima(self, center, radii)
+        return ball_maxima(self, centers, radii)
 
     monkeypatch.setattr(GridField, "ball_maxima", counting)
     c_cal = calibrate_gamma(fam, TORUS_1D, g)
     doubling_growth_study(fam, TORUS_1D, g, calibration=c_cal)
     eigensum_study_csv(tmp_path / "study.csv", fam, msets, g, calibration=c_cal, search=2)
-    assert len(passes) == len(fam) * len(centers)
+    assert len(passes) == len(fam)
     assert {id(gf) for gf in passes} == {id(GridField.of(es, g)) for es in fam}
 
 

@@ -478,6 +478,28 @@ def test_estimate_doubling_zero_ball_fails():
         estimate_doubling(Plateau(), ONE_D, g, radii=[0.05], centers=np.array([[0.5]]))
 
 
+def test_estimate_doubling_names_the_first_failing_ball_in_centre_then_radius_order():
+    # |f| is 0 on [0.3, 0.7] and infinite past 0.9: balls at 0.5 vanish and
+    # balls reaching past 0.9 give an infinite ratio, as the loop over
+    # centres, then radii, met them first
+    class PlateauSpike(FunctionModel):
+        kind = "plateau-spike"
+        dimension = 1
+
+        def evaluate(self, points):
+            x = np.asarray(points)[..., 0]
+            return np.where(x > 0.9, math.inf, np.maximum(np.abs(x - 0.5) - 0.2, 0.0))
+
+    g = grid_1d(512)
+    for centers, radii, message in (
+        ([[0.1], [0.5], [0.85]], [0.01, 0.05], r"vanishes on the ball at \[0.5\] radius 0.01$"),
+        ([[0.1], [0.85], [0.5]], [0.01, 0.05], r"ratio inf at \[0.85\] radius 0.05 is not finite"),
+        ([[0.1], [0.5]], [0.05, 0.01], r"vanishes on the ball at \[0.5\] radius 0.05$"),
+    ):
+        with pytest.raises(HypothesisError, match=message):
+            estimate_doubling(PlateauSpike(), ONE_D, g, radii=radii, centers=np.array(centers))
+
+
 @pytest.mark.parametrize("build", [
     lambda v: TrigSum.of([([1], v, 0.0)], 1),
     lambda v: TrigSum.of([([1], 1.0, v)], 1),
@@ -560,7 +582,8 @@ def test_verify_ucp_rejects_a_nan_margin(monkeypatch):
     f = TrigSum.sine([1])
     rep = verify_ucp(f, UcpCertificate(math.inf, 1.0, 0.5), ONE_D, g)
     assert rep.passed and rep.worst_margin_log == -math.inf
-    monkeypatch.setattr(GridField, "ball_maxima", lambda self, center, radii: [math.nan] * len(radii))
+    monkeypatch.setattr(GridField, "ball_maxima", lambda self, centers, radii: np.full(
+        np.shape(centers)[:-1] + (len(radii),), math.nan).tolist())
     with pytest.raises(HypothesisError, match="not a number"):
         verify_ucp(f, UcpCertificate(1.0, 1.0, 0.5), ONE_D, g)
 

@@ -16,6 +16,7 @@ import pytest
 
 from obscert.errors import ConfigError, HypothesisError, InfeasibleError
 from obscert.functions import (
+    FunctionModel,
     Gaussian,
     GridField,
     TrigSum,
@@ -252,6 +253,109 @@ def test_verify_ucp_equals_brute_force(name):
     rep = verify_ucp(f, cert, domain, grid, radii=radii)
     assert rep.n_samples == n
     assert rep.min_sufficient_a == min_a
+
+
+# ---------------------------------------------------------------------------
+# Runs of cells on 1D grids
+# ---------------------------------------------------------------------------
+
+LINES = {f"{kind}-{n}": Grid(Domain(kind, (1.0,)), (n,))
+         for kind in ("box", "torus") for n in (1, 2, 3, 7, 1024)}
+
+
+class Levels(FunctionModel):
+    """A sine rounded down to four levels, so that balls hold tied maxima."""
+
+    kind = "levels"
+    dimension = 1
+
+    def evaluate(self, points):
+        x = np.asarray(points, dtype=float)[..., 0]
+        return np.floor(2.0 * (np.sin(2.0 * math.pi * 3.0 * x + 0.4) + 1.0))
+
+
+def _line_centers(grid):
+    """Cell centres, cell edges, the seams and points next to them, the
+    points halfway round the ring from cell centres, and centres outside the
+    domain: within half a period of it, at that bound and beyond it."""
+    (n,), h, ext = grid.cells, grid.h, grid.domain.extent[0]
+    cells = range(n) if n <= 7 else (0, 1, 200, 511, 512, 1022, 1023)
+    points = {0.0, 1e-12, h / 3.0, ext - h / 3.0, ext - 1e-12, ext}
+    points |= {-0.3 * ext, 1.2 * ext, -0.5 * ext, 1.5 * ext, -2.5 * ext, 3.4 * ext}
+    for j in cells:
+        points |= {(j + 0.5) * h, j * h, ((j + 0.5) * h + ext / 2.0) % ext}
+    return sorted(points)
+
+
+def _line_radii(grid, dist):
+    """Every cell distance from the centre on a short line and a spread of
+    them on a long one, each with its neighbours one ulp away, the distance
+    of the farthest cell, where the ball becomes the whole line or ring,
+    and radii beyond it."""
+    ordered = np.unique(dist)
+    exact = ordered if ordered.size <= 8 else ordered[[0, 1, 2, 100, 300, -3, -2, -1]]
+    radii = {1e-9, 2.0 * grid.domain.extent[0]}
+    for r in exact:
+        radii |= {float(r), math.nextafter(r, 0.0), math.nextafter(r, math.inf)}
+    return sorted(r for r in radii if r > 0.0)
+
+
+@pytest.mark.parametrize("name", sorted(LINES))
+def test_line_runs_ball_maxima_sup_ball_and_counts_equal_distance_masks(name):
+    grid = LINES[name]
+    (n,), h = grid.cells, grid.h
+    f = Levels()
+    gf = GridField(f, grid)
+    vals = _reference_values(f, grid)
+    mset = MeasurableSet.from_mask(grid, np.random.default_rng(n).random(n) < 0.5)
+    if mset.cell_count == 0:
+        mset = MeasurableSet.full(grid)
+    centers = _line_centers(grid)
+    for c in centers:
+        dist = grid.domain.distance(grid.points, np.asarray([c]))
+        radii = _line_radii(grid, dist)
+        masks = [dist <= r for r in radii]
+        start, count = grid.line_runs(np.full(len(radii), c), np.array(radii))
+        for s, k, m in zip(start, count, masks):
+            assert 0 <= s < n and 0 <= k <= n
+            if grid.domain.kind == "box":
+                assert s + k <= n
+            assert np.array_equal(np.sort((s + np.arange(k)) % n), np.flatnonzero(m))
+        assert gf.ball_maxima([c], radii) == [float(np.where(m, vals, -1.0).max()) for m in masks]
+        balls = [Ball.at([c], r) for r in radii]
+        counts = [int(np.count_nonzero(mset.mask & m)) for m in masks]
+        for ball, m, cells in zip(balls, masks, counts):
+            masked = np.where(m, vals, -1.0)
+            first = int(np.argmax(masked))
+            assert gf.ball_maxima([c], [ball.radius]) == [masked[first]]  # one run alone
+            value, point = gf.sup_ball([c], ball.radius)
+            assert value == masked[first]
+            if value >= 0.0:
+                assert np.array_equal(point, grid.points[first])
+            else:
+                assert point is None
+            assert densest_ball(mset, [ball]) == (ball, cells * h)
+        assert densest_ball(mset, balls) == (balls[int(np.argmax(counts))], max(counts) * h)
+    # every centre in one call, as the doubling estimate and the UCP check ask
+    radii = (1e-9, h / 2.0, h, 0.1, 0.26, 0.5, 0.75, 2.0)
+    dists = [grid.domain.distance(grid.points, np.asarray([c])) for c in centers]
+    assert gf.ball_maxima(np.asarray(centers)[:, None], radii) == [
+        [float(np.where(d <= r, vals, -1.0).max()) for r in radii] for d in dists]
+
+
+@pytest.mark.parametrize("name", ["torus-3", "torus-7", "torus-1024"])
+def test_sup_ball_of_a_wrapping_run_takes_the_first_cell_in_index_order(name):
+    # on a constant field every cell ties: a run over the seam must return
+    # cell 0, not its own first cell
+    grid = LINES[name]
+    (n,), h = grid.cells, grid.h
+    gf = GridField(TrigSum.of([([0], 1.0, 0.5)], 1), grid)
+    for c in (0.0, 1.0 - 1e-12, h / 3.0):
+        start, count = grid.line_runs(np.array([c]), np.array([h]))
+        assert (start, count) == ([n - 1], [2])  # cells n - 1 and 0
+        value, point = gf.sup_ball([c], h)
+        assert value == abs(math.sin(0.5))
+        assert np.array_equal(point, grid.points[0])
 
 
 # ---------------------------------------------------------------------------
