@@ -27,7 +27,6 @@ from .geometry import (
     cover_domain,
     densest_ball,
     read_mask_raster,
-    restrict_to_segment,
     write_mask_raster,
 )
 from .functions import (

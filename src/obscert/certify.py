@@ -41,16 +41,18 @@ from .functions import (
     FunctionModel,
     GevreyCertificate,
     GridField,
+    SupResult,
     UcpCertificate,
 )
 from .geometry import (
     Ball,
+    IntervalSet,
     MeasurableSet,
+    Segment,
+    best_ray_intervals,
     chain_of_balls,
     cover_count_bound,
-    cover_domain,
-    densest_ball,
-    best_ray_interval,
+    densest_cover_balls,
     ray_directions,
 )
 from .interp import poly_sup_bound, remainder_bound, separate_points
@@ -559,93 +561,149 @@ class _Problem:
         self.r0_eff = min(r0, 1.0, self.grid.domain.max_ball_radius)
 
 
+# degrees one staged geometry run takes at once: a longer degree search
+# runs in windows of this many, so the covers and traces it holds stay small
+_STAGE_DEGREES = 32
+
+
 @dataclass
 class _GeometryRun:
-    """What the rest of a run reads from the geometric steps, with the aux
-    keys every branch records."""
+    """One (n, r) point of a geometry run: its trace so far, what the rest of
+    the run reads from the geometric steps, and the aux keys every branch
+    records; or the error of the first step it failed at, after which the
+    later stages leave it out."""
 
-    r: float
-    rho: float
-    ball: Ball
-    w: np.ndarray
-    sup_ball_rho: float
-    log_poly: float
-    log_remainder_coeff: float
-    aux: dict[str, float]
+    n: int
+    r: float = math.nan
+    steps: list[TraceStep] = dc_field(default_factory=list)
+    error: InfeasibleError | ResolutionError | None = None
+    rho: float = math.nan
+    ball: Ball | None = None
+    w: np.ndarray | None = None
+    sup_ball_rho: float = math.nan
+    sup_ball_rhat: float = math.nan  # the chain end's ball sup, when a doubling run asks
+    log_poly: float = math.nan
+    log_remainder_coeff: float = math.nan
+    aux: dict[str, float] = dc_field(default_factory=dict)
 
 
-def _run_geometry(p: _Problem, n: int, r: float, steps: list[TraceStep]) -> _GeometryRun:
+def _each(runs: Sequence[_GeometryRun], step: Callable[..., None],
+          *columns: Sequence[Any]) -> list[_GeometryRun]:
+    """Take `step` at each run that has not failed, with the run's entry of
+    each of `columns`; a run whose step raises `InfeasibleError` or
+    `ResolutionError` keeps it as its error.  Returns the runs that have
+    still not failed."""
+    for g, *entries in zip(runs, *columns, strict=True):
+        if g.error is None:
+            try:
+                step(g, *entries)
+            except (InfeasibleError, ResolutionError) as exc:
+                g.error = exc
+    return [g for g in runs if g.error is None]
+
+
+def _run_geometry(p: _Problem, runs: Sequence[_GeometryRun],
+                  dc: DoublingCertificate | None = None) -> None:
     """Append the cover, pigeonhole, ray, node and interpolation-bound steps
-    at one (n, r)."""
-    f, mset, gc, domain = p.f, p.mset, p.gc, p.grid.domain
-    if r < 2.0 * p.grid.h:
-        raise InfeasibleError(
-            f"radius {r:.3e} below twice the grid resolution, 2h = {2.0 * p.grid.h:.3e} "
-            f"(h = {p.grid.h:.3e})"
+    at each (n, r) run, one stage at a time for every run still standing:
+    the covers and their densest balls; the near-max sups about each ball's
+    centre, with, given `dc`, the sup over the ball of radius
+    r_hat = hat_radius(dc, rho) there that the chain ends in; the ray fans;
+    then, per run, the nodes and the steps.  Each run fails at the step,
+    and with the error, that a run at its (n, r) alone meets first."""
+    f, mset, gc, grid = p.f, p.mset, p.gc, p.grid
+    domain = grid.domain
+
+    def resolvable(g: _GeometryRun) -> None:
+        if g.r < 2.0 * grid.h:
+            raise InfeasibleError(
+                f"radius {g.r:.3e} below twice the grid resolution, 2h = {2.0 * grid.h:.3e} "
+                f"(h = {grid.h:.3e})"
+            )
+
+    standing = _each(runs, resolvable)
+    if not standing:
+        return
+
+    def pigeonhole(g: _GeometryRun, densest: tuple[int, Ball, float]) -> None:
+        count, g.ball, inter = densest
+        _put(
+            g.steps, "cover",
+            {"r": g.r, "diameter": domain.diameter, "dimension": float(domain.dimension)},
+            {"count": float(count), "count_bound": float(cover_count_bound(domain, g.r))},
         )
+        _put(
+            g.steps, "pigeonhole-ball",
+            {"set_measure": mset.measure, "cover_count": float(count)},
+            {"intersection_measure": inter},
+        )
+        g.rho = g.r / 10.0
+        g.aux = {"cover_count": float(count), "intersection_measure": inter}
 
-    cover = cover_domain(domain, r)
-    ball, inter = densest_ball(mset, cover)
-    _put(
-        steps, "cover",
-        {"r": r, "diameter": domain.diameter, "dimension": float(domain.dimension)},
-        {"count": float(len(cover)), "count_bound": float(cover_count_bound(domain, r))},
-    )
-    _put(
-        steps, "pigeonhole-ball",
-        {"set_measure": mset.measure, "cover_count": float(len(cover))},
-        {"intersection_measure": inter},
-    )
+    standing = _each(standing, pigeonhole, densest_cover_balls(mset, [g.r for g in standing]))
+    if not standing:
+        return
+    centers = [g.ball.center for g in standing]
+    r_hats = [] if dc is None else [hat_radius(dc, g.rho)[0] for g in standing]
+    sups, maxima = p.field.sup_balls(centers, [g.rho for g in standing], r_hats)
+    for g, sup_rhat in zip(standing, maxima):
+        g.sup_ball_rhat = sup_rhat
 
-    x = np.asarray(ball.center)
-    rho = r / 10.0
-    sup_rho, w = p.field.sup_ball(x, rho)
-    x_val = float(np.abs(f.evaluate(x)))
-    if x_val > sup_rho:  # the ball's own centre competes with its cells
-        sup_rho, w = x_val, x
-    if sup_rho <= 0.0:
-        raise InfeasibleError("function vanishes on the near-maximiser ball")
+    def near_max(g: _GeometryRun, sup: SupResult) -> None:
+        g.sup_ball_rho, g.w = sup
+        x = np.asarray(g.ball.center)
+        x_val = float(np.abs(f.evaluate(x)))
+        if x_val > g.sup_ball_rho:  # the ball's own centre competes with its cells
+            g.sup_ball_rho, g.w = x_val, x
+        if g.sup_ball_rho <= 0.0:
+            raise InfeasibleError("function vanishes on the near-maximiser ball")
 
-    seg, trace_set = best_ray_interval(ball, mset, w)
-    ell = trace_set.total
-    ray = _put(
-        steps, "ray-selection",
-        {
-            "r": r,
-            "n_directions": float(len(ray_directions(domain.dimension))),
-            "intersection_measure": inter,
-        },
-        {"trace_length": ell, "t_max": seg.t_max},
-    )
+    standing = _each(standing, near_max, sups)
+    if not standing:
+        return
 
-    nodes = separate_points(trace_set, n)
-    node_pts = seg.points(nodes.nodes)
-    node_vals = np.abs(f.evaluate(node_pts))
-    data_sup = max(p.sup_set, float(np.max(node_vals)))
-    nodes_out = _put(
-        steps, "point-separation",
-        {"trace_length": ell, "n": float(n)},
-        {"gap": nodes.gap, "data_sup": data_sup},
-    )
-    log_poly = _put(
-        steps, "polynomial-sup-bound",
-        {"n": float(n), "t_max": seg.t_max, "gap": nodes.gap, "data_sup": data_sup},
-    )["log_bound"]
-    log_rem_coeff = _put(
-        steps, "remainder-bound",
-        {"n": float(n), "t_max": seg.t_max, "M": gc.M, "delta": gc.delta, "sigma": gc.sigma},
-    )["log_coeff"]
-    aux = ray | nodes_out | {
-        "cover_count": float(len(cover)),
-        "intersection_measure": inter,
-        "r0_eff": p.r0_eff,
-        "sup_domain": p.sup_domain,
-        "sup_set": p.sup_set,
-        "M": gc.M,
-        "delta": gc.delta,
-        "sigma": gc.sigma,
-    }
-    return _GeometryRun(r, rho, ball, w, sup_rho, log_poly, log_rem_coeff, aux)
+    def interpolation(g: _GeometryRun, ray: tuple[Segment, IntervalSet] | ResolutionError) -> None:
+        if isinstance(ray, ResolutionError):
+            raise ray
+        seg, trace_set = ray
+        ell = trace_set.total
+        ray_out = _put(
+            g.steps, "ray-selection",
+            {
+                "r": g.r,
+                "n_directions": float(len(ray_directions(domain.dimension))),
+                "intersection_measure": g.aux["intersection_measure"],
+            },
+            {"trace_length": ell, "t_max": seg.t_max},
+        )
+        nodes = separate_points(trace_set, g.n)
+        node_pts = seg.points(nodes.nodes)
+        node_vals = np.abs(f.evaluate(node_pts))
+        data_sup = max(p.sup_set, float(np.max(node_vals)))
+        nodes_out = _put(
+            g.steps, "point-separation",
+            {"trace_length": ell, "n": float(g.n)},
+            {"gap": nodes.gap, "data_sup": data_sup},
+        )
+        g.log_poly = _put(
+            g.steps, "polynomial-sup-bound",
+            {"n": float(g.n), "t_max": seg.t_max, "gap": nodes.gap, "data_sup": data_sup},
+        )["log_bound"]
+        g.log_remainder_coeff = _put(
+            g.steps, "remainder-bound",
+            {"n": float(g.n), "t_max": seg.t_max, "M": gc.M, "delta": gc.delta, "sigma": gc.sigma},
+        )["log_coeff"]
+        g.aux = ray_out | nodes_out | g.aux | {
+            "r0_eff": p.r0_eff,
+            "sup_domain": p.sup_domain,
+            "sup_set": p.sup_set,
+            "M": gc.M,
+            "delta": gc.delta,
+            "sigma": gc.sigma,
+        }
+
+    _each(standing, interpolation,
+          best_ray_intervals([g.ball for g in standing], mset, [g.w for g in standing]))
 
 
 def _proof_tail(
@@ -685,21 +743,18 @@ def _proof_tail(
 # ---------------------------------------------------------------------------
 
 def _doubling_run(
-    branch: str, p: _Problem, dc: DoublingCertificate, n: int, r: float, steps: list[TraceStep]
+    branch: str, p: _Problem, dc: DoublingCertificate, geo: _GeometryRun
 ) -> ObservabilityCertificate:
-    """The certificate at degree n and radius r, after the radius-choice
-    step already in `steps`."""
+    """The certificate at the run's degree and radius, after its geometric
+    steps."""
+    n, steps = geo.n, geo.steps
     exponent = dc.log2_kappa / (n + 1)
-    if exponent >= 1.0:
-        raise InfeasibleError(f"degree {n} too small for doubling constant {dc.kappa}")
-
-    geo = _run_geometry(p, n, r, steps)
     chain = chain_of_balls(
         p.grid.domain, p.x_bar, np.asarray(geo.ball.center), hat_radius(dc, geo.rho)[0]
     )
     prop = propagate_doubling(dc, geo.rho, chain)
 
-    (sup_rhat,) = p.field.ball_maxima(geo.ball.center, [prop.r_hat])
+    sup_rhat = geo.sup_ball_rhat
     if sup_rhat < 0.0:
         raise InfeasibleError("ball contains no sample points")
     _put(steps, "global-max-slack", {}, {"lhs_log": p.log_sup_domain})
@@ -752,7 +807,7 @@ def _doubling_run(
         "log_A": log_a,
         "log_total_factor": log_t,
     }
-    return ObservabilityCertificate(branch, max(log_c, 0.0), n, r, aux, steps)
+    return ObservabilityCertificate(branch, max(log_c, 0.0), n, geo.r, aux, steps)
 
 
 def _certify_doubling(
@@ -766,25 +821,33 @@ def _certify_doubling(
 ) -> ObservabilityCertificate:
     """Run the pipeline at n_base..n_base+search with the branch's radius
     rule (n -> r, appending its radius-choice step) and keep the smallest
-    sound constant; the run at n_base is the prescribed one."""
+    sound constant; the run at n_base is the prescribed one.  The degrees
+    whose radius and exponent pass share one staged geometry run."""
     if n_base + search > _DEGREE_CAP:
         raise InfeasibleError(
             f"degree {n_base + search} is beyond desk scale; the cap is {_DEGREE_CAP}"
         )
+
+    def radius(g: _GeometryRun) -> None:
+        g.r = radius_rule(g.n, g.steps)
+        if dc.log2_kappa / (g.n + 1) >= 1.0:
+            raise InfeasibleError(f"degree {g.n} too small for doubling constant {dc.kappa}")
+
     best: ObservabilityCertificate | None = None
     prescribed: ObservabilityCertificate | None = None
     failures: list[dict[str, float | str]] = []
-    for n in range(n_base, n_base + search + 1):
-        steps: list[TraceStep] = []
-        try:
-            res = _doubling_run(branch, p, dc, n, radius_rule(n, steps), steps)
-        except (InfeasibleError, ResolutionError) as exc:
-            failures.append({"n": n, "status": f"infeasible: {exc}"})
-            continue
-        if n == n_base:
-            prescribed = res
-        if best is None or res.log_constant < best.log_constant - 1e-12:
-            best = res
+    last = n_base + search
+    for first in range(n_base, last + 1, _STAGE_DEGREES):
+        runs = [_GeometryRun(n) for n in range(first, min(first + _STAGE_DEGREES, last + 1))]
+        _run_geometry(p, _each(runs, radius), dc)
+        certs: list[ObservabilityCertificate] = []
+        _each(runs, lambda g: certs.append(_doubling_run(branch, p, dc, g)))
+        failures += [{"n": g.n, "status": f"infeasible: {g.error}"} for g in runs if g.error]
+        for res in certs:
+            if res.n == n_base:
+                prescribed = res
+            if best is None or res.log_constant < best.log_constant - 1e-12:
+                best = res
     if best is None:
         raise InfeasibleError(
             "certification infeasible at every degree in the search range: "
@@ -922,7 +985,10 @@ def certify_ucp(
             {"b": b, "n0": threshold["n0"]},
             {"rhs_log": math.log(p.r0_eff)},
         )["r"]
-        geo = _run_geometry(p, n0, r, steps)
+        geo = _GeometryRun(n0, r, steps)
+        _run_geometry(p, [geo])
+        if geo.error is not None:
+            raise geo.error
         # polynomial-term conversion: 2 * PB <= C0^(n+1) (|O|/|E|)^n supE
         lhs1 = LOG2 + geo.log_poly
         rhs1 = (n0 + 1) * math.log(c0) + n0 * log_spread + p.log_sup_set

@@ -339,9 +339,9 @@ class Report:
     def write(self, path: Path) -> None:
         """Serialised without wall-clock content so reruns are byte-identical."""
         path.parent.mkdir(parents=True, exist_ok=True)
+        text = json.dumps(self.payload, indent=2, sort_keys=True, allow_nan=False)
         with open(path, "w", encoding="ascii", newline="\n") as fh:
-            json.dump(self.payload, fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
+            fh.write(text + "\n")  # one write, not one per token as json.dump makes
 
 
 def _finite(x: float) -> float | None:

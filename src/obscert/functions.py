@@ -509,16 +509,8 @@ class GridField:
         order, attaining it; (-1, None) for a ball with no interior cell.  In
         2D only the blocks of the ball whose maximum reaches it can hold it."""
         if self.grid.dimension == 1:
-            (start,), (count,) = self.grid.line_runs(self.grid._center(center), np.array([radius]))
-            if count == 0:
-                return SupResult(-1.0, None)
-            # the run's cells in index order: a run that wraps puts cells 0, 1, ... first
-            end, wrap = start + count, max(start + count - self.values.size, 0)
-            run = np.concatenate((self.values[:wrap], self.values[start:end]))
-            i = int(np.argmax(run))
-            value = float(run[i])
-            cell = i if i < wrap else start + i - wrap
-            return SupResult(value, self.grid.points[cell] if value >= 0.0 else None)
+            (sup,), _ = self.sup_balls([center], [radius])
+            return sup
         (bb,) = self.grid.ball_blocks(center, [radius])
         best = self._block_walk(bb)
         if best < 0.0:
@@ -530,6 +522,37 @@ class GridField:
             firsts.extend(zip(r + i[:1], c + j[:1]))  # the block's first hit, if any
         return SupResult(best, self.grid.points[min(firsts)])
 
+    def sup_balls(
+        self, centers, radii: Sequence[float], maxima_radii: Sequence[float] = ()
+    ) -> tuple[list[SupResult], list[float]]:
+        """`sup_ball(centers[k], radii[k])` for each k; and, for each k below
+        len(maxima_radii), the maximum `ball_maxima` gives over the ball about
+        centers[k] of radius maxima_radii[k].  A 2D grid takes one ball at a
+        time.
+
+        On a 1D grid every ball is one run of a single `Grid.line_runs` call,
+        and each maximum is read from the sparse table (`_run_maxima`).  The
+        cell attaining a `radii` ball's maximum is the first in index order:
+        the lowest cell of the run holding the maximum, so a run that wraps
+        reads cells 0, 1, ... first.
+        """
+        if self.grid.dimension != 1:
+            return ([self.sup_ball(c, r) for c, r in zip(centers, radii)],
+                    [self.ball_maxima(c, [r])[0] for c, r in zip(centers, maxima_radii)])
+        x = np.array([self.grid._center(c)[0] for c in centers])
+        k, m, n = len(radii), len(maxima_radii), self.values.size
+        start, count = self.grid.line_runs(
+            np.concatenate((x, x[:m])), np.concatenate((radii, maxima_radii)).astype(float))
+        maxima = self._run_maxima(start, count)
+        start, count, best = start[:k], count[:k], maxima[:k]
+        # every cell of each run, run after run, and the lowest holding its maximum
+        first = np.cumsum(count) - count
+        cells = (np.repeat(start - first, count) + np.arange(count.sum())) % n
+        hits = np.where(self.values[cells] == np.repeat(best, count), cells, n)
+        lowest = np.minimum.reduceat(np.append(hits, n), first) if k else []
+        sups = [SupResult(float(v), self.grid.points[c] if v >= 0.0 else None)
+                for v, c in zip(best, lowest)]
+        return sups, maxima[k:].tolist()
 
 def _domain_field(f: FunctionModel, domain: Domain, grid: Grid) -> GridField:
     """The shared field of f on `grid`, for a caller that names the grid's

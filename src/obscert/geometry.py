@@ -141,10 +141,12 @@ class Domain:
         return d
 
     def distance(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """Geodesic distance; vectorised over leading axes."""
+        """Geodesic distance; vectorised over leading axes.  On the torus each
+        axis offset is reduced modulo the period first, which leaves an offset
+        below the period as it is."""
         if self.kind == "torus":
             ext = np.asarray(self.extent)
-            d = np.abs(np.asarray(q, dtype=float) - np.asarray(p, dtype=float))
+            d = np.fmod(np.abs(np.asarray(q, dtype=float) - np.asarray(p, dtype=float)), ext)
             d = np.minimum(d, ext - d)
             return np.linalg.norm(d, axis=-1)
         return np.linalg.norm(np.asarray(q, dtype=float) - np.asarray(p, dtype=float), axis=-1)
@@ -258,7 +260,9 @@ class Grid:
         ball query uses."""
         d = np.abs(coord - cell_centers)
         if self.domain.kind == "torus":
-            d = np.minimum(d, self.domain.extent[axis] - d)
+            ext = self.domain.extent[axis]
+            d = np.fmod(d, ext)
+            d = np.minimum(d, ext - d)
         return d * d
 
     def line_runs(self, centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -277,11 +281,10 @@ class Grid:
         far beyond the rounding of the offsets: when neither fails, the ball
         is the whole ring.  Otherwise the run lies in the n - 1 cells that
         follow a failing one.  The window is placed about the centre taken
-        modulo L; a torus centre more than half a period outside [0, L] has,
-        by the same wrapped formula, the offsets along the line from x - L or
-        x + L, so its ball is a run of the line.  The run starts from the
-        cells within r of the centre, widened to hold the cells nearest it,
-        and its ends settle as in `_settle_runs`.
+        modulo L: the offsets are reduced modulo L as well, so a centre
+        outside [0, L] has the ball of the same point inside.  The run starts
+        from the cells within r of the centre, widened to hold the cells
+        nearest it, and its ends settle as in `_settle_runs`.
         """
         x, r = np.asarray(centers, dtype=float), np.asarray(radii, dtype=float)
         (n,), h = self.cells, self.h
@@ -293,20 +296,18 @@ class Grid:
 
         p = x
         if torus:
-            ext = self.domain.extent[0]
-            far = np.abs(x - ext / 2.0) > ext
-            with np.errstate(invalid="ignore"):  # an infinite centre is far
-                p = np.where(far, x - np.copysign(ext, x), np.mod(x, ext))
-        # the centre in cell units, a NaN or far centre put on the line
+            with np.errstate(invalid="ignore"):  # a non-finite centre passes no cell
+                p = np.mod(x, self.domain.extent[0])
+        # the centre in cell units, a NaN centre put on the line
         y = np.fmin(np.fmax(p / h - 0.5, -0.5), n - 0.5)
         if torus:
             # the n cells about the centre, whose ends flank the antipode
             left = np.ceil(y - n / 2.0).astype(np.int64)
             right = left + (n - 1)
             left_in, right_in = passes(np.concatenate((left, right)).reshape(2, -1), x, r)
-            ring = left_in & right_in & ~far
-            left = np.where(far, 0, left + ~left_in)
-            right = np.where(far, n - 1, right - (left_in & ~right_in))
+            ring = left_in & right_in
+            left = left + ~left_in
+            right = right - (left_in & ~right_in)
         else:
             left, right, ring = np.zeros(x.shape, np.int64), np.full(x.shape, n - 1), False
         half = r / h
@@ -742,15 +743,50 @@ def densest_ball(mset: MeasurableSet, cover: Sequence[Ball]) -> tuple[Ball, floa
     if not cover:
         raise ConfigError("empty cover")
     grid = mset.grid
-    if grid.dimension == 1:
-        centers = grid._centers([b.center for b in cover])
-        start, count = grid.line_runs(centers[:, 0], np.array([b.radius for b in cover]))
-        (prefix,) = mset.row_prefix
-        counts = prefix[start + count] - prefix[start]
-    else:
-        counts = _row_counts(mset, cover)
+    counts = _line_counts(mset, cover) if grid.dimension == 1 else _row_counts(mset, cover)
     best = int(np.argmax(counts))  # the first of the largest counts
     return cover[best], int(counts[best]) * grid.h ** grid.dimension
+
+
+def densest_cover_balls(
+    mset: MeasurableSet, radii: Sequence[float]
+) -> list[tuple[int, Ball, float]]:
+    """For each radius, the size of the lattice cover of the domain at that
+    radius (`cover_domain`) and the cover's densest ball with its
+    intersection measure (`densest_ball`).
+
+    On a 1D grid the balls of every cover are counted in one
+    `Grid.line_runs` call; a 2D grid takes one cover at a time, so that only
+    one cover is held at once.
+    """
+    grid = mset.grid
+    if grid.dimension != 1:
+        found = []
+        for r in radii:
+            cover = cover_domain(grid.domain, r)
+            found.append((len(cover), *densest_ball(mset, cover)))
+        return found
+    covers = [cover_domain(grid.domain, r) for r in radii]
+    if mset.cell_count == 0:
+        raise InfeasibleError("densest_ball requires a set of positive measure")
+    counts = _line_counts(mset, [ball for cover in covers for ball in cover])
+    found, first = [], 0
+    for cover in covers:
+        part = counts[first:first + len(cover)]
+        best = int(np.argmax(part))  # the first of the largest counts
+        found.append((len(cover), cover[best], int(part[best]) * grid.h ** grid.dimension))
+        first += len(cover)
+    return found
+
+
+def _line_counts(mset: MeasurableSet, balls: Sequence[Ball]) -> np.ndarray:
+    """|B ∩ E| in cells for each ball on a 1D grid: each ball is a run of
+    cells (`Grid.line_runs`), counted as a difference of the row prefix."""
+    grid = mset.grid
+    centers = grid._centers([b.center for b in balls])
+    start, count = grid.line_runs(centers[:, 0], np.array([b.radius for b in balls]))
+    (prefix,) = mset.row_prefix
+    return prefix[start + count] - prefix[start]
 
 
 # ---------------------------------------------------------------------------
@@ -801,58 +837,59 @@ def _greatest(a, b):
     return np.where(b > a, b, a)
 
 
-def _ball_span(domain: Domain, ball: Ball, w: np.ndarray,
+def _ball_span(domain: Domain, centers: np.ndarray, radii: np.ndarray, ws: np.ndarray,
                mus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per direction of the fan `mus`, the parameter window [t_enter, t_exit]
-    with w + t*mu inside the ball (ball lifted on the torus); t_enter is 0 for
-    an origin inside, and both are 0 for a ray that misses the ball."""
-    c = np.asarray(ball.center, dtype=float)
+    """Per segment, the parameter window [t_enter, t_exit] with w + t*mu
+    inside its ball (ball lifted on the torus); t_enter is 0 for an origin
+    inside, and both are 0 for a ray that misses the ball."""
+    c = centers
     if domain.kind == "torus":
-        c = w + domain.displacement(w, c)
-    u = w - c
-    b = np.vecdot(u, mus)  # bit-equal to float(np.dot(u, mu)) per direction
-    disc = b * b + ball.radius ** 2 - float(np.dot(u, u))
+        c = ws + domain.displacement(ws, c)
+    u = ws - c
+    b = np.vecdot(u, mus)  # bit-equal to float(np.dot(u, mu)) per segment
+    disc = b * b + radii ** 2 - np.vecdot(u, u)
     miss = disc < 0
     root = np.sqrt(np.where(miss, 0.0, disc))
     return (np.where(miss, 0.0, _greatest(0.0, -b - root)),
             np.where(miss, 0.0, _greatest(0.0, -b + root)))
 
 
-def _domain_exit(domain: Domain, w: np.ndarray, mus: np.ndarray) -> np.ndarray:
-    """Per direction, the largest t >= 0 with w + t*mu inside the (convex)
+def _domain_exit(domain: Domain, ws: np.ndarray, mus: np.ndarray) -> np.ndarray:
+    """Per segment, the largest t >= 0 with w + t*mu inside the (convex)
     domain."""
     if domain.kind == "torus":
         return np.full(len(mus), math.inf)
     if domain.kind == "disk":
-        u = w - domain.center
+        u = ws - domain.center
         b = np.vecdot(u, mus)
-        disc = b * b + domain.radius ** 2 - float(np.dot(u, u))
+        disc = b * b + domain.radius ** 2 - np.vecdot(u, u)
         miss = disc < 0
         return np.where(miss, 0.0, -b + np.sqrt(np.where(miss, 0.0, disc)))
     t = np.full(len(mus), math.inf)
     for axis, ext in enumerate(domain.extent):
         m = mus[:, axis]
         t_axis = np.full(len(mus), math.inf)
-        np.divide(ext - w[axis], m, out=t_axis, where=m > 1e-15)
-        np.divide(-w[axis], m, out=t_axis, where=m < -1e-15)
+        np.divide(ext - ws[:, axis], m, out=t_axis, where=m > 1e-15)
+        np.divide(-ws[:, axis], m, out=t_axis, where=m < -1e-15)
         t = _least(t, t_axis)
     return _greatest(t, 0.0)
 
 
-def _fan_segments(domain: Domain, ball: Ball, w: np.ndarray,
+def _fan_segments(domain: Domain, centers: np.ndarray, radii: np.ndarray, ws: np.ndarray,
                   mus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per direction, the start and length of the ray piece from w that lies
-    inside ball and domain, within budget 2r.
+    """For segments from origins `ws` along `mus`, each with its ball's
+    centre and radius, one row per segment: the start and length of the ray
+    piece from w that lies inside ball and domain, within budget 2r.
 
     An origin outside the ball shifts the segment start to the entry point;
     the parameter budget 2r is still counted from w.
     """
-    t_enter, t_exit = _ball_span(domain, ball, w, mus)
-    t_dom = _domain_exit(domain, w, mus)  # domain window measured from w
-    budget = 2.0 * ball.radius
+    t_enter, t_exit = _ball_span(domain, centers, radii, ws, mus)
+    t_dom = _domain_exit(domain, ws, mus)  # domain window measured from w
+    budget = 2.0 * radii
     t_enter = _least(_least(t_enter, budget), t_dom)
     t_end = _least(_least(budget, t_exit), t_dom)
-    return w + t_enter[:, None] * mus, _greatest(0.0, t_end - t_enter)
+    return ws + t_enter[:, None] * mus, _greatest(0.0, t_end - t_enter)
 
 
 class _Traces(NamedTuple):
@@ -903,7 +940,8 @@ def _trace(mset: MeasurableSet, origins: np.ndarray, mus: np.ndarray,
     # cuts of one segment are dropped next, and a stable sort on small
     # integer keys is a radix sort
     order = np.argsort(t)
-    order = order[np.argsort(owner[order].astype(np.int16), kind="stable")]
+    key = np.int16 if len(mus) <= np.iinfo(np.int16).max else np.int64
+    order = order[np.argsort(owner[order].astype(key), kind="stable")]
     t, owner = t[order], owner[order]
     fresh = np.ones(len(t), dtype=bool)
     fresh[1:] = (t[1:] != t[:-1]) | (owner[1:] != owner[:-1])
@@ -937,14 +975,6 @@ def _trace(mset: MeasurableSet, origins: np.ndarray, mus: np.ndarray,
     return _Traces(starts, ends, owner, np.cumsum(rows, axis=1)[:, -1])
 
 
-def restrict_to_segment(mset: MeasurableSet, seg: Segment) -> IntervalSet:
-    """Exact 1D trace of the mask along the segment: the one-segment case of
-    the fan trace `best_ray_interval` takes."""
-    origin = np.asarray(seg.origin, dtype=float)[None, :]
-    mu = np.asarray(seg.direction, dtype=float)[None, :]
-    return _trace(mset, origin, mu, np.array([seg.t_max], dtype=float)).intervals(0)
-
-
 def ray_directions(dimension: int) -> np.ndarray:
     """The fixed direction fan: both axis directions in d=1, an evenly
     spaced fan of N_DIRECTIONS_2D angles in d=2."""
@@ -960,27 +990,65 @@ def best_ray_interval(ball: Ball, mset: MeasurableSet, w: np.ndarray) -> tuple[S
     Downstream bounds consume the returned measured trace, not the
     spherical-average floor |B ∩ E| / (|S^{d-1}| (2r)^{d-1}).
     """
-    grid = mset.grid
-    domain = grid.domain
-    w = np.asarray(w, dtype=float)
-    if not bool(domain.contains(w)):
+    (found,) = _best_rays([ball], mset, [w])
+    if isinstance(found, ResolutionError):
+        raise found
+    return found
+
+
+def best_ray_intervals(
+    balls: Sequence[Ball], mset: MeasurableSet, origins: Sequence[np.ndarray]
+) -> list[tuple[Segment, IntervalSet] | ResolutionError]:
+    """`best_ray_interval` for each ball and ray origin, with the
+    `ResolutionError` it raises in place of the result where no direction
+    meets the set.  On a 1D grid the fans of every ball are traced in one
+    `_trace` call; a 2D grid traces one fan at a time."""
+    if mset.grid.dimension == 1:
+        return _best_rays(balls, mset, origins)
+    found = []
+    for ball, w in zip(balls, origins):
+        try:
+            found.append(best_ray_interval(ball, mset, w))
+        except ResolutionError as exc:
+            found.append(exc)
+    return found
+
+
+def _best_rays(
+    balls: Sequence[Ball], mset: MeasurableSet, origins: Sequence[np.ndarray]
+) -> list[tuple[Segment, IntervalSet] | ResolutionError]:
+    """The best direction of each ball's fan through its origin, as
+    `best_ray_intervals` gives it, with every fan traced at once.  Within a
+    fan the first direction wins a tie."""
+    domain = mset.grid.domain
+    ws = np.array(origins, dtype=float).reshape(len(balls), -1)
+    centers = np.array([ball.center for ball in balls], dtype=float).reshape(ws.shape)
+    radii = np.array([ball.radius for ball in balls], dtype=float)
+    if not np.all(domain.contains(ws)):
         raise ConfigError("ray origin must lie in the domain")
-    if float(domain.distance(w, np.asarray(ball.center))) > 2.0 * ball.radius + 1e-12:
+    if not np.all(domain.distance(ws, centers) <= 2.0 * radii + 1e-12):  # NaN too
         raise ConfigError("ray origin too far from the ball")
 
+    # one row per segment: every ball's fan, ball after ball
     mus = ray_directions(domain.dimension)
-    origins, t_max = _fan_segments(domain, ball, w, mus)
-    traces = _trace(mset, origins, mus, t_max)
-    best, best_total = 0, traces.totals[0]
-    for k, total in enumerate(traces.totals):  # first wins a tie
-        if total > best_total + 1e-15:
-            best, best_total = k, total
-    if best_total <= 0.0:
-        raise ResolutionError(
-            "no sampled direction meets the set; refine the grid or the fan"
-        )
-    seg = Segment(tuple(origins[best]), tuple(mus[best]), float(t_max[best]))
-    return seg, traces.intervals(best)
+    directions = np.tile(mus, (len(balls), 1))
+    starts, t_max = _fan_segments(
+        domain, *(np.repeat(a, len(mus), axis=0) for a in (centers, radii, ws)), directions)
+    traces = _trace(mset, starts, directions, t_max)
+    found: list[tuple[Segment, IntervalSet] | ResolutionError] = []
+    for first in range(0, len(t_max), len(mus)):
+        best, best_total = first, traces.totals[first]
+        for k in range(first, first + len(mus)):  # first wins a tie
+            if traces.totals[k] > best_total + 1e-15:
+                best, best_total = k, traces.totals[k]
+        if best_total <= 0.0:
+            found.append(ResolutionError(
+                "no sampled direction meets the set; refine the grid or the fan"
+            ))
+            continue
+        seg = Segment(tuple(starts[best]), tuple(directions[best]), float(t_max[best]))
+        found.append((seg, traces.intervals(best)))
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -14,15 +14,23 @@ from obscert.geometry import (
     Segment,
     attach_mask,
     best_ray_interval,
+    best_ray_intervals,
     chain_of_balls,
     cover_count_bound,
     cover_domain,
     densest_ball,
     ray_directions,
     read_mask_raster,
-    restrict_to_segment,
     write_mask_raster,
 )
+
+
+def restrict_to_segment(mset, seg):
+    """Exact 1D trace of the mask along the segment: the one-segment case of
+    the fan trace `best_ray_interval` takes."""
+    origin = np.asarray(seg.origin, dtype=float)[None, :]
+    mu = np.asarray(seg.direction, dtype=float)[None, :]
+    return geometry._trace(mset, origin, mu, np.array([seg.t_max], dtype=float)).intervals(0)
 
 
 def intersection_cells(mset, ball):
@@ -303,6 +311,18 @@ def test_best_ray_origin_outside_ball():
     assert seg.origin[0] == pytest.approx(0.4, abs=1e-12)
     # budget 2r = 0.2 from w reaches 0.55; the ball spans up to 0.6
     assert trace.total == pytest.approx(0.15, abs=2 * grid.h)
+
+
+def test_best_ray_rejects_an_origin_too_far_or_not_finite():
+    grid = Grid(Domain.torus([1.0]), (256,))
+    e = MeasurableSet.full(grid)
+    ball = Ball.at([0.5], 0.1)
+    with np.errstate(invalid="ignore"):  # the torus offset of an infinite origin
+        for w in (0.75, math.inf, math.nan):
+            with pytest.raises(ConfigError, match="too far from the ball"):
+                best_ray_interval(ball, e, np.array([w]))
+            with pytest.raises(ConfigError, match="too far from the ball"):
+                best_ray_intervals([ball, ball], e, [np.array([0.5]), np.array([w])])
 
 
 def test_best_ray_rejects_all_zero():
@@ -654,6 +674,21 @@ def test_torus_periodic_distance():
     t = Domain.torus([1.0])
     assert float(t.distance(np.array([0.05]), np.array([0.95]))) == pytest.approx(0.1)
     assert t.diameter == pytest.approx(0.5)
+
+
+def test_torus_distance_reduces_offsets_of_more_than_a_period():
+    t = Domain.torus([1.0])
+    assert float(t.distance(np.array([0.05]), np.array([2.3]))) == 0.25
+    assert float(t.distance(np.array([2.3]), np.array([0.05]))) == 0.25
+    assert float(t.distance(np.array([-3.7]), np.array([0.2]))) == pytest.approx(0.1)
+    flat = Domain.torus([1.0, 2.0])
+    assert float(flat.distance(np.array([0.0, 0.0]), np.array([3.0, 5.5]))) == 0.5
+    # an offset below the period is the one it was before the reduction
+    grid = Grid(t, (1024,))
+    p, q = grid.points[:, 0], np.linspace(-0.999, 0.999, 1024)
+    d = np.abs(q - p)
+    assert np.array_equal(t.distance(p[:, None], q[:, None]), np.minimum(d, 1.0 - d))
+    assert np.array_equal(grid._axis_offsets(0, q, p), np.minimum(d, 1.0 - d) ** 2)
 
 
 def test_torus_ray_wraps():
