@@ -22,10 +22,10 @@ from .geometry import (
     IntervalSet,
     MeasurableSet,
     Segment,
-    best_ray_interval,
+    best_ray_intervals,
     chain_of_balls,
     cover_domain,
-    densest_ball,
+    densest_cover_balls,
     read_mask_raster,
     write_mask_raster,
 )

@@ -45,7 +45,6 @@ from .functions import (
     UcpCertificate,
 )
 from .geometry import (
-    Ball,
     IntervalSet,
     MeasurableSet,
     Segment,
@@ -578,7 +577,7 @@ class _GeometryRun:
     steps: list[TraceStep] = dc_field(default_factory=list)
     error: InfeasibleError | ResolutionError | None = None
     rho: float = math.nan
-    ball: Ball | None = None
+    center: np.ndarray | None = None  # of the densest cover ball
     w: np.ndarray | None = None
     sup_ball_rho: float = math.nan
     sup_ball_rhat: float = math.nan  # the chain end's ball sup, when a doubling run asks
@@ -625,8 +624,8 @@ def _run_geometry(p: _Problem, runs: Sequence[_GeometryRun],
     if not standing:
         return
 
-    def pigeonhole(g: _GeometryRun, densest: tuple[int, Ball, float]) -> None:
-        count, g.ball, inter = densest
+    def pigeonhole(g: _GeometryRun, densest: tuple[int, np.ndarray, float]) -> None:
+        count, g.center, inter = densest
         _put(
             g.steps, "cover",
             {"r": g.r, "diameter": domain.diameter, "dimension": float(domain.dimension)},
@@ -643,7 +642,7 @@ def _run_geometry(p: _Problem, runs: Sequence[_GeometryRun],
     standing = _each(standing, pigeonhole, densest_cover_balls(mset, [g.r for g in standing]))
     if not standing:
         return
-    centers = [g.ball.center for g in standing]
+    centers = np.array([g.center for g in standing])
     r_hats = [] if dc is None else [hat_radius(dc, g.rho)[0] for g in standing]
     sups, maxima = p.field.sup_balls(centers, [g.rho for g in standing], r_hats)
     for g, sup_rhat in zip(standing, maxima):
@@ -651,7 +650,7 @@ def _run_geometry(p: _Problem, runs: Sequence[_GeometryRun],
 
     def near_max(g: _GeometryRun, sup: SupResult) -> None:
         g.sup_ball_rho, g.w = sup
-        x = np.asarray(g.ball.center)
+        x = g.center
         x_val = float(np.abs(f.evaluate(x)))
         if x_val > g.sup_ball_rho:  # the ball's own centre competes with its cells
             g.sup_ball_rho, g.w = x_val, x
@@ -702,8 +701,9 @@ def _run_geometry(p: _Problem, runs: Sequence[_GeometryRun],
             "sigma": gc.sigma,
         }
 
-    _each(standing, interpolation,
-          best_ray_intervals([g.ball for g in standing], mset, [g.w for g in standing]))
+    rays = best_ray_intervals(np.array([g.center for g in standing]), [g.r for g in standing],
+                              mset, [g.w for g in standing])
+    _each(standing, interpolation, rays)
 
 
 def _proof_tail(
@@ -750,7 +750,7 @@ def _doubling_run(
     n, steps = geo.n, geo.steps
     exponent = dc.log2_kappa / (n + 1)
     chain = chain_of_balls(
-        p.grid.domain, p.x_bar, np.asarray(geo.ball.center), hat_radius(dc, geo.rho)[0]
+        p.grid.domain, p.x_bar, geo.center, hat_radius(dc, geo.rho)[0]
     )
     prop = propagate_doubling(dc, geo.rho, chain)
 

@@ -437,11 +437,10 @@ class GridField:
         """The field's maximum over each block of a 2D grid."""
         return self.grid.block_reduce(np.maximum, self.values)
 
-    def ball_maxima(self, centers, radii: Sequence[float]) -> list:
-        """Max over the cells of each ball of the given radii about `centers`;
-        -1 for a ball that holds no interior cell.  For one centre, shaped
-        (d,), a list over the radii; for centres shaped (k, d), a list of
-        such lists.
+    def ball_maxima(self, centers, radii: Sequence[float]) -> np.ndarray:
+        """Max over the cells of the ball about each of `centers`, shaped
+        (k, d), of each of `radii`, shaped (k, len(radii)); -1 for a ball
+        that holds no interior cell.
 
         A 1D ball is a run of cells (`Grid.line_runs`), and its maximum two
         lookups in a sparse table (`_run_maxima`).  In 2D the maximum starts
@@ -449,16 +448,14 @@ class GridField:
         descending order of their maxima, testing their cells, until a
         block's maximum cannot beat the best value so far.
         """
-        points = self.grid._centers(centers)
-        flat = points.reshape(-1, self.grid.dimension)
+        centers = self.grid._centers(centers)
+        shape = (len(centers), len(radii))
         if self.grid.dimension == 1:
-            x = np.repeat(flat[:, 0], len(radii))
-            r = np.tile(np.asarray(radii, dtype=float), len(flat))
-            maxima = self._run_maxima(*self.grid.line_runs(x, r))
-        else:
-            maxima = np.array([[self._block_walk(bb) for bb in self.grid.ball_blocks(c, radii)]
-                               for c in flat])
-        return maxima.reshape(points.shape[:-1] + (len(radii),)).tolist()
+            x = np.repeat(centers[:, 0], len(radii))
+            r = np.tile(np.asarray(radii, dtype=float), len(centers))
+            return self._run_maxima(*self.grid.line_runs(x, r)).reshape(shape)
+        return np.array([[self._block_walk(bb) for bb in self.grid.ball_blocks(c, radii)]
+                         for c in centers]).reshape(shape)
 
     def _run_maxima(self, start: np.ndarray, count: np.ndarray) -> np.ndarray:
         """The maximum over each run of `count` cells from `start` of a 1D
@@ -504,42 +501,44 @@ class GridField:
         in_ball = np.sqrt(ox[r:r + BLOCK, None] + oy[c:c + BLOCK]) <= bb.radius
         return np.where(in_ball, self.values[r:r + BLOCK, c:c + BLOCK], -1.0), r, c
 
-    def sup_ball(self, center: Sequence[float], radius: float) -> SupResult:
-        """The ball's maximum with the centre of the first cell, in row-major
-        order, attaining it; (-1, None) for a ball with no interior cell.  In
-        2D only the blocks of the ball whose maximum reaches it can hold it."""
-        if self.grid.dimension == 1:
-            (sup,), _ = self.sup_balls([center], [radius])
-            return sup
-        (bb,) = self.grid.ball_blocks(center, [radius])
-        best = self._block_walk(bb)
-        if best < 0.0:
-            return SupResult(best, None)
-        firsts = []
-        for bi, bj in zip(*((bb.inside | bb.boundary) & (self.block_max >= best)).nonzero()):
-            block, r, c = self._block_values(bb, bi, bj)
-            i, j = np.nonzero(block == best)
-            firsts.extend(zip(r + i[:1], c + j[:1]))  # the block's first hit, if any
-        return SupResult(best, self.grid.points[min(firsts)])
-
     def sup_balls(
         self, centers, radii: Sequence[float], maxima_radii: Sequence[float] = ()
     ) -> tuple[list[SupResult], list[float]]:
-        """`sup_ball(centers[k], radii[k])` for each k; and, for each k below
-        len(maxima_radii), the maximum `ball_maxima` gives over the ball about
-        centers[k] of radius maxima_radii[k].  A 2D grid takes one ball at a
-        time.
+        """For the ball about each of `centers`, shaped (k, d), of the
+        matching one of `radii`: its maximum with the centre of the first
+        cell, in row-major order, attaining it, or (-1, None) for a ball with
+        no interior cell.  And, for each k below len(maxima_radii), the
+        maximum `ball_maxima` gives over the ball about centers[k] of radius
+        maxima_radii[k].
 
         On a 1D grid every ball is one run of a single `Grid.line_runs` call,
         and each maximum is read from the sparse table (`_run_maxima`).  The
         cell attaining a `radii` ball's maximum is the first in index order:
         the lowest cell of the run holding the maximum, so a run that wraps
-        reads cells 0, 1, ... first.
+        reads cells 0, 1, ... first.  A 2D grid takes one centre at a time,
+        with one `Grid.ball_blocks` call for both of its balls; only the
+        ball's blocks whose own maximum reaches the ball's can hold the first
+        cell attaining it.
         """
-        if self.grid.dimension != 1:
-            return ([self.sup_ball(c, r) for c, r in zip(centers, radii)],
-                    [self.ball_maxima(c, [r])[0] for c, r in zip(centers, maxima_radii)])
-        x = np.array([self.grid._center(c)[0] for c in centers])
+        centers = self.grid._centers(centers)
+        if self.grid.dimension == 2:
+            sups, maxima = [], []
+            for k, center in enumerate(centers):
+                bb, *rest = self.grid.ball_blocks(center, [radii[k], *maxima_radii[k:k + 1]])
+                maxima += [self._block_walk(b) for b in rest]
+                best = self._block_walk(bb)
+                if best < 0.0:
+                    sups.append(SupResult(best, None))
+                    continue
+                firsts = []
+                reaching = (bb.inside | bb.boundary) & (self.block_max >= best)
+                for bi, bj in zip(*reaching.nonzero()):
+                    block, r, c = self._block_values(bb, bi, bj)
+                    i, j = np.nonzero(block == best)
+                    firsts.extend(zip(r + i[:1], c + j[:1]))  # the block's first hit, if any
+                sups.append(SupResult(best, self.grid.points[min(firsts)]))
+            return sups, maxima
+        x = centers[:, 0]
         k, m, n = len(radii), len(maxima_radii), self.values.size
         start, count = self.grid.line_runs(
             np.concatenate((x, x[:m])), np.concatenate((radii, maxima_radii)).astype(float))
@@ -553,6 +552,7 @@ class GridField:
         sups = [SupResult(float(v), self.grid.points[c] if v >= 0.0 else None)
                 for v, c in zip(best, lowest)]
         return sups, maxima[k:].tolist()
+
 
 def _domain_field(f: FunctionModel, domain: Domain, grid: Grid) -> GridField:
     """The shared field of f on `grid`, for a caller that names the grid's
@@ -572,7 +572,7 @@ def sup_norm(f: FunctionModel, region, grid: Grid) -> SupResult:
         return GridField.of(f, grid).sup_mask(region.mask)
     if not isinstance(region, Ball):
         raise ConfigError(f"unsupported region type {type(region).__name__}")
-    res = GridField.of(f, grid).sup_ball(region.center, region.radius)
+    (res,), _ = GridField.of(f, grid).sup_balls([region.center], [region.radius])
     if res.value < 0.0:
         raise InfeasibleError("region contains no grid sample points")
     return res
@@ -791,7 +791,7 @@ def _doubling_estimate(
     distinct = sorted(set(radii) | {2.0 * r for r in radii})
 
     centers = np.atleast_2d(centers)
-    maxima = np.array(grid_field.ball_maxima(centers, distinct)).reshape(len(centers), -1)
+    maxima = grid_field.ball_maxima(centers, distinct)
     column = {r: i for i, r in enumerate(distinct)}
     inner = maxima[:, [column[r] for r in radii]]
     outer = maxima[:, [column[2.0 * r] for r in radii]]

@@ -225,25 +225,16 @@ class Grid:
             idx.append(i)
         return tuple(idx)
 
-    def _center(self, center: Sequence[float]) -> np.ndarray:
-        """A ball centre as an array, rejected unless it has one coordinate
-        per axis: every ball query and `ball_field` read it through here."""
-        c = np.asarray(center, dtype=float)
-        if c.shape != (self.dimension,):
-            raise ConfigError(f"ball centre {c.tolist()} needs {self.dimension} coordinates")
-        return c
-
     def _centers(self, centers) -> np.ndarray:
-        """Ball centres as an array shaped (k, d), or one centre shaped (d,);
-        the first centre without one coordinate per axis is rejected as
-        `_center` rejects it."""
+        """Ball centres as an array shaped (k, d), rejected unless each has
+        one coordinate per axis: every ball query reads its centres through
+        here."""
         try:
             c = np.asarray(centers, dtype=float)
         except ValueError:  # centres of unequal length
             c = None
-        if c is None or c.ndim not in (1, 2) or c.shape[-1] != self.dimension:
-            for center in (centers if c is None or c.ndim == 2 else [centers]):
-                self._center(center)
+        if c is None or c.ndim != 2 or c.shape[1] != self.dimension:
+            raise ConfigError(f"every ball centre needs {self.dimension} coordinates")
         return c
 
     def _squared_offsets(self, center: Sequence[float]) -> list[np.ndarray]:
@@ -251,8 +242,8 @@ class Grid:
         wrapped per axis on the torus.  Summed in axis order, as
         ``Domain.distance`` sums them, their root is that distance bit for
         bit."""
-        return [self._axis_offsets(axis, c, self.axis_centers[axis])
-                for axis, c in enumerate(self._center(center))]
+        (c,) = self._centers([center])
+        return [self._axis_offsets(axis, x, self.axis_centers[axis]) for axis, x in enumerate(c)]
 
     def _axis_offsets(self, axis: int, coord, cell_centers: np.ndarray) -> np.ndarray:
         """The squared offsets along `axis` of the given cell centres from the
@@ -354,7 +345,7 @@ class Grid:
 
     def ball_field(self, ball: "Ball") -> np.ndarray:
         """Boolean field: interior cells whose centre lies in the ball."""
-        dist = self.domain.distance(self.points, self._center(ball.center))
+        dist = self.domain.distance(self.points, self._centers([ball.center])[0])
         return (dist <= ball.radius) & self.interior
 
 
@@ -376,6 +367,10 @@ class BallBlocks(NamedTuple):
 
 @dataclass(frozen=True)
 class Ball:
+    """A ball as a region: what `MeasurableSet.from_ball`, `Grid.ball_field`
+    and `sup_norm` take.  The geometric stages take arrays of centres and
+    radii instead."""
+
     center: tuple[float, ...]
     radius: float
 
@@ -577,16 +572,18 @@ class IntervalSet:
 # Covering (ball lattice)
 # ---------------------------------------------------------------------------
 
-def cover_domain(domain: Domain, r: float) -> list[Ball]:
-    """Lattice of radius-r balls covering the domain.
+def cover_domain(domain: Domain, r: float) -> np.ndarray:
+    """Centres, shaped (k, d), of a lattice of radius-r balls covering the
+    domain.
 
     Lattice spacing is r/sqrt(d) so a whole grid cube of that side fits in
     one ball; every point of the domain is then within r/2 of some centre.
-    Centres falling outside a disk are projected back inside (projection onto
-    a convex set is 1-Lipschitz, so coverage is preserved), keeping the
-    cardinality under the certified per-axis bound.
+    On a disk, cubes that do not meet the disk are left out, and centres
+    falling outside it are projected back inside (projection onto a convex
+    set is 1-Lipschitz, so coverage is preserved), keeping the cardinality
+    under the certified per-axis bound.
     """
-    if r <= 0:
+    if not r > 0:  # NaN too
         raise ConfigError("cover radius must be positive")
     d = domain.dimension
     spacing = r / math.sqrt(d)
@@ -594,24 +591,18 @@ def cover_domain(domain: Domain, r: float) -> list[Ball]:
     for ext in domain.extent:
         m = max(1, math.ceil(ext / spacing))
         axes.append((np.arange(m) + 0.5) * (ext / m))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    centers = np.stack(mesh, axis=-1).reshape(-1, d)
-    half = np.array([ext / max(1, math.ceil(ext / spacing)) / 2.0 for ext in domain.extent])
-
-    balls: list[Ball] = []
-    for c in centers:
-        if domain.kind == "disk":
-            # skip lattice cubes that do not meet the disk at all
-            corner = np.abs(c - domain.center)
-            nearest = np.maximum(corner - half, 0.0)
-            if np.linalg.norm(nearest) > domain.radius:
-                continue
-            off = c - domain.center
-            dist = np.linalg.norm(off)
-            if dist > domain.radius:
-                c = domain.center + off * (domain.radius * (1 - 1e-12) / dist)
-        balls.append(Ball.at(c, r))
-    return balls
+    centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    if domain.kind == "disk":
+        half = np.array([ext / len(axis) / 2.0 for ext, axis in zip(domain.extent, axes)])
+        off = centers - domain.center
+        nearest = np.maximum(np.abs(off) - half, 0.0)  # the cube's point nearest the centre
+        meets = np.sqrt(np.vecdot(nearest, nearest)) <= domain.radius
+        centers, off = centers[meets], off[meets]
+        dist = np.sqrt(np.vecdot(off, off))
+        out = dist > domain.radius
+        scale = domain.radius * (1 - 1e-12) / dist[out]
+        centers[out] = domain.center + off[out] * scale[:, None]
+    return centers
 
 
 def cover_count_bound(domain: Domain, r: float) -> int:
@@ -621,6 +612,8 @@ def cover_count_bound(domain: Domain, r: float) -> int:
     On the torus the fundamental-domain extent replaces the (smaller)
     periodic diameter, since the lattice must still span a full period.
     """
+    if not r > 0:  # NaN too
+        raise ConfigError("cover radius must be positive")
     d = domain.dimension
     span = max(domain.extent) if domain.kind == "torus" else domain.diameter
     per_axis = math.floor(span * math.sqrt(d) / r) + 1
@@ -635,8 +628,8 @@ def cover_count_bound(domain: Domain, r: float) -> int:
 _PAIRS_PER_CHUNK = 1 << 16
 
 
-def _row_counts(mset: MeasurableSet, cover: Sequence[Ball]) -> np.ndarray:
-    """|B ∩ E| in cells for each ball of the cover on a 2D grid.
+def _row_counts(mset: MeasurableSet, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """|B ∩ E| in cells for each ball on a 2D grid.
 
     A ball meets each row of the grid in one run of columns: along a row the
     squared column offset falls and then rises (on the torus, over the
@@ -656,13 +649,11 @@ def _row_counts(mset: MeasurableSet, cover: Sequence[Ball]) -> np.ndarray:
     (n0, n1), h = grid.cells, grid.h
     torus = grid.domain.kind == "torus"
     prefix = mset.row_prefix
-    radii = np.array([b.radius for b in cover], dtype=float)
-    centers = grid._centers([b.center for b in cover])
     reach = int(min(np.ceil(radii.max() / h), n0))
     band = min(2 * reach + 3, n0)
-    counts = np.zeros(len(cover), dtype=np.int64)
+    counts = np.zeros(len(centers), dtype=np.int64)
     per_chunk = max(1, _PAIRS_PER_CHUNK // band)
-    for first_ball in range(0, len(cover), per_chunk):
+    for first_ball in range(0, len(centers), per_chunk):
         part = slice(first_ball, first_ball + per_chunk)
         first_row = np.floor(centers[part, 0] / h).astype(np.int64) - reach - 1
         if not torus:  # shifted inside the box, the band still holds every row reached
@@ -731,62 +722,52 @@ def _settle_runs(passes, lo: np.ndarray, hi: np.ndarray, left: np.ndarray,
         params = tuple(p[moved] for p in params)
 
 
-def densest_ball(mset: MeasurableSet, cover: Sequence[Ball]) -> tuple[Ball, float]:
-    """Cover ball maximising |B ∩ E|; ties break on the lowest cover index.
-
-    The returned intersection measure satisfies the pigeonhole floor
-    |B ∩ E| >= |E| / len(cover) exactly in cell counts, provided the cover
-    covers every true cell.
-    """
-    if mset.cell_count == 0:
-        raise InfeasibleError("densest_ball requires a set of positive measure")
-    if not cover:
-        raise ConfigError("empty cover")
+def _ball_counts(mset: MeasurableSet, centers, radii) -> np.ndarray:
+    """|B ∩ E| in cells for the ball about each of `centers`, shaped (k, d),
+    of the matching one of `radii`: from `_line_counts` on a 1D grid and from
+    `_row_counts` on a 2D one."""
     grid = mset.grid
-    counts = _line_counts(mset, cover) if grid.dimension == 1 else _row_counts(mset, cover)
-    best = int(np.argmax(counts))  # the first of the largest counts
-    return cover[best], int(counts[best]) * grid.h ** grid.dimension
+    count = _line_counts if grid.dimension == 1 else _row_counts
+    return count(mset, grid._centers(centers), np.asarray(radii, dtype=float))
+
+
+def _line_counts(mset: MeasurableSet, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """|B ∩ E| in cells for each ball on a 1D grid: each ball is a run of
+    cells (`Grid.line_runs`), counted as a difference of the row prefix."""
+    start, count = mset.grid.line_runs(centers[:, 0], radii)
+    (prefix,) = mset.row_prefix
+    return prefix[start + count] - prefix[start]
 
 
 def densest_cover_balls(
     mset: MeasurableSet, radii: Sequence[float]
-) -> list[tuple[int, Ball, float]]:
+) -> list[tuple[int, np.ndarray, float]]:
     """For each radius, the size of the lattice cover of the domain at that
-    radius (`cover_domain`) and the cover's densest ball with its
-    intersection measure (`densest_ball`).
+    radius (`cover_domain`), the centre of the cover's ball that holds the
+    most cells of the set, the first such ball in cover order, and the
+    measure of its intersection with the set.
 
-    On a 1D grid the balls of every cover are counted in one
-    `Grid.line_runs` call; a 2D grid takes one cover at a time, so that only
-    one cover is held at once.
+    The measure satisfies the pigeonhole floor |B ∩ E| >= |E| / k exactly in
+    cell counts for a cover of k balls, provided the cover covers every true
+    cell.  On a 1D grid the balls of every cover are counted in one call; a
+    2D grid counts one cover per call, since `_row_counts` sizes its row band
+    from the largest radius it is given.
     """
     grid = mset.grid
-    if grid.dimension != 1:
-        found = []
-        for r in radii:
-            cover = cover_domain(grid.domain, r)
-            found.append((len(cover), *densest_ball(mset, cover)))
-        return found
     covers = [cover_domain(grid.domain, r) for r in radii]
     if mset.cell_count == 0:
-        raise InfeasibleError("densest_ball requires a set of positive measure")
-    counts = _line_counts(mset, [ball for cover in covers for ball in cover])
-    found, first = [], 0
-    for cover in covers:
-        part = counts[first:first + len(cover)]
-        best = int(np.argmax(part))  # the first of the largest counts
-        found.append((len(cover), cover[best], int(part[best]) * grid.h ** grid.dimension))
-        first += len(cover)
+        raise InfeasibleError("a densest cover ball requires a set of positive measure")
+    per_call = max(1, len(covers)) if grid.dimension == 1 else 1
+    found = []
+    for first in range(0, len(covers), per_call):
+        chunk = covers[first:first + per_call]
+        sizes = [len(cover) for cover in chunk]
+        counts = _ball_counts(mset, np.concatenate(chunk),
+                              np.repeat(radii[first:first + per_call], sizes))
+        for cover, part in zip(chunk, np.split(counts, np.cumsum(sizes)[:-1])):
+            best = int(np.argmax(part))  # the first of the largest counts
+            found.append((len(cover), cover[best], int(part[best]) * grid.h ** grid.dimension))
     return found
-
-
-def _line_counts(mset: MeasurableSet, balls: Sequence[Ball]) -> np.ndarray:
-    """|B ∩ E| in cells for each ball on a 1D grid: each ball is a run of
-    cells (`Grid.line_runs`), counted as a difference of the row prefix."""
-    grid = mset.grid
-    centers = grid._centers([b.center for b in balls])
-    start, count = grid.line_runs(centers[:, 0], np.array([b.radius for b in balls]))
-    (prefix,) = mset.row_prefix
-    return prefix[start + count] - prefix[start]
 
 
 # ---------------------------------------------------------------------------
@@ -802,7 +783,7 @@ def chain_of_balls(
     (periodic) segment between the endpoints stays inside the domain and the
     chain can be placed directly on it with K = ceil(dist / (r/2)) steps.
     """
-    if r <= 0:
+    if not r > 0:  # NaN too
         raise ConfigError("chain radius must be positive")
     p_from = np.asarray(p_from, dtype=float)
     p_to = np.asarray(p_to, dtype=float)
@@ -984,70 +965,53 @@ def ray_directions(dimension: int) -> np.ndarray:
     return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
 
 
-def best_ray_interval(ball: Ball, mset: MeasurableSet, w: np.ndarray) -> tuple[Segment, IntervalSet]:
-    """Direction through w whose trace of B ∩ E has the largest 1D measure.
+def best_ray_intervals(
+    centers, radii: Sequence[float], mset: MeasurableSet, origins: Sequence[np.ndarray]
+) -> list[tuple[Segment, IntervalSet] | ResolutionError]:
+    """For the ball about each of `centers`, shaped (k, d), of the matching
+    one of `radii`, the direction of the fan (`ray_directions`) through the
+    matching one of `origins` whose trace of B ∩ E has the largest 1D
+    measure: its segment and trace, or a `ResolutionError` in their place
+    where no direction meets the set.  Within a fan the first direction wins
+    a tie.
 
     Downstream bounds consume the returned measured trace, not the
-    spherical-average floor |B ∩ E| / (|S^{d-1}| (2r)^{d-1}).
+    spherical-average floor |B ∩ E| / (|S^{d-1}| (2r)^{d-1}).  On a 1D grid
+    the fans of every ball are traced in one `_trace` call; a 2D grid traces
+    one fan per call, which is faster there than many fans at once.
     """
-    (found,) = _best_rays([ball], mset, [w])
-    if isinstance(found, ResolutionError):
-        raise found
-    return found
-
-
-def best_ray_intervals(
-    balls: Sequence[Ball], mset: MeasurableSet, origins: Sequence[np.ndarray]
-) -> list[tuple[Segment, IntervalSet] | ResolutionError]:
-    """`best_ray_interval` for each ball and ray origin, with the
-    `ResolutionError` it raises in place of the result where no direction
-    meets the set.  On a 1D grid the fans of every ball are traced in one
-    `_trace` call; a 2D grid traces one fan at a time."""
-    if mset.grid.dimension == 1:
-        return _best_rays(balls, mset, origins)
-    found = []
-    for ball, w in zip(balls, origins):
-        try:
-            found.append(best_ray_interval(ball, mset, w))
-        except ResolutionError as exc:
-            found.append(exc)
-    return found
-
-
-def _best_rays(
-    balls: Sequence[Ball], mset: MeasurableSet, origins: Sequence[np.ndarray]
-) -> list[tuple[Segment, IntervalSet] | ResolutionError]:
-    """The best direction of each ball's fan through its origin, as
-    `best_ray_intervals` gives it, with every fan traced at once.  Within a
-    fan the first direction wins a tie."""
     domain = mset.grid.domain
-    ws = np.array(origins, dtype=float).reshape(len(balls), -1)
-    centers = np.array([ball.center for ball in balls], dtype=float).reshape(ws.shape)
-    radii = np.array([ball.radius for ball in balls], dtype=float)
+    centers = mset.grid._centers(centers)
+    radii = np.asarray(radii, dtype=float)
+    ws = np.array(origins, dtype=float).reshape(len(centers), -1)
     if not np.all(domain.contains(ws)):
         raise ConfigError("ray origin must lie in the domain")
     if not np.all(domain.distance(ws, centers) <= 2.0 * radii + 1e-12):  # NaN too
         raise ConfigError("ray origin too far from the ball")
 
-    # one row per segment: every ball's fan, ball after ball
     mus = ray_directions(domain.dimension)
-    directions = np.tile(mus, (len(balls), 1))
-    starts, t_max = _fan_segments(
-        domain, *(np.repeat(a, len(mus), axis=0) for a in (centers, radii, ws)), directions)
-    traces = _trace(mset, starts, directions, t_max)
+    per_call = max(1, len(centers)) if domain.dimension == 1 else 1
     found: list[tuple[Segment, IntervalSet] | ResolutionError] = []
-    for first in range(0, len(t_max), len(mus)):
-        best, best_total = first, traces.totals[first]
-        for k in range(first, first + len(mus)):  # first wins a tie
-            if traces.totals[k] > best_total + 1e-15:
-                best, best_total = k, traces.totals[k]
-        if best_total <= 0.0:
-            found.append(ResolutionError(
-                "no sampled direction meets the set; refine the grid or the fan"
-            ))
-            continue
-        seg = Segment(tuple(starts[best]), tuple(directions[best]), float(t_max[best]))
-        found.append((seg, traces.intervals(best)))
+    for first in range(0, len(centers), per_call):
+        # one row per segment: every ball's fan, ball after ball
+        balls = slice(first, first + per_call)
+        directions = np.tile(mus, (len(radii[balls]), 1))
+        starts, t_max = _fan_segments(
+            domain, *(np.repeat(a[balls], len(mus), axis=0) for a in (centers, radii, ws)),
+            directions)
+        traces = _trace(mset, starts, directions, t_max)
+        for fan in range(0, len(t_max), len(mus)):
+            best, best_total = fan, traces.totals[fan]
+            for k in range(fan, fan + len(mus)):  # first wins a tie
+                if traces.totals[k] > best_total + 1e-15:
+                    best, best_total = k, traces.totals[k]
+            if best_total <= 0.0:
+                found.append(ResolutionError(
+                    "no sampled direction meets the set; refine the grid or the fan"
+                ))
+                continue
+            seg = Segment(tuple(starts[best]), tuple(directions[best]), float(t_max[best]))
+            found.append((seg, traces.intervals(best)))
     return found
 
 

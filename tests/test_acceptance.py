@@ -41,7 +41,7 @@ from obscert.geometry import (
     Grid,
     MeasurableSet,
     cover_domain,
-    densest_ball,
+    densest_cover_balls,
 )
 from obscert.interp import NodeSet, poly_sup_bound, remainder_bound, lagrange_eval
 from obscert.logspace import LOG2, log_add, log_factorial
@@ -284,10 +284,10 @@ def test_criterion_3_pigeonhole_exactness():
         for _ in range(trials):
             mset = MeasurableSet.random(grid, float(rng.uniform(0.01, 0.6)), rng)
             r = float(rng.uniform(0.07, 0.5))
-            cover = cover_domain(grid.domain, r)
-            _, inter = densest_ball(mset, cover)
+            ((count, _, inter),) = densest_cover_balls(mset, [r])
+            assert count == len(cover_domain(grid.domain, r))
             best_cells = round(inter / grid.h ** dim)
-            assert best_cells * len(cover) >= mset.cell_count  # exact, integers
+            assert best_cells * count >= mset.cell_count  # exact, integers
             checked += 1
     assert checked == 1000
     _pass(3, "1000 random masks/covers, pigeonhole floor exact in cell counts")

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obscert.functions import FunctionModel, GridField
-from obscert.geometry import Ball, Domain, Grid, MeasurableSet, densest_ball
+from obscert.geometry import Ball, Domain, Grid, MeasurableSet, _ball_counts
 
 
 class Steps(FunctionModel):
@@ -87,7 +87,6 @@ def test_ball_queries_equal_full_grid_distance(data):
     vals[~grid.interior] = -1.0
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
     mset = MeasurableSet.from_mask(grid, rng.random(grid.cells) < 0.4)
-    h_d = grid.h ** grid.dimension
 
     balls, dists = [], []
     for _ in range(3):
@@ -97,11 +96,12 @@ def test_ball_queries_equal_full_grid_distance(data):
         radii = [_radius(data.draw, grid, dist) for _ in range(3)]
         masks = [dist <= r for r in radii]
 
-        assert gf.ball_maxima(c, radii) == [float(np.where(m, vals, -1.0).max()) for m in masks]
-        for r, m in zip(radii, masks):
+        assert gf.ball_maxima([c], radii).tolist() == [
+            [float(np.where(m, vals, -1.0).max()) for m in masks]]
+        sups, _ = gf.sup_balls([c] * len(radii), radii)
+        for r, m, (value, point) in zip(radii, masks, sups, strict=True):
             masked = np.where(m, vals, -1.0)
             first = np.unravel_index(int(np.argmax(masked)), grid.cells)
-            value, point = gf.sup_ball(c, r)
             assert value == masked[first]
             if value >= 0.0:
                 assert np.array_equal(point, grid.points[first])
@@ -113,12 +113,8 @@ def test_ball_queries_equal_full_grid_distance(data):
 
     # all centres at once, as the doubling estimate and the UCP check ask
     radii = [ball.radius for ball, _ in balls]
-    assert gf.ball_maxima(np.asarray([ball.center for ball, _ in balls[::3]]), radii) == [
+    assert gf.ball_maxima(np.asarray([ball.center for ball, _ in balls[::3]]), radii).tolist() == [
         [float(np.where(dist <= r, vals, -1.0).max()) for r in radii] for dist in dists]
 
-    if mset.cell_count:
-        for ball, count in balls:
-            assert densest_ball(mset, [ball]) == (ball, count * h_d)
-        counts = [count for _, count in balls]
-        assert densest_ball(mset, [b for b, _ in balls]) == (
-            balls[int(np.argmax(counts))][0], max(counts) * h_d)
+    counts = _ball_counts(mset, [ball.center for ball, _ in balls], radii)
+    assert counts.tolist() == [count for _, count in balls]

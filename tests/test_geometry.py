@@ -12,13 +12,13 @@ from obscert.geometry import (
     IntervalSet,
     MeasurableSet,
     Segment,
+    _ball_counts,
     attach_mask,
-    best_ray_interval,
     best_ray_intervals,
     chain_of_balls,
     cover_count_bound,
     cover_domain,
-    densest_ball,
+    densest_cover_balls,
     ray_directions,
     read_mask_raster,
     write_mask_raster,
@@ -27,10 +27,19 @@ from obscert.geometry import (
 
 def restrict_to_segment(mset, seg):
     """Exact 1D trace of the mask along the segment: the one-segment case of
-    the fan trace `best_ray_interval` takes."""
+    the fan trace `best_ray_intervals` takes."""
     origin = np.asarray(seg.origin, dtype=float)[None, :]
     mu = np.asarray(seg.direction, dtype=float)[None, :]
     return geometry._trace(mset, origin, mu, np.array([seg.t_max], dtype=float)).intervals(0)
+
+
+def best_ray(ball, mset, w):
+    """The best ray of one ball's fan through w, by the batched entry point;
+    the `ResolutionError` it gives in place of a ray is raised."""
+    (found,) = best_ray_intervals([ball.center], [ball.radius], mset, [w])
+    if isinstance(found, ResolutionError):
+        raise found
+    return found
 
 
 def intersection_cells(mset, ball):
@@ -79,35 +88,35 @@ def test_mask_rejects_exterior_true_cells():
 # Covering
 # ---------------------------------------------------------------------------
 
-def coverage_holds(domain, grid, balls):
+def coverage_holds(domain, grid, centers, r):
     pts = grid.points[grid.interior]
     covered = np.zeros(len(pts), dtype=bool)
-    for b in balls:
-        covered |= domain.distance(pts, np.asarray(b.center)) <= b.radius + 1e-12
+    for c in centers:
+        covered |= domain.distance(pts, c) <= r + 1e-12
     return bool(np.all(covered))
 
 
 def test_cover_unit_square_r_half():
     domain = Domain.box([1.0, 1.0])
-    balls = cover_domain(domain, 0.5)
-    assert len(balls) == 9
-    spacing = abs(balls[1].center[1] - balls[0].center[1])
+    centers = cover_domain(domain, 0.5)
+    assert centers.shape == (9, 2)
+    spacing = abs(centers[1][1] - centers[0][1])
     assert spacing == pytest.approx(1.0 / 3.0, rel=1e-12)
-    assert coverage_holds(domain, Grid(domain, (256, 256)), balls)
+    assert coverage_holds(domain, Grid(domain, (256, 256)), centers, 0.5)
 
 
 def test_cover_unit_interval_large_radius():
     domain = Domain.box([1.0])
-    balls = cover_domain(domain, 1.0)
-    assert len(balls) <= 2
-    assert coverage_holds(domain, Grid(domain, (1024,)), balls)
+    centers = cover_domain(domain, 1.0)
+    assert len(centers) <= 2
+    assert coverage_holds(domain, Grid(domain, (1024,)), centers, 1.0)
 
 
 def test_cover_unit_square_r_tenth():
     domain = Domain.box([1.0, 1.0])
-    balls = cover_domain(domain, 0.1)
-    assert len(balls) <= 225
-    assert coverage_holds(domain, Grid(domain, (256, 256)), balls)
+    centers = cover_domain(domain, 0.1)
+    assert len(centers) <= 225
+    assert coverage_holds(domain, Grid(domain, (256, 256)), centers, 0.1)
 
 
 @pytest.mark.parametrize(
@@ -120,10 +129,84 @@ def test_cover_property_random_radii(domain):
     )
     for _ in range(6):
         r = float(rng.uniform(0.05, 0.8))
-        balls = cover_domain(domain, r)
-        assert len(balls) <= cover_count_bound(domain, r)
-        assert coverage_holds(domain, grid, balls)
-        assert bool(np.all(domain.contains(np.array([b.center for b in balls]))))
+        centers = cover_domain(domain, r)
+        assert len(centers) <= cover_count_bound(domain, r)
+        assert coverage_holds(domain, grid, centers, r)
+        assert bool(np.all(domain.contains(centers)))
+
+
+def _cover_reference(domain, r):
+    """The per-ball loop `cover_domain` replaced: one `Ball` per lattice
+    centre, a disk's centres tested and projected one at a time."""
+    d = domain.dimension
+    spacing = r / math.sqrt(d)
+    axes = []
+    for ext in domain.extent:
+        m = max(1, math.ceil(ext / spacing))
+        axes.append((np.arange(m) + 0.5) * (ext / m))
+    mesh = np.meshgrid(*axes, indexing="ij")
+    centers = np.stack(mesh, axis=-1).reshape(-1, d)
+    half = np.array([ext / max(1, math.ceil(ext / spacing)) / 2.0 for ext in domain.extent])
+
+    balls = []
+    for c in centers:
+        if domain.kind == "disk":
+            corner = np.abs(c - domain.center)
+            nearest = np.maximum(corner - half, 0.0)
+            if np.linalg.norm(nearest) > domain.radius:
+                continue
+            off = c - domain.center
+            dist = np.linalg.norm(off)
+            if dist > domain.radius:
+                c = domain.center + off * (domain.radius * (1 - 1e-12) / dist)
+        balls.append(Ball.at(c, r))
+    return balls
+
+
+COVER_GRIDS = [
+    Grid(Domain.box([1.0]), (1024,)),
+    Grid(Domain.torus([1.0]), (1024,)),
+    Grid(Domain.box([1.0, 0.6]), (80, 48)),
+    Grid(Domain.torus([1.0, 1.0]), (64, 64)),
+    Grid(Domain.disk(0.5), (64, 64)),
+]
+
+
+@pytest.mark.parametrize("grid", COVER_GRIDS, ids=lambda g: f"{g.domain.kind}{g.cells}")
+def test_cover_centres_equal_the_per_ball_loop_bit_for_bit(grid):
+    domain, d = grid.domain, grid.dimension
+    top = min(domain.max_ball_radius, domain.diameter)
+    # radii from 2h up, and the radii at which an axis gains a lattice point
+    radii = list(np.geomspace(2.0 * grid.h, top, 300))
+    radii += [math.sqrt(d) * domain.extent[0] / m for m in range(1, 40)]
+    projected = 0
+    for r in radii:
+        r = float(r)
+        got = cover_domain(domain, r)
+        want = np.array([ball.center for ball in _cover_reference(domain, r)]).reshape(-1, d)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), r
+        if domain.kind == "disk":  # edge cubes whose centre was moved inside
+            projected += int(np.any(domain.distance(got, domain.center) > 0.5 * (1 - 1e-9)))
+    if domain.kind == "disk":
+        assert projected > 100
+
+
+@pytest.mark.parametrize("r", [0.0, -0.25, math.nan])
+def test_cover_domain_rejects_a_radius_that_is_not_positive(r):
+    with pytest.raises(ConfigError, match="cover radius must be positive"):
+        cover_domain(Domain.box([1.0, 1.0]), r)
+
+
+@pytest.mark.parametrize("r", [0.0, -0.25, math.nan])
+def test_cover_count_bound_rejects_a_radius_that_is_not_positive(r):
+    with pytest.raises(ConfigError, match="cover radius must be positive"):
+        cover_count_bound(Domain.torus([1.0]), r)
+
+
+@pytest.mark.parametrize("r", [0.0, -0.25, math.nan])
+def test_chain_of_balls_rejects_a_radius_that_is_not_positive(r):
+    with pytest.raises(ConfigError, match="chain radius must be positive"):
+        chain_of_balls(Domain.box([1.0]), np.array([0.2]), np.array([0.7]), r)
 
 
 # ---------------------------------------------------------------------------
@@ -133,15 +216,17 @@ def test_cover_property_random_radii(domain):
 def test_densest_ball_left_half_example():
     grid = unit_interval(1024)
     e = MeasurableSet.from_box(grid, [(0.0, 0.5)])
-    cover = [Ball.at([c], 0.25) for c in (0.125, 0.375, 0.625, 0.875)]
-    ball, inter = densest_ball(e, cover)
+    centers = [[0.125], [0.375], [0.625], [0.875]]
+    counts = _ball_counts(e, centers, [0.25] * 4)
 
     # oracle: enumerate all four intersections by cell counting
-    counts = [intersection_cells(e, b) for b in cover]
-    assert counts == [384, 384, 128, 0]
-    assert ball.center == (0.125,)
+    assert [intersection_cells(e, Ball.at(c, 0.25)) for c in centers] == [384, 384, 128, 0]
+    assert counts.tolist() == [384, 384, 128, 0]
+    best = int(np.argmax(counts))
+    inter = int(counts[best]) * grid.h
+    assert centers[best] == [0.125]
     assert inter == pytest.approx(0.375, abs=0)
-    assert inter >= e.measure / len(cover)
+    assert inter >= e.measure / len(centers)
 
 
 def test_densest_ball_full_domain_ties_to_first():
@@ -150,10 +235,11 @@ def test_densest_ball_full_domain_ties_to_first():
     grid = Grid(Domain.torus([1.0]), (256,))
     e = MeasurableSet.full(grid)
     cover = cover_domain(grid.domain, 0.3)
-    counts = [intersection_cells(e, b) for b in cover]
+    counts = [intersection_cells(e, Ball.at(c, 0.3)) for c in cover]
     assert len(set(counts)) == 1
-    ball, inter = densest_ball(e, cover)
-    assert ball == cover[0]
+    ((count, center, inter),) = densest_cover_balls(e, [0.3])
+    assert count == len(cover)
+    assert np.array_equal(center, cover[0])
     assert inter == pytest.approx(counts[0] * grid.h, abs=0)
 
 
@@ -162,17 +248,19 @@ def test_densest_ball_single_cell():
     mask = np.zeros(grid.cells, dtype=bool)
     mask[200] = True
     e = MeasurableSet(grid, mask)
-    cover = [Ball.at([c], 0.25) for c in (0.125, 0.375, 0.625, 0.875)]
-    ball, inter = densest_ball(e, cover)
+    centers = [[0.125], [0.375], [0.625], [0.875]]
+    counts = _ball_counts(e, centers, [0.25] * 4)
+    assert counts.tolist() == [intersection_cells(e, Ball.at(c, 0.25)) for c in centers]
+    best = int(np.argmax(counts))
     target = grid.axis_centers[0][200]
-    assert abs(ball.center[0] - target) <= 0.25
-    assert inter == pytest.approx(grid.h, abs=0)
+    assert abs(centers[best][0] - target) <= 0.25
+    assert int(counts[best]) * grid.h == pytest.approx(grid.h, abs=0)
 
 
 def test_densest_ball_rejects_empty():
     grid = unit_interval(64)
     with pytest.raises(InfeasibleError):
-        densest_ball(MeasurableSet.empty(grid), [Ball.at([0.5], 0.5)])
+        densest_cover_balls(MeasurableSet.empty(grid), [0.5])
 
 
 def test_a_ball_of_nan_radius_is_rejected():
@@ -187,11 +275,11 @@ def test_a_set_keeps_its_own_read_only_mask():
     mask = np.zeros(grid.cells, dtype=bool)
     mask[3, 3] = True
     e = MeasurableSet(grid, mask)
-    ball = Ball.at([0.5, 0.5], 0.2)
-    assert densest_ball(e, [ball]) == (ball, 0.0)
+    center = [[0.5, 0.5]]
+    assert _ball_counts(e, center, [0.2]).tolist() == [0]
     mask[8, 8] = True
     assert e.cell_count == 1
-    assert densest_ball(e, [ball]) == (ball, 0.0)
+    assert _ball_counts(e, center, [0.2]).tolist() == [0]
     with pytest.raises(ValueError):
         e.mask[8, 8] = True
 
@@ -205,11 +293,10 @@ def test_pigeonhole_exact_random_masks(dim):
         frac = float(rng.uniform(0.02, 0.6))
         e = MeasurableSet.random(grid, frac, rng)
         r = float(rng.uniform(0.08, 0.5))
-        cover = cover_domain(domain, r)
-        _, inter = densest_ball(e, cover)
+        ((count, _, inter),) = densest_cover_balls(e, [r])
         # exact statement in integer cell counts
         best_cells = round(inter / grid.h ** dim)
-        assert best_cells * len(cover) >= e.cell_count
+        assert best_cells * count >= e.cell_count
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +353,7 @@ def test_best_ray_1d_one_sided():
     grid = unit_interval(1024)
     e = MeasurableSet.from_box(grid, [(0.0, 0.25)])
     ball = Ball.at([0.25], 0.25)
-    seg, trace = best_ray_interval(ball, e, np.array([0.0]))
+    seg, trace = best_ray(ball, e, np.array([0.0]))
     assert seg.direction == (1.0,)
     assert trace.total == pytest.approx(0.25, abs=2 * grid.h)
 
@@ -276,7 +363,7 @@ def test_best_ray_full_ball_symmetric():
     r = 0.2
     ball = Ball.at([0.5, 0.5], r)
     e = MeasurableSet.from_ball(grid, ball)
-    seg, trace = best_ray_interval(ball, e, np.array([0.5, 0.5]))
+    seg, trace = best_ray(ball, e, np.array([0.5, 0.5]))
     # rotational symmetry: every direction is optimal up to grid error
     assert trace.total == pytest.approx(r, abs=3 * grid.h)
 
@@ -285,7 +372,7 @@ def test_best_ray_exact_tie_takes_first_direction():
     grid = Grid(Domain.torus([1.0]), (1024,))
     e = MeasurableSet.full(grid)
     ball = Ball.at([0.5], 0.2)
-    seg, trace = best_ray_interval(ball, e, np.array([0.5]))
+    seg, trace = best_ray(ball, e, np.array([0.5]))
     assert seg.direction == (1.0,)
     assert trace.total == pytest.approx(0.2, abs=2 * grid.h)
 
@@ -295,7 +382,7 @@ def test_best_ray_horizontal_strip():
     r = 0.2
     ball = Ball.at([0.5, 0.5], r)
     e = MeasurableSet.from_box(grid, [(0.0, 1.0), (0.5 - r / 8, 0.5 + r / 8)])
-    seg, trace = best_ray_interval(ball, e, np.array([0.5, 0.5]))
+    seg, trace = best_ray(ball, e, np.array([0.5, 0.5]))
     assert abs(seg.direction[0]) == pytest.approx(1.0, abs=1e-12)
     assert trace.total >= r - 3 * grid.h
 
@@ -306,7 +393,7 @@ def test_best_ray_origin_outside_ball():
     grid = unit_interval(1024)
     e = MeasurableSet.full(grid)
     ball = Ball.at([0.5], 0.1)
-    seg, trace = best_ray_interval(ball, e, np.array([0.35]))
+    seg, trace = best_ray(ball, e, np.array([0.35]))
     assert seg.direction == (1.0,)
     assert seg.origin[0] == pytest.approx(0.4, abs=1e-12)
     # budget 2r = 0.2 from w reaches 0.55; the ball spans up to 0.6
@@ -320,9 +407,10 @@ def test_best_ray_rejects_an_origin_too_far_or_not_finite():
     with np.errstate(invalid="ignore"):  # the torus offset of an infinite origin
         for w in (0.75, math.inf, math.nan):
             with pytest.raises(ConfigError, match="too far from the ball"):
-                best_ray_interval(ball, e, np.array([w]))
+                best_ray(ball, e, np.array([w]))
             with pytest.raises(ConfigError, match="too far from the ball"):
-                best_ray_intervals([ball, ball], e, [np.array([0.5]), np.array([w])])
+                best_ray_intervals([ball.center] * 2, [ball.radius] * 2, e,
+                                   [np.array([0.5]), np.array([w])])
 
 
 def test_best_ray_rejects_all_zero():
@@ -330,7 +418,7 @@ def test_best_ray_rejects_all_zero():
     e = MeasurableSet.from_box(grid, [(0.9, 1.0)])
     ball = Ball.at([0.25], 0.2)
     with pytest.raises(ResolutionError):
-        best_ray_interval(ball, e, np.array([0.25]))
+        best_ray(ball, e, np.array([0.25]))
 
 
 def test_restrict_full_and_empty():
@@ -526,7 +614,7 @@ def _segment_reference(domain, ball, w, mu):
 
 
 def _best_ray_reference(ball, mset, w):
-    """The per-direction loop `best_ray_interval` replaces: one segment and
+    """The per-direction loop `best_ray_intervals` replaces: one segment and
     one trace per direction, the first strictly longer trace winning.  Returns
     every direction's trace as well."""
     traces, best, best_total = [], None, 0.0
@@ -612,9 +700,9 @@ def test_fan_matches_the_per_direction_loop(grid, monkeypatch):
         empty_segments += sum(t.intervals == () for t in traces)
         if best_total <= 0.0:
             with pytest.raises(ResolutionError):
-                best_ray_interval(ball, e, w)
+                best_ray(ball, e, w)
             continue
-        seg, got = best_ray_interval(ball, e, w)
+        seg, got = best_ray(ball, e, w)
         assert seg == best[0]
         assert got.intervals == best[1].intervals
         fan = seen[-1]
@@ -635,7 +723,7 @@ def test_fan_that_meets_no_set_cell_raises_2d():
     w = np.asarray(ball.center)
     assert _best_ray_reference(ball, e, w)[1] == 0.0
     with pytest.raises(ResolutionError):
-        best_ray_interval(ball, e, w)
+        best_ray(ball, e, w)
 
 
 def test_fan_makes_one_cell_lookup(monkeypatch):
@@ -649,7 +737,7 @@ def test_fan_makes_one_cell_lookup(monkeypatch):
         return point_to_cell(self, points)
 
     monkeypatch.setattr(Grid, "point_to_cell", counting)
-    best_ray_interval(Ball.at([0.4, 0.5], 0.2), e, np.array([0.45, 0.5]))
+    best_ray(Ball.at([0.4, 0.5], 0.2), e, np.array([0.45, 0.5]))
     assert len(calls) == 1
 
 
@@ -696,7 +784,7 @@ def test_torus_ray_wraps():
     grid = Grid(domain, (1024,))
     e = MeasurableSet.full(grid)
     ball = Ball.at([0.05], 0.2)
-    seg, trace = best_ray_interval(ball, e, np.array([0.05]))
+    seg, trace = best_ray(ball, e, np.array([0.05]))
     assert trace.total == pytest.approx(0.2, abs=3 * grid.h)
 
 

@@ -3,7 +3,8 @@
 `_loop_run_geometry`, `_loop_doubling_run` and `_loop_certify_doubling` are
 the per-degree loop the doubling branches ran before their geometry was
 staged: every degree makes its own cover, densest-ball, ball-sup and
-fan-trace calls, one after another.  Put in place of the staged path, they
+fan-trace calls, one after another, each call of the batched entry points
+taking that one degree.  Put in place of the staged path, they
 give the certificate, or the error, that a staged run must give exactly.
 """
 
@@ -39,11 +40,10 @@ from obscert.geometry import (
     Domain,
     Grid,
     MeasurableSet,
-    best_ray_interval,
+    best_ray_intervals,
     chain_of_balls,
     cover_count_bound,
-    cover_domain,
-    densest_ball,
+    densest_cover_balls,
     ray_directions,
 )
 from obscert.interp import separate_points
@@ -66,29 +66,30 @@ def _loop_run_geometry(p, n, r, steps):
             f"(h = {p.grid.h:.3e})"
         )
 
-    cover = cover_domain(domain, r)
-    ball, inter = densest_ball(mset, cover)
+    ((count, x, inter),) = densest_cover_balls(mset, [r])
     _put(
         steps, "cover",
         {"r": r, "diameter": domain.diameter, "dimension": float(domain.dimension)},
-        {"count": float(len(cover)), "count_bound": float(cover_count_bound(domain, r))},
+        {"count": float(count), "count_bound": float(cover_count_bound(domain, r))},
     )
     _put(
         steps, "pigeonhole-ball",
-        {"set_measure": mset.measure, "cover_count": float(len(cover))},
+        {"set_measure": mset.measure, "cover_count": float(count)},
         {"intersection_measure": inter},
     )
 
-    x = np.asarray(ball.center)
     rho = r / 10.0
-    sup_rho, w = p.field.sup_ball(x, rho)
+    ((sup_rho, w),), _ = p.field.sup_balls([x], [rho])
     x_val = float(np.abs(f.evaluate(x)))
     if x_val > sup_rho:
         sup_rho, w = x_val, x
     if sup_rho <= 0.0:
         raise InfeasibleError("function vanishes on the near-maximiser ball")
 
-    seg, trace_set = best_ray_interval(ball, mset, w)
+    (ray,) = best_ray_intervals([x], [r], mset, [w])
+    if isinstance(ray, ResolutionError):
+        raise ray
+    seg, trace_set = ray
     ell = trace_set.total
     ray = _put(
         steps, "ray-selection",
@@ -117,7 +118,7 @@ def _loop_run_geometry(p, n, r, steps):
         {"n": float(n), "t_max": seg.t_max, "M": gc.M, "delta": gc.delta, "sigma": gc.sigma},
     )["log_coeff"]
     aux = ray | nodes_out | {
-        "cover_count": float(len(cover)),
+        "cover_count": float(count),
         "intersection_measure": inter,
         "r0_eff": p.r0_eff,
         "sup_domain": p.sup_domain,
@@ -126,7 +127,7 @@ def _loop_run_geometry(p, n, r, steps):
         "delta": gc.delta,
         "sigma": gc.sigma,
     }
-    return _GeometryRun(n, r, steps, rho=rho, ball=ball, w=w, sup_ball_rho=sup_rho,
+    return _GeometryRun(n, r, steps, rho=rho, center=x, w=w, sup_ball_rho=sup_rho,
                         log_poly=log_poly, log_remainder_coeff=log_rem_coeff, aux=aux)
 
 
@@ -138,11 +139,11 @@ def _loop_doubling_run(branch, p, dc, n, r, steps):
 
     geo = _loop_run_geometry(p, n, r, steps)
     chain = chain_of_balls(
-        p.grid.domain, p.x_bar, np.asarray(geo.ball.center), hat_radius(dc, geo.rho)[0]
+        p.grid.domain, p.x_bar, geo.center, hat_radius(dc, geo.rho)[0]
     )
     prop = propagate_doubling(dc, geo.rho, chain)
 
-    (sup_rhat,) = p.field.ball_maxima(geo.ball.center, [prop.r_hat])
+    sup_rhat = float(p.field.ball_maxima([geo.center], [prop.r_hat])[0, 0])
     if sup_rhat < 0.0:
         raise InfeasibleError("ball contains no sample points")
     _put(steps, "global-max-slack", {}, {"lhs_log": p.log_sup_domain})
@@ -245,7 +246,7 @@ def _loop_geometry(p, runs, dc=None):
             g.error = exc
             LOOP_FAILURES.append((g.n, str(exc)))
             continue
-        g.rho, g.ball, g.w, g.sup_ball_rho = geo.rho, geo.ball, geo.w, geo.sup_ball_rho
+        g.rho, g.center, g.w, g.sup_ball_rho = geo.rho, geo.center, geo.w, geo.sup_ball_rho
         g.log_poly, g.log_remainder_coeff, g.aux = geo.log_poly, geo.log_remainder_coeff, geo.aux
 
 

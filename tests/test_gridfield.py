@@ -32,9 +32,10 @@ from obscert.geometry import (
     Domain,
     Grid,
     MeasurableSet,
-    _row_counts,
+    _ball_counts,
+    best_ray_intervals,
     cover_domain,
-    densest_ball,
+    densest_cover_balls,
 )
 
 GRIDS = {
@@ -114,13 +115,13 @@ def test_ball_field_and_sup_ball_match_full_grid_distance(name):
     assert np.array_equal(gf.values, vals)
     for c in _centers(grid):
         radii = _radii(grid, c)
-        assert gf.ball_maxima(c, radii) == [
-            _reference_sup_ball(vals, grid, c, r)[0] for r in radii]
-        for r in radii:
+        assert gf.ball_maxima([c], radii).tolist() == [[
+            _reference_sup_ball(vals, grid, c, r)[0] for r in radii]]
+        sups, _ = gf.sup_balls([c] * len(radii), radii)
+        for r, (value, point) in zip(radii, sups, strict=True):
             dist = grid.domain.distance(grid.points, np.asarray(c))
             expected = (dist <= r) & grid.interior
             assert np.array_equal(grid.ball_field(Ball.at(c, r)), expected)
-            value, point = gf.sup_ball(c, r)
             ref_value, ref_point = _reference_sup_ball(vals, grid, c, r)
             assert value == ref_value
             if ref_value >= 0.0:
@@ -134,10 +135,11 @@ def test_sup_ball_ties_resolve_to_first_cell_in_row_major_order(name):
     f = TrigSum.of([([0] * grid.dimension, 1.0, 0.5)], grid.dimension)
     gf = GridField(f, grid)
     for c in _centers(grid):
-        for r in _radii(grid, c):
+        radii = _radii(grid, c)
+        sups, _ = gf.sup_balls([c] * len(radii), radii)
+        for r, (value, point) in zip(radii, sups, strict=True):
             dist = grid.domain.distance(grid.points, np.asarray(c))
             first = np.unravel_index(int(np.argmax(dist <= r)), grid.cells)
-            value, point = gf.sup_ball(c, r)
             assert value == abs(math.sin(0.5))
             assert np.array_equal(point, grid.points[first])
 
@@ -145,11 +147,12 @@ def test_sup_ball_ties_resolve_to_first_cell_in_row_major_order(name):
 def test_sup_ball_of_an_empty_ball_is_negative():
     grid = GRIDS["disk"]
     gf = GridField(_model(2), grid)
-    assert gf.sup_ball((0.001, 0.001), 0.01).value == -1.0   # exterior corner
-    assert gf.sup_ball((0.5, 0.5), 1e-6).value == -1.0      # between cell centres
-    assert gf.ball_maxima((0.001, 0.001), [0.01, 0.05]) == [-1.0, -1.0]
-    assert gf.ball_maxima((0.5, 0.5), [1e-6]) == [-1.0]
-    assert gf.ball_maxima((0.999, 0.02), [0.03]) == [-1.0]
+    corner, between = gf.sup_balls([(0.001, 0.001), (0.5, 0.5)], [0.01, 1e-6])[0]
+    assert corner == (-1.0, None)   # exterior corner
+    assert between == (-1.0, None)  # between cell centres
+    assert gf.ball_maxima([(0.001, 0.001)], [0.01, 0.05]).tolist() == [[-1.0, -1.0]]
+    assert gf.ball_maxima([(0.5, 0.5)], [1e-6]).tolist() == [[-1.0]]
+    assert gf.ball_maxima([(0.999, 0.02)], [0.03]).tolist() == [[-1.0]]
 
 
 @pytest.mark.parametrize("name", ["box", "torus-1d"])
@@ -159,17 +162,19 @@ def test_a_ball_centre_of_the_wrong_dimension_is_rejected(name):
     e = MeasurableSet.full(grid)
     for center in [(0.5,) * n for n in range(4) if n != grid.dimension]:
         ball = Ball(center, 0.1)
-        for query in (lambda: gf.ball_maxima(center, [0.1]), lambda: gf.sup_ball(center, 0.1),
-                      lambda: grid.ball_field(ball), lambda: densest_ball(e, [ball])):
+        for query in (lambda: gf.ball_maxima([center], [0.1]),
+                      lambda: gf.sup_balls([center], [0.1]),
+                      lambda: grid.ball_field(ball), lambda: _ball_counts(e, [center], [0.1]),
+                      lambda: best_ray_intervals([center], [0.1], e, [center])):
             with pytest.raises(ConfigError, match="ball centre"):
                 query()
 
 
-def _reference_counts(mset, balls):
+def _reference_counts(mset, centers, radii):
     grid = mset.grid
     return [int(np.count_nonzero(
-        mset.mask & (grid.domain.distance(grid.points, np.asarray(b.center)) <= b.radius)))
-        for b in balls]
+        mset.mask & (grid.domain.distance(grid.points, np.asarray(c)) <= r)))
+        for c, r in zip(centers, radii, strict=True)]
 
 
 @pytest.mark.parametrize("name", sorted(GRIDS))
@@ -177,16 +182,18 @@ def test_densest_ball_matches_brute_force_counts(name):
     grid = GRIDS[name]
     rng = np.random.default_rng(5)
     with pytest.raises(InfeasibleError):
-        densest_ball(MeasurableSet.empty(grid), cover_domain(grid.domain, 0.2))
-    for r in (0.07, 0.2, 0.45):
-        # on the full mask many balls tie: the first of them wins
-        for e in (MeasurableSet.random(grid, float(rng.uniform(0.05, 0.5)), rng),
-                  MeasurableSet.full(grid)):
+        densest_cover_balls(MeasurableSet.empty(grid), [0.2])
+    radii = (0.07, 0.2, 0.45)
+    # on the full mask many balls tie: the first of them wins
+    for e in (MeasurableSet.random(grid, float(rng.uniform(0.05, 0.5)), rng),
+              MeasurableSet.full(grid)):
+        for r, (count, center, inter) in zip(radii, densest_cover_balls(e, radii), strict=True):
             cover = cover_domain(grid.domain, r)
-            counts = _reference_counts(e, cover)
+            counts = _reference_counts(e, cover, [r] * len(cover))
+            assert _ball_counts(e, cover, [r] * len(cover)).tolist() == counts
             best = int(np.argmax(counts))
-            ball, inter = densest_ball(e, cover)
-            assert ball == cover[best]
+            assert count == len(cover)
+            assert np.array_equal(center, cover[best])
             assert inter == counts[best] * grid.h ** grid.dimension
 
 
@@ -321,25 +328,24 @@ def test_line_runs_ball_maxima_sup_ball_and_counts_equal_distance_masks(name):
             if grid.domain.kind == "box":
                 assert s + k <= n
             assert np.array_equal(np.sort((s + np.arange(k)) % n), np.flatnonzero(m))
-        assert gf.ball_maxima([c], radii) == [float(np.where(m, vals, -1.0).max()) for m in masks]
-        balls = [Ball.at([c], r) for r in radii]
+        assert gf.ball_maxima([[c]], radii).tolist() == [
+            [float(np.where(m, vals, -1.0).max()) for m in masks]]
         counts = [int(np.count_nonzero(mset.mask & m)) for m in masks]
-        for ball, m, cells in zip(balls, masks, counts):
+        sups, _ = gf.sup_balls([[c]] * len(radii), radii)
+        for r, m, (value, point) in zip(radii, masks, sups, strict=True):
             masked = np.where(m, vals, -1.0)
             first = int(np.argmax(masked))
-            assert gf.ball_maxima([c], [ball.radius]) == [masked[first]]  # one run alone
-            value, point = gf.sup_ball([c], ball.radius)
+            assert gf.ball_maxima([[c]], [r]).tolist() == [[masked[first]]]  # one run alone
             assert value == masked[first]
             if value >= 0.0:
                 assert np.array_equal(point, grid.points[first])
             else:
                 assert point is None
-            assert densest_ball(mset, [ball]) == (ball, cells * h)
-        assert densest_ball(mset, balls) == (balls[int(np.argmax(counts))], max(counts) * h)
+        assert _ball_counts(mset, [[c]] * len(radii), radii).tolist() == counts
     # every centre in one call, as the doubling estimate and the UCP check ask
     radii = (1e-9, h / 2.0, h, 0.1, 0.26, 0.5, 0.75, 2.0)
     dists = [grid.domain.distance(grid.points, np.asarray([c])) for c in centers]
-    assert gf.ball_maxima(np.asarray(centers)[:, None], radii) == [
+    assert gf.ball_maxima(np.asarray(centers)[:, None], radii).tolist() == [
         [float(np.where(d <= r, vals, -1.0).max()) for r in radii] for d in dists]
 
 
@@ -353,7 +359,7 @@ def test_sup_ball_of_a_wrapping_run_takes_the_first_cell_in_index_order(name):
     for c in (0.0, 1.0 - 1e-12, h / 3.0):
         start, count = grid.line_runs(np.array([c]), np.array([h]))
         assert (start, count) == ([n - 1], [2])  # cells n - 1 and 0
-        value, point = gf.sup_ball([c], h)
+        ((value, point),), _ = gf.sup_balls([[c]], [h])
         assert value == abs(math.sin(0.5))
         assert np.array_equal(point, grid.points[0])
 
@@ -414,7 +420,7 @@ def test_ball_maxima_of_a_constant_field_read_no_boundary_block(name):
         radii = _radii(grid, c)
         for r, bb in zip(radii, grid.ball_blocks(c, radii)):
             CountingField.reads = 0
-            (value,) = gf.ball_maxima(c, [r])
+            ((value,),) = gf.ball_maxima([c], [r])
             assert value == _reference_sup_ball(vals, grid, c, r)[0]
             assert CountingField.reads <= np.count_nonzero(bb.boundary)
             if np.any(bb.inside & (summary >= 0.0)):
@@ -429,9 +435,10 @@ def test_block_counts_equal_brute_force_on_random_empty_and_full_masks(name):
     grid = GRIDS[name]
     masks = [MeasurableSet.random(grid, 0.2, np.random.default_rng(11)),
              MeasurableSet.empty(grid), MeasurableSet.full(grid)]
-    balls = [Ball.at(c, r) for c in _centers(grid)[::3] for r in _radii(grid, c)]
+    balls = [(c, r) for c in _centers(grid)[::3] for r in _radii(grid, c)]
+    centers, radii = [c for c, _ in balls], [r for _, r in balls]
     for e in masks:
-        assert list(_row_counts(e, balls)) == _reference_counts(e, balls)
+        assert _ball_counts(e, centers, radii).tolist() == _reference_counts(e, centers, radii)
 
 
 SMALL_TORI = {
@@ -450,15 +457,16 @@ def test_row_counts_on_small_tori_from_the_seams_past_the_full_ring(name):
     coords = [sorted({0.0, 1e-12, h / 2, h, ext / 2, ext - h, ext - 1e-12, ext})
               for ext in domain.extent]
     quarter = min(domain.extent) / 4.0
-    balls = []
+    centers, radii = [], []
     for c in itertools.product(*coords):
         dist = domain.distance(grid.points, np.asarray(c)).ravel()
-        radii = set(np.linspace(quarter, 1.5 * domain.diameter, 9)) | set(dist[dist >= quarter])
-        balls += [Ball.at(c, float(r)) for r in sorted(radii)]
+        rs = set(np.linspace(quarter, 1.5 * domain.diameter, 9)) | set(dist[dist >= quarter])
+        centers += [c] * len(rs)
+        radii += [float(r) for r in sorted(rs)]
     rng = np.random.default_rng(7)
     masks = [MeasurableSet.from_mask(grid, rng.random(grid.cells) < p) for p in (0.3, 0.6)]
     for e in masks + [MeasurableSet.full(grid)]:
-        assert list(_row_counts(e, balls)) == _reference_counts(e, balls)
+        assert _ball_counts(e, centers, radii).tolist() == _reference_counts(e, centers, radii)
 
 
 def test_densest_ball_in_2d_reads_no_block_and_builds_the_row_prefix_once(monkeypatch):
@@ -476,11 +484,12 @@ def test_densest_ball_in_2d_reads_no_block_and_builds_the_row_prefix_once(monkey
     monkeypatch.setattr(MeasurableSet, "row_prefix", counting)
 
     e = MeasurableSet.random(grid, 0.3, np.random.default_rng(2))
-    first = densest_ball(e, cover)
-    assert first[1] == max(_reference_counts(e, cover)) * grid.h ** 2
+    ((count, center, inter),) = densest_cover_balls(e, [0.15])
+    assert inter == max(_reference_counts(e, cover, [0.15] * len(cover))) * grid.h ** 2
     for _ in range(3):
-        assert densest_ball(e, cover) == first
-    densest_ball(e, cover_domain(grid.domain, 0.3))
+        ((again, at, measure),) = densest_cover_balls(e, [0.15])
+        assert (again, at.tolist(), measure) == (count, center.tolist(), inter)
+    densest_cover_balls(e, [0.3])
     assert block_calls == []
     assert len(builds) == 1 and builds[0] is e
 
