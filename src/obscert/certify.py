@@ -835,24 +835,21 @@ def _certify_doubling(
 
     best: ObservabilityCertificate | None = None
     prescribed: ObservabilityCertificate | None = None
-    failures: list[dict[str, float | str]] = []
+    failures: list[tuple[int, str]] = []
     last = n_base + search
     for first in range(n_base, last + 1, _STAGE_DEGREES):
         runs = [_GeometryRun(n) for n in range(first, min(first + _STAGE_DEGREES, last + 1))]
         _run_geometry(p, _each(runs, radius), dc)
         certs: list[ObservabilityCertificate] = []
         _each(runs, lambda g: certs.append(_doubling_run(branch, p, dc, g)))
-        failures += [{"n": g.n, "status": f"infeasible: {g.error}"} for g in runs if g.error]
+        failures += [(g.n, str(g.error)) for g in runs if g.error]
         for res in certs:
             if res.n == n_base:
                 prescribed = res
             if best is None or res.log_constant < best.log_constant - 1e-12:
                 best = res
     if best is None:
-        raise InfeasibleError(
-            "certification infeasible at every degree in the search range: "
-            + "; ".join(str(a) for a in failures)
-        )
+        raise InfeasibleError(_search_failure(failures))
     best.aux |= branch_aux | {"n_base": float(n_base)}
     search_outputs = {"log_C_best": best.log_constant}
     if prescribed is not None:
@@ -862,6 +859,14 @@ def _certify_doubling(
         search_outputs["log_C_prescribed"] = prescribed.log_constant
     _put(best.trace, "degree-search", {"n_best": float(best.n)}, search_outputs)
     return best
+
+
+def _search_failure(failures: list[tuple[int, str]]) -> str:
+    """The message of a degree search that failed at every degree, given
+    each degree and its reason: the count, the first and the last."""
+    (first, why), (last, last_why) = failures[0], failures[-1]
+    return (f"certification infeasible at every degree in the search range: "
+            f"{len(failures)} attempts; first n = {first}: {why}; last n = {last}: {last_why}")
 
 
 def certify_sigma1(

@@ -12,6 +12,7 @@ construction rather than by sampling.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -28,6 +29,10 @@ TWO_PI = 2.0 * math.pi
 # Cramer's bound |He_k(x)| e^{-x^2/4} <= c sqrt(k!) transported to the
 # physicists' normalisation; 1.09 rounds the constant up.
 HERMITE_ENVELOPE = 1.09
+
+# Entries per chunk of a 2D ball query: ball-block tests classed by one
+# `Grid.ball_blocks` call, and cells tested in one round of the block walk.
+_WALK_CHUNK = 1 << 17
 
 
 # ---------------------------------------------------------------------------
@@ -443,19 +448,20 @@ class GridField:
         that holds no interior cell.
 
         A 1D ball is a run of cells (`Grid.line_runs`), and its maximum two
-        lookups in a sparse table (`_run_maxima`).  In 2D the maximum starts
-        from the inside blocks' maxima; boundary blocks are then visited in
-        descending order of their maxima, testing their cells, until a
-        block's maximum cannot beat the best value so far.
+        lookups in a sparse table (`_run_maxima`).  In 2D one
+        `Grid.ball_blocks` call per chunk classes every block against every
+        ball, and the maxima come from the block walk (`_walk`).
         """
         centers = self.grid._centers(centers)
-        shape = (len(centers), len(radii))
+        maxima = np.empty((len(centers), len(radii)))
         if self.grid.dimension == 1:
             x = np.repeat(centers[:, 0], len(radii))
             r = np.tile(np.asarray(radii, dtype=float), len(centers))
-            return self._run_maxima(*self.grid.line_runs(x, r)).reshape(shape)
-        return np.array([[self._block_walk(bb) for bb in self.grid.ball_blocks(c, radii)]
-                         for c in centers]).reshape(shape)
+            return self._run_maxima(*self.grid.line_runs(x, r)).reshape(maxima.shape)
+        if maxima.size:
+            for rows, bb in self._chunked_ball_blocks(centers, np.asarray(radii, dtype=float)):
+                maxima[rows] = self._walk(bb)
+        return maxima
 
     def _run_maxima(self, start: np.ndarray, count: np.ndarray) -> np.ndarray:
         """The maximum over each run of `count` cells from `start` of a 1D
@@ -483,23 +489,102 @@ class GridField:
         last = start + count - (1 << level)
         return np.where(count > 0, np.maximum(table[level, start], table[level, last]), -1.0)
 
-    def _block_walk(self, bb: BallBlocks) -> float:
-        """The ball's maximum by the block walk `ball_maxima` describes."""
-        best = float(self.block_max.max(initial=-1.0, where=bb.inside))
-        bi, bj = bb.boundary.nonzero()
-        peaks = self.block_max[bi, bj]
-        for k in np.argsort(peaks)[::-1]:
-            if peaks[k] <= best:
-                break
-            best = max(best, float(self._block_values(bb, bi[k], bj[k])[0].max()))
-        return best
+    def _chunked_ball_blocks(
+        self, centers: np.ndarray, radii: np.ndarray
+    ) -> Iterator[tuple[slice, BallBlocks]]:
+        """`Grid.ball_blocks` over successive chunks of `centers` with `radii`
+        (shared, or one row per centre), each with its slice of the centres.
+        A chunk's block masks, and the cells one round of its walk tests,
+        hold at most `_WALK_CHUNK` entries each."""
+        tests = radii.shape[-1] * max(self.block_max.size, BLOCK * BLOCK)
+        per = max(1, _WALK_CHUNK // tests)
+        for i in range(0, len(centers), per):
+            rows = slice(i, i + per)
+            chunk_radii = radii if radii.ndim == 1 else radii[rows]
+            yield rows, self.grid.ball_blocks(centers[rows], chunk_radii)
 
-    def _block_values(self, bb: BallBlocks, bi: int, bj: int) -> tuple[np.ndarray, int, int]:
-        """One block's values, -1 outside the ball, and its first row and column."""
-        r, c = self.grid.block_starts[0][bi], self.grid.block_starts[1][bj]
+    @cached_property
+    def _peak_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """A 2D grid's flat block indices by descending block maximum, and
+        each block's place in that order."""
+        order = np.argsort(self.block_max.ravel(), kind="stable")[::-1]
+        place = np.empty_like(order)
+        place[order] = np.arange(order.size)
+        return order, place
+
+    def _walk(self, bb: BallBlocks) -> np.ndarray:
+        """The maximum of each ball of `bb`, shaped (k, m).
+
+        A ball starts from the largest block maximum among its inside blocks.
+        Its boundary blocks whose maxima exceed that are its candidates, in
+        descending order of their maxima.  Each round takes, for every ball
+        still open, its next candidate: the ball closes when that block's
+        maximum is no larger than its best so far, and otherwise the block's
+        cells are tested and the best raised.  Only the blocks tested are
+        read from the field.
+        """
+        k, m = bb.radii.shape
+        peaks, (order, place) = self.block_max, self._peak_order
+        n = peaks.size
+        best = np.max(np.broadcast_to(peaks, bb.inside.shape), axis=(2, 3),
+                      where=bb.inside, initial=-1.0).ravel()
+        ball, block = np.divmod(np.flatnonzero(bb.boundary & (peaks > best.reshape(k, m, 1, 1))), n)
+        # ball by ball, each by descending block maximum
+        ball, block = np.divmod(np.sort(ball * n + place[block]), n)
+        block, peak = order[block], peaks.ravel()
+        count = np.bincount(ball, minlength=k * m)
+        start = np.cumsum(count) - count
+        balls = np.flatnonzero(count)
+        for t in itertools.count():
+            at = block[start[balls] + t]
+            live = peak[at] > best[balls]
+            balls, at = balls[live], at[live]
+            if not balls.size:
+                break
+            values, _, _ = self._block_values(bb, balls, at)
+            best[balls] = np.maximum(best[balls], values.max(axis=(1, 2)))
+            balls = balls[count[balls] > t + 1]
+        return best.reshape(k, m)
+
+    def _block_values(
+        self, bb: BallBlocks, balls: np.ndarray, blocks: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The values of each flat block index in `blocks`, -1 outside the
+        matching flat ball index of `bb` in `balls`, shaped (n, BLOCK, BLOCK),
+        with the blocks' rows and columns, each shaped (n, BLOCK).  A short
+        last block repeats its last row or column."""
+        (nrows, ncols), step = self.grid.cells, np.arange(BLOCK)
+        bi, bj = np.divmod(blocks, self.block_max.shape[1])
+        rows = np.minimum(bi[:, None] * BLOCK + step, nrows - 1)
+        cols = np.minimum(bj[:, None] * BLOCK + step, ncols - 1)
+        c = (balls // bb.radii.shape[1])[:, None]
         ox, oy = bb.offsets
-        in_ball = np.sqrt(ox[r:r + BLOCK, None] + oy[c:c + BLOCK]) <= bb.radius
-        return np.where(in_ball, self.values[r:r + BLOCK, c:c + BLOCK], -1.0), r, c
+        dist = ox[c, rows][:, :, None] + oy[c, cols][:, None, :]
+        outside = np.sqrt(dist, out=dist) > bb.radii.ravel()[balls][:, None, None]
+        values = self.values[rows[:, :, None], cols[:, None, :]]
+        values[outside] = -1.0
+        return values, rows, cols
+
+    def _first_cells(self, bb: BallBlocks, best: np.ndarray) -> np.ndarray:
+        """For each ball of `bb`, one radius per centre, the flat index of the
+        first cell in row-major order attaining its maximum `best`, or the
+        cell count for a ball with no interior cell.  Only the ball's blocks
+        whose own maximum reaches `best` can hold it."""
+        n = self.values.size
+        reaching = ((bb.inside | bb.boundary)[:, 0] & (self.block_max >= best[:, None, None])
+                    & (best >= 0.0)[:, None, None])
+        ball, block = reaching.reshape(len(best), -1).nonzero()
+        first = np.full(len(best), n)
+        per = _WALK_CHUNK // (BLOCK * BLOCK)
+        for lo in range(0, ball.size, per):
+            balls = ball[lo:lo + per]
+            values, rows, cols = self._block_values(bb, balls, block[lo:lo + per])
+            hits = (values == best[balls][:, None, None]).reshape(len(balls), -1)
+            i, j = np.divmod(hits.argmax(axis=1), BLOCK)  # each block's first hit, if any
+            pair = np.arange(len(balls))
+            cells = rows[pair, i] * self.grid.cells[1] + cols[pair, j]
+            np.minimum.at(first, balls, np.where(hits.any(axis=1), cells, n))
+        return first
 
     def sup_balls(
         self, centers, radii: Sequence[float], maxima_radii: Sequence[float] = ()
@@ -515,42 +600,34 @@ class GridField:
         and each maximum is read from the sparse table (`_run_maxima`).  The
         cell attaining a `radii` ball's maximum is the first in index order:
         the lowest cell of the run holding the maximum, so a run that wraps
-        reads cells 0, 1, ... first.  A 2D grid takes one centre at a time,
-        with one `Grid.ball_blocks` call for both of its balls; only the
-        ball's blocks whose own maximum reaches the ball's can hold the first
-        cell attaining it.
+        reads cells 0, 1, ... first.  On a 2D grid both kinds of ball go
+        through one `Grid.ball_blocks` call per chunk, one radius per centre:
+        the block walk (`_walk`) gives every maximum, and `_first_cells` the
+        cell attaining each `radii` ball's.
         """
         centers = self.grid._centers(centers)
-        if self.grid.dimension == 2:
-            sups, maxima = [], []
-            for k, center in enumerate(centers):
-                bb, *rest = self.grid.ball_blocks(center, [radii[k], *maxima_radii[k:k + 1]])
-                maxima += [self._block_walk(b) for b in rest]
-                best = self._block_walk(bb)
-                if best < 0.0:
-                    sups.append(SupResult(best, None))
-                    continue
-                firsts = []
-                reaching = (bb.inside | bb.boundary) & (self.block_max >= best)
-                for bi, bj in zip(*reaching.nonzero()):
-                    block, r, c = self._block_values(bb, bi, bj)
-                    i, j = np.nonzero(block == best)
-                    firsts.extend(zip(r + i[:1], c + j[:1]))  # the block's first hit, if any
-                sups.append(SupResult(best, self.grid.points[min(firsts)]))
-            return sups, maxima
-        x = centers[:, 0]
         k, m, n = len(radii), len(maxima_radii), self.values.size
-        start, count = self.grid.line_runs(
-            np.concatenate((x, x[:m])), np.concatenate((radii, maxima_radii)).astype(float))
-        maxima = self._run_maxima(start, count)
-        start, count, best = start[:k], count[:k], maxima[:k]
-        # every cell of each run, run after run, and the lowest holding its maximum
-        first = np.cumsum(count) - count
-        cells = (np.repeat(start - first, count) + np.arange(count.sum())) % n
-        hits = np.where(self.values[cells] == np.repeat(best, count), cells, n)
-        lowest = np.minimum.reduceat(np.append(hits, n), first) if k else []
-        sups = [SupResult(float(v), self.grid.points[c] if v >= 0.0 else None)
-                for v, c in zip(best, lowest)]
+        x = np.concatenate((centers, centers[:m]))
+        r = np.concatenate((radii, maxima_radii)).astype(float)
+        if self.grid.dimension == 2:
+            maxima, lowest = np.empty(k + m), np.empty(k + m, dtype=np.int64)
+            for rows, bb in self._chunked_ball_blocks(x, r[:, None]):
+                maxima[rows] = self._walk(bb)[:, 0]
+                # no first cell is wanted for a maxima_radii ball
+                wanted = np.where(np.arange(k + m)[rows] < k, maxima[rows], -1.0)
+                lowest[rows] = self._first_cells(bb, wanted)
+        else:
+            start, count = self.grid.line_runs(x[:, 0], r)
+            maxima = self._run_maxima(start, count)
+            start, count = start[:k], count[:k]
+            # every cell of each run, run after run, and the lowest holding its maximum
+            first = np.cumsum(count) - count
+            cells = (np.repeat(start - first, count) + np.arange(count.sum())) % n
+            hits = np.where(self.values[cells] == np.repeat(maxima[:k], count), cells, n)
+            lowest = np.minimum.reduceat(np.append(hits, n), first) if k else []
+        points = self.grid.points.reshape(n, -1)
+        sups = [SupResult(float(v), points[c] if v >= 0.0 else None)
+                for v, c in zip(maxima[:k], lowest)]
         return sups, maxima[k:].tolist()
 
 

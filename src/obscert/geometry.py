@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -32,6 +32,9 @@ DEFAULT_CELLS_2D = 512
 # Side, in cells, of the square blocks of a 2D grid's block summary; the last
 # block on an axis is short when the cell count is not a multiple.
 BLOCK = 16
+
+# Slack of `Domain.contains` and `Grid.interior` at the domain's rim.
+_CONTAINS_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +119,7 @@ class Domain:
             return min(self.extent) / 4.0
         return float("inf")
 
-    def contains(self, points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    def contains(self, points: np.ndarray, tol: float = _CONTAINS_TOL) -> np.ndarray:
         """Boolean membership for an array of points shaped (..., d)."""
         p = np.asarray(points, dtype=float)
         if self.kind == "torus":
@@ -205,8 +208,21 @@ class Grid:
 
     @cached_property
     def interior(self) -> np.ndarray:
-        """Cells whose centre lies in the domain; exterior cells are flagged."""
-        return self.domain.contains(self.points)
+        """Cells whose centre lies in the domain; exterior cells are flagged.
+
+        `Domain.contains` over `points` bit for bit, tested per axis: a box
+        takes the outer AND of its axes' tests, and a disk sums its axes'
+        squared offsets in axis order, as the norm in `contains` does.
+        """
+        domain = self.domain
+        if domain.kind == "torus":
+            return np.ones(self.cells, dtype=bool)
+        if domain.kind == "disk":
+            dx, dy = (a - c for a, c in zip(self.axis_centers, domain.center))
+            return np.sqrt((dx * dx)[:, None] + dy * dy) <= domain.radius + _CONTAINS_TOL
+        return reduce(np.logical_and.outer, [
+            (a >= -_CONTAINS_TOL) & (a <= e + _CONTAINS_TOL)
+            for a, e in zip(self.axis_centers, np.asarray(domain.extent))])
 
     @property
     def n_interior(self) -> int:
@@ -236,14 +252,6 @@ class Grid:
         if c is None or c.ndim != 2 or c.shape[1] != self.dimension:
             raise ConfigError(f"every ball centre needs {self.dimension} coordinates")
         return c
-
-    def _squared_offsets(self, center: Sequence[float]) -> list[np.ndarray]:
-        """Per axis, the squared offset of each cell centre from `center`,
-        wrapped per axis on the torus.  Summed in axis order, as
-        ``Domain.distance`` sums them, their root is that distance bit for
-        bit."""
-        (c,) = self._centers([center])
-        return [self._axis_offsets(axis, x, self.axis_centers[axis]) for axis, x in enumerate(c)]
 
     def _axis_offsets(self, axis: int, coord, cell_centers: np.ndarray) -> np.ndarray:
         """The squared offsets along `axis` of the given cell centres from the
@@ -321,27 +329,38 @@ class Grid:
         rows, cols = self.block_starts
         return ufunc.reduceat(ufunc.reduceat(values, cols, axis=1), rows, axis=0)
 
-    def ball_blocks(self, center: Sequence[float], radii: Sequence[float]) -> list[BallBlocks]:
-        """Each block of a 2D grid classed against each ball of the given radii
-        about `center`.
+    def ball_blocks(self, centers, radii) -> BallBlocks:
+        """Each block of a 2D grid classed against every ball about `centers`,
+        shaped (k, 2), of `radii`: shaped (m,), shared by every centre, or
+        (k, m), one row per centre.
 
         A block is inside when ``sqrt(max ox + max oy) <= r`` over its squared
         offsets ox, oy: a rounded sum and a rounded root are monotone, so every
         cell passes the test ``sqrt(ox + oy) <= r``.  It is outside when
         ``sqrt(min ox + min oy) > r``, which fails every cell for the same
-        reason, and on the boundary otherwise.  The offsets are shared by all
-        the radii.
+        reason, and on the boundary otherwise.  A centre's offsets and its
+        blocks' corners are shared by all its radii.  Summed in axis order,
+        as ``Domain.distance`` sums them, the offsets' root is that distance
+        bit for bit.
         """
-        ox, oy = self._squared_offsets(center)
+        c = self._centers(centers)
+        r = np.asarray(radii, dtype=float)
+        r = np.broadcast_to(r, (len(c), r.shape[-1]))
+        ox, oy = (self._axis_offsets(axis, c[:, axis, None], self.axis_centers[axis])
+                  for axis in range(2))
         rows, cols = self.block_starts
-        near = np.minimum.reduceat(ox, rows)[:, None] + np.minimum.reduceat(oy, cols)
-        far = np.maximum.reduceat(ox, rows)[:, None] + np.maximum.reduceat(oy, cols)
-        near, far = np.sqrt(near, out=near), np.sqrt(far, out=far)
-        balls = []
-        for radius in radii:
-            inside = far <= radius
-            balls.append(BallBlocks((ox, oy), radius, inside, (near <= radius) & ~inside))
-        return balls
+
+        def corner(ufunc: np.ufunc) -> np.ndarray:
+            """Each block's distance from each centre at its far (np.maximum)
+            or near (np.minimum) corner, shaped (k, 1) + the block layout."""
+            d = (ufunc.reduceat(ox, rows, axis=1)[:, :, None]
+                 + ufunc.reduceat(oy, cols, axis=1)[:, None, :])
+            return np.sqrt(d, out=d)[:, None]
+
+        inside = corner(np.maximum) <= r[:, :, None, None]
+        boundary = corner(np.minimum) <= r[:, :, None, None]
+        boundary ^= inside  # the near corner is no farther, so inside blocks pass it too
+        return BallBlocks((ox, oy), r, inside, boundary)
 
     def ball_field(self, ball: "Ball") -> np.ndarray:
         """Boolean field: interior cells whose centre lies in the ball."""
@@ -350,13 +369,14 @@ class Grid:
 
 
 class BallBlocks(NamedTuple):
-    """A ball's blocks on a 2D grid: the per-axis squared offsets of the cell
-    centres from its centre, its radius, and two masks over the blocks: those
-    whose every cell lies in the ball, and those that may hold some cells of
-    it.  No cell of any other block lies in the ball."""
+    """The blocks of k × m balls on a 2D grid: the per-axis squared offsets of
+    the cell centres from each centre, shaped (k, rows) and (k, cols), the
+    radii, shaped (k, m), and two masks shaped (k, m) + the block layout:
+    the blocks whose every cell lies in the ball, and those that may hold
+    some cells of it.  No cell of any other block lies in the ball."""
 
     offsets: tuple[np.ndarray, np.ndarray]
-    radius: float
+    radii: np.ndarray
     inside: np.ndarray
     boundary: np.ndarray
 

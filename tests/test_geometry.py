@@ -84,6 +84,33 @@ def test_mask_rejects_exterior_true_cells():
     assert clipped.measure == pytest.approx(math.pi * 0.25, rel=0.01)
 
 
+INTERIOR_GRIDS = [
+    Grid(Domain.box([1.0]), (7,)),
+    Grid(Domain.box([1.0, 1.0]), (96, 96)),
+    Grid(Domain.box([2.0, 1.0]), (200, 100)),
+    Grid(Domain.box([3e-12, 1e-12]), (30, 10)),  # cells narrower than the rim slack
+    Grid(Domain.torus([1.0, 1.0]), (90, 90)),
+    Grid(Domain.disk(0.5), (96, 96)),
+    Grid(Domain.disk(0.5), (91, 91)),
+    Grid(Domain.disk(1.0 / 3.0), (512, 512)),
+    Grid(Domain.disk(1e-10), (64, 64)),  # a band of cell centres within the slack of the rim
+]
+
+
+@pytest.mark.parametrize("grid", INTERIOR_GRIDS, ids=lambda g: f"{g.domain.kind}-{g.cells}")
+def test_interior_is_contains_over_every_cell_centre(grid):
+    assert np.array_equal(grid.interior, grid.domain.contains(grid.points))
+
+
+def test_interior_keeps_the_cells_past_the_rim_within_its_slack():
+    grid = INTERIOR_GRIDS[-1]
+    radius = grid.domain.radius
+    dist = np.linalg.norm(grid.points - grid.domain.center, axis=-1)
+    rim = (dist > radius) & (dist <= radius + geometry._CONTAINS_TOL)
+    assert rim.any() and grid.interior[rim].all()
+    assert not grid.interior[dist > radius + geometry._CONTAINS_TOL].any()
+
+
 # ---------------------------------------------------------------------------
 # Covering
 # ---------------------------------------------------------------------------

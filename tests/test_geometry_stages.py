@@ -212,7 +212,7 @@ def _loop_certify_doubling(branch, p, dc, n_base, search, radius_rule, branch_au
         try:
             res = _loop_doubling_run(branch, p, dc, n, radius_rule(n, steps), steps)
         except (InfeasibleError, ResolutionError) as exc:
-            failures.append({"n": n, "status": f"infeasible: {exc}"})
+            failures.append((n, str(exc)))
             LOOP_FAILURES.append((n, str(exc)))
             continue
         if n == n_base:
@@ -220,9 +220,10 @@ def _loop_certify_doubling(branch, p, dc, n_base, search, radius_rule, branch_au
         if best is None or res.log_constant < best.log_constant - 1e-12:
             best = res
     if best is None:
+        (first, why), (last, last_why) = failures[0], failures[-1]
         raise InfeasibleError(
             "certification infeasible at every degree in the search range: "
-            + "; ".join(str(a) for a in failures)
+            f"{len(failures)} attempts; first n = {first}: {why}; last n = {last}: {last_why}"
         )
     best.aux |= branch_aux | {"n_base": float(n_base)}
     search_outputs = {"log_C_best": best.log_constant}
@@ -256,6 +257,14 @@ def _outcome(run):
         return json.dumps(run().to_dict())
     except ObscertError as exc:
         return f"{type(exc).__name__}: {exc}"
+
+
+def _search_failure(failures):
+    """The outcome of a degree search that failed at each (degree, reason)
+    of `failures`: their count, the first and the last."""
+    (first, why), (last, last_why) = failures[0], failures[-1]
+    return ("InfeasibleError: certification infeasible at every degree in the search range: "
+            f"{len(failures)} attempts; first n = {first}: {why}; last n = {last}: {last_why}")
 
 
 def _staged_and_loop(monkeypatch, run):
@@ -394,9 +403,10 @@ def test_degrees_whose_sigma_gt1_radius_choice_fails_and_the_rest_certify(monkey
 def test_a_fan_that_meets_no_set_fails_each_degree_as_the_loop_fails_it(monkeypatch):
     f, mset, dc, gc = _single_cell_2d()
     staged, loop = _staged_and_loop(monkeypatch, lambda: certify_sigma1(f, mset, dc, gc, search=4))
-    assert staged == loop
-    assert staged.startswith("InfeasibleError: certification infeasible at every degree")
-    assert staged.count("no sampled direction meets the set") == 5
+    assert staged == loop == _search_failure(LOOP_FAILURES)
+    assert len(LOOP_FAILURES) == 5
+    assert all(why == "no sampled direction meets the set; refine the grid or the fan"
+               for _, why in LOOP_FAILURES)
 
 
 def test_every_degree_failing_at_a_different_step_raises_the_loops_message(monkeypatch):
@@ -405,16 +415,14 @@ def test_every_degree_failing_at_a_different_step_raises_the_loops_message(monke
     dc = DoublingCertificate(16.0, dc.r0)
     staged, loop = _staged_and_loop(
         monkeypatch, lambda: certify_sigma1(f, mset, dc, gc, search=5, n_override=2))
-    assert staged == loop
-    assert staged.startswith("InfeasibleError: certification infeasible at every degree")
+    assert staged == loop == _search_failure(LOOP_FAILURES)
     assert [why[:20] for _, why in LOOP_FAILURES] == (
         ["degree 2 too small f", "degree 3 too small f"] + ["no sampled direction"] * 4)
     # the exponent, then the radius below 2h, in one 1D window
     f, mset, dc, gc = _nearly_null_set(kappa=8.0)
     staged, loop = _staged_and_loop(
         monkeypatch, lambda: certify_sigma1(f, mset, dc, gc, search=4, n_override=2))
-    assert staged == loop
-    assert staged.startswith("InfeasibleError: certification infeasible at every degree")
+    assert staged == loop == _search_failure(LOOP_FAILURES)
     assert [why[:10] for _, why in LOOP_FAILURES] == ["degree 2 t"] + ["radius 2.8", "radius 7.9",
                                                                      "radius 1.5", "radius 2.5"]
 

@@ -14,6 +14,7 @@ from functools import cached_property
 import numpy as np
 import pytest
 
+from obscert import functions
 from obscert.errors import ConfigError, HypothesisError, InfeasibleError
 from obscert.functions import (
     FunctionModel,
@@ -21,6 +22,7 @@ from obscert.functions import (
     GridField,
     TrigSum,
     UcpCertificate,
+    _doubling_estimate,
     default_radii,
     estimate_doubling,
     halton_points,
@@ -46,6 +48,7 @@ GRIDS = {
     # cell counts that are not multiples of the block side: short last blocks
     "ragged-box": Grid(Domain.box([2.0, 1.0]), (200, 100)),
     "ragged-torus": Grid(Domain.torus([1.0, 1.0]), (90, 90)),
+    "ragged-disk": Grid(Domain.disk(0.5), (90, 90)),
     "box-1d": Grid(Domain.box([1.0]), (256,)),
     "torus-1d": Grid(Domain.torus([1.0]), (256,)),
 }
@@ -374,17 +377,29 @@ GRIDS_2D = sorted(name for name, grid in GRIDS.items() if grid.dimension == 2)
 @pytest.mark.parametrize("name", GRIDS_2D)
 def test_ball_blocks_class_exactly_by_full_grid_distance(name):
     # a block's far (near) corner is one of its cells, so inside means every
-    # cell is in the ball, outside means none is, and boundary means some are
+    # cell is in the ball, outside means none is, and boundary means some are;
+    # every centre is classed in one call, each with its own row of radii
     grid = GRIDS[name]
-    for c in _centers(grid):
+    centers = _centers(grid)
+    radii = np.array([_radii(grid, c) for c in centers])
+    bb = grid.ball_blocks(centers, radii)
+    layout = tuple(len(starts) for starts in grid.block_starts)
+    assert bb.inside.shape == bb.boundary.shape == radii.shape + layout
+    for i, c in enumerate(centers):
         dist = grid.domain.distance(grid.points, np.asarray(c))
-        radii = _radii(grid, c)
-        for r, bb in zip(radii, grid.ball_blocks(c, radii)):
-            assert bb.radius == r
+        for j, r in enumerate(radii[i]):
+            assert bb.radii[i, j] == r
             for k, rows, cols in _block_slices(grid):
                 in_ball = dist[rows, cols] <= r
-                assert bb.inside[k] == in_ball.all()
-                assert bb.boundary[k] == (in_ball.any() and not in_ball.all())
+                assert bb.inside[i, j][k] == in_ball.all()
+                assert bb.boundary[i, j][k] == (in_ball.any() and not in_ball.all())
+    # radii shared by every centre class each centre as a call of its own
+    shared = grid.ball_blocks(centers, RADII)
+    assert shared.radii.shape == (len(centers), len(RADII))
+    for i, c in enumerate(centers):
+        alone = grid.ball_blocks([c], RADII)
+        assert np.array_equal(shared.inside[i], alone.inside[0])
+        assert np.array_equal(shared.boundary[i], alone.boundary[0])
 
 
 @pytest.mark.parametrize("name", GRIDS_2D)
@@ -418,15 +433,25 @@ def test_ball_maxima_of_a_constant_field_read_no_boundary_block(name):
     pruned = 0
     for c in _centers(grid):
         radii = _radii(grid, c)
-        for r, bb in zip(radii, grid.ball_blocks(c, radii)):
+        bb = grid.ball_blocks([c], radii)
+        decided = []
+        for j, r in enumerate(radii):
             CountingField.reads = 0
             ((value,),) = gf.ball_maxima([c], [r])
             assert value == _reference_sup_ball(vals, grid, c, r)[0]
-            assert CountingField.reads <= np.count_nonzero(bb.boundary)
-            if np.any(bb.inside & (summary >= 0.0)):
+            assert CountingField.reads <= np.count_nonzero(bb.boundary[0, j])
+            decided.append(bool(np.any(bb.inside[0, j] & (summary >= 0.0))))
+            if decided[-1]:
                 assert value == abs(math.sin(0.5))
                 assert CountingField.reads == 0
                 pruned += 1
+        # all the radii in one walk: one read per round, and a round only
+        # for a ball that its inside blocks leave open
+        CountingField.reads = 0
+        gf.ball_maxima([c], radii)
+        open_boundary = [np.count_nonzero(bb.boundary[0, j])
+                         for j, done in enumerate(decided) if not done]
+        assert CountingField.reads <= max(open_boundary, default=0)
     assert pruned > 0
 
 
@@ -439,6 +464,139 @@ def test_block_counts_equal_brute_force_on_random_empty_and_full_masks(name):
     centers, radii = [c for c, _ in balls], [r for _, r in balls]
     for e in masks:
         assert _ball_counts(e, centers, radii).tolist() == _reference_counts(e, centers, radii)
+
+
+# ---------------------------------------------------------------------------
+# Many 2D balls in one call
+# ---------------------------------------------------------------------------
+
+class Levels2D(FunctionModel):
+    """A plane wave rounded down to four levels: ties across many blocks."""
+
+    kind = "levels"
+    dimension = 2
+
+    def evaluate(self, points):
+        p = np.asarray(points, dtype=float)
+        return np.floor(2.0 * (np.sin(2.0 * math.pi * (3.0 * p[..., 0] + 2.0 * p[..., 1]) + 0.4)
+                               + 1.0))
+
+
+def _batch_centers(grid):
+    """The `_centers`, then centres on the seams and corners of the bounding
+    box, and centres outside it."""
+    fracs = [(0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0), (0.0, 0.0), (1.0, 1.0),
+             (-0.3, 0.5), (1.4, 1.2), (0.5, -2.5), (-1.0, -1.0)]
+    return np.concatenate((np.stack(_centers(grid)), np.asarray(fracs) * grid.domain.extent))
+
+
+def _batch_radii(grid, centers):
+    """The fixed radii and some exact cell distances of a few centres, each
+    with its neighbours one ulp away."""
+    radii = set(RADII)
+    for c in centers[::9]:
+        dist = np.unique(grid.domain.distance(grid.points, c))
+        for r in dist[[0, 1, 30, dist.size // 4]]:
+            radii |= {float(r), math.nextafter(r, 0.0), math.nextafter(r, math.inf)}
+    return sorted(radii)
+
+
+@pytest.mark.parametrize("name", GRIDS_2D)
+def test_ball_maxima_of_many_centres_in_one_call_equal_brute_force(name):
+    grid = GRIDS[name]
+    centers = _batch_centers(grid)
+    radii = _batch_radii(grid, centers)
+    for f in (_model(2), Levels2D()):
+        vals = _reference_values(f, grid)
+        dists = [grid.domain.distance(grid.points, c) for c in centers]
+        assert GridField(f, grid).ball_maxima(centers, radii).tolist() == [
+            [float(np.where(d <= r, vals, -1.0).max()) for r in radii] for d in dists]
+
+
+@pytest.mark.parametrize("name", GRIDS_2D)
+def test_sup_balls_of_many_centres_in_one_call_take_the_first_cell_in_row_major_order(name):
+    # the levels field ties across blocks, so the first cell attaining a
+    # maximum need not lie in the first block, in row-major order, reaching it
+    grid = GRIDS[name]
+    centers = _batch_centers(grid)
+    rng = np.random.default_rng(13)
+    radii = rng.choice(_batch_radii(grid, centers), len(centers)).tolist()
+    maxima_radii = rng.choice(_batch_radii(grid, centers), len(centers) // 2).tolist()
+    for f in (_model(2), Levels2D(), TrigSum.of([([0, 0], 1.0, 0.5)], 2)):
+        vals = _reference_values(f, grid)
+        sups, maxima = GridField(f, grid).sup_balls(centers, radii, maxima_radii)
+        for c, r, (value, point) in zip(centers, radii, sups, strict=True):
+            ref_value, ref_point = _reference_sup_ball(vals, grid, c, r)
+            assert value == ref_value
+            if ref_value >= 0.0:
+                assert np.array_equal(point, ref_point)
+            else:
+                assert point is None
+        assert maxima == [_reference_sup_ball(vals, grid, c, r)[0]
+                          for c, r in zip(centers, maxima_radii)]
+
+
+@pytest.mark.parametrize("name", ["box", "ragged-disk", "box-1d", "torus-1d"])
+def test_ball_queries_of_no_centre_or_no_radius_are_empty(name):
+    grid = GRIDS[name]
+    gf = GridField(_model(grid.dimension), grid)
+    none, centers = np.empty((0, grid.dimension)), np.stack(_centers(grid))
+    assert gf.ball_maxima(none, [0.1, 0.2]).shape == (0, 2)
+    assert gf.ball_maxima(centers, []).shape == (len(centers), 0)
+    assert gf.ball_maxima(none, []).shape == (0, 0)
+    assert gf.sup_balls(none, []) == ([], [])
+
+
+def test_chunked_2d_ball_queries_equal_one_chunk(monkeypatch):
+    grid = GRIDS["ragged-torus"]
+    gf = GridField(Levels2D(), grid)
+    centers = _batch_centers(grid)
+    radii = _batch_radii(grid, centers)
+    whole = gf.ball_maxima(centers, radii)
+    sups, maxima = gf.sup_balls(centers, radii[:len(centers)], radii[:7])
+    calls = []
+    ball_blocks = Grid.ball_blocks
+    monkeypatch.setattr(Grid, "ball_blocks",
+                        lambda self, *args: calls.append(len(args[0])) or ball_blocks(self, *args))
+    # three centres, or one round's cells of three balls, per chunk
+    monkeypatch.setattr(functions, "_WALK_CHUNK", 3 * len(radii) * BLOCK * BLOCK)
+    assert np.array_equal(gf.ball_maxima(centers, radii), whole)
+    assert calls == [3] * (len(centers) // 3) + [len(centers) % 3] * (len(centers) % 3 > 0)
+    monkeypatch.setattr(functions, "_WALK_CHUNK", 3 * BLOCK * BLOCK)
+    again, maxima_again = gf.sup_balls(centers, radii[:len(centers)], radii[:7])
+    assert maxima_again == maxima
+    for (v, p), (w, q) in zip(again, sups, strict=True):
+        assert v == w and (p is None) == (q is None) and (p is None or np.array_equal(p, q))
+
+
+@pytest.mark.parametrize("name", ["box", "default-box"])
+def test_each_2d_hypothesis_check_classes_its_centres_in_one_ball_blocks_call_per_chunk(
+        name, monkeypatch):
+    # the per-centre loop must not return: a chunk holds as many centres as
+    # its ball-block tests allow, and the 96-cell grid's 64 centres fit one
+    calls = []
+    ball_blocks = Grid.ball_blocks
+    monkeypatch.setattr(Grid, "ball_blocks", lambda self, centers, radii: calls.append(
+        (np.shape(centers), np.shape(radii))) or ball_blocks(self, centers, radii))
+    grid = GRIDS["box"] if name == "box" else Grid.default(Domain.box([1.0, 1.0]))
+    f = _model(2)
+    gf = GridField(f, grid)
+    centers, radii = halton_points(grid.domain, 64), default_radii(grid.domain)
+    blocks = max(gf.block_max.size, BLOCK * BLOCK)
+
+    def chunks(m):
+        per = functions._WALK_CHUNK // (m * blocks)
+        return [(min(per, 64 - i), 2) for i in range(0, 64, per)]
+
+    _doubling_estimate(gf, radii, centers)
+    assert calls == [(shape, (5,)) for shape in chunks(5)]
+    assert name == "default-box" or len(calls) == 1
+    calls.clear()
+    verify_ucp(f, UcpCertificate(0.5, 1.0, 0.3), grid.domain, grid)
+    assert calls == [(shape, (4,)) for shape in chunks(4)]  # the ladder up to r0
+    calls.clear()
+    gf.sup_balls(centers[:9], radii[:1] * 9, radii[1:2] * 9)
+    assert calls == [((18, 2), (18, 1))]  # both balls of each centre in one call
 
 
 SMALL_TORI = {
