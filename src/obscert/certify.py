@@ -550,7 +550,7 @@ class _Problem:
     def __init__(self, f: FunctionModel, mset: MeasurableSet, gc: GevreyCertificate, r0: float):
         self.f, self.mset, self.grid, self.gc = f, mset, mset.grid, gc
         self.field = GridField.of(f, self.grid)
-        self.sup_domain, self.x_bar = self.field.sup_domain()
+        self.sup_domain, self.x_bar = self.field.sup_domain
         self.sup_set, _ = self.field.sup_mask(mset.mask)
         if self.sup_set <= 0.0:
             raise InfeasibleError("observability from a null-data set is vacuous")
@@ -1054,7 +1054,7 @@ def empirical_ratio(f: FunctionModel, mset: MeasurableSet) -> EmpiricalRatio:
     """Same-grid sup ratio sup_domain / sup_set, the oracle a certificate
     must dominate."""
     grid_field = GridField.of(f, mset.grid)
-    sup_d, _ = grid_field.sup_domain()
+    sup_d, _ = grid_field.sup_domain
     sup_e, _ = grid_field.sup_mask(mset.mask)
     if sup_e <= 0.0:
         raise InfeasibleError("empirical ratio undefined: sup over the set is zero")

@@ -419,11 +419,18 @@ class GridField:
             object.__setattr__(f, "_grid_field", held)
         return held
 
+    @cached_property
     def sup_domain(self) -> SupResult:
-        return self.sup_mask(self.grid.interior)
+        """The sup over the domain, taken once per field: `values` holds -1
+        on every exterior cell already, so it is the sup over the interior
+        mask without the mask."""
+        return self._sup(self.values)
 
     def sup_mask(self, mask: np.ndarray) -> SupResult:
-        masked = np.where(mask, self.values, -1.0)
+        return self._sup(np.where(mask, self.values, -1.0))
+
+    def _sup(self, masked: np.ndarray) -> SupResult:
+        """The largest value, at its first cell in row-major order."""
         idx = np.unravel_index(int(np.argmax(masked)), masked.shape)
         if masked[idx] < 0.0:
             raise InfeasibleError("region contains no grid sample points")
@@ -642,7 +649,7 @@ def _domain_field(f: FunctionModel, domain: Domain, grid: Grid) -> GridField:
 def sup_norm(f: FunctionModel, region, grid: Grid) -> SupResult:
     """max |f| over the region's grid sample points, with the argmax point."""
     if isinstance(region, Domain):
-        return _domain_field(f, region, grid).sup_domain()
+        return _domain_field(f, region, grid).sup_domain
     if isinstance(region, MeasurableSet):
         if region.grid is not grid and region.grid != grid:
             raise ConfigError("measurable set lives on a different grid")
@@ -924,7 +931,7 @@ def verify_ucp(
     if centers is None:
         centers = halton_points(domain, 64)
 
-    sup = grid_field.sup_domain().value
+    sup = grid_field.sup_domain.value
     if sup == 0.0:
         raise HypothesisError("the zero function carries no certificate")
     log_sup = math.log(sup)

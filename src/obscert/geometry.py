@@ -893,19 +893,71 @@ def _fan_segments(domain: Domain, centers: np.ndarray, radii: np.ndarray, ws: np
     return ws + t_enter[:, None] * mus, _greatest(0.0, t_end - t_enter)
 
 
+class _Pieces(NamedTuple):
+    """The pieces a pass cut its segments into, grouped by segment in
+    segment order and sorted within each: each one's left end, whether its
+    midpoint lies in the set, its segment, and the number of runs that
+    begin before it; each run's end and the index of its merged interval;
+    and each merged interval's sum of the lengths before it in its segment,
+    added left to right."""
+
+    left: np.ndarray
+    included: np.ndarray
+    owner: np.ndarray
+    runs_before: np.ndarray
+    run_end: np.ndarray
+    run_interval: np.ndarray
+    length_before: np.ndarray
+
+
 class _Traces(NamedTuple):
-    """The traces of a fan of segments: every merged interval, grouped by
-    segment in segment order and sorted within each, the index of the
-    segment holding it, and each segment's total trace length."""
+    """The traces of a batch of segments.
+
+    `starts`, `ends` and `owner` hold every merged interval of the segments
+    a pass traced (`_trace`), grouped by traced segment in order and sorted
+    within each; `owner` is the index of the traced segment holding one.
+    Segment k's trace is the first `kept[k]` of the intervals of traced
+    segment `source[k]`, then the rows of `tail[k]`, shaped (2, 2), that are
+    not NaN; `totals[k]` is its length.  A pass keeps in `pieces` what a
+    shorter segment along one of its segments needs to read its trace off
+    that one (`_prefix_traces`).
+    """
 
     starts: np.ndarray
     ends: np.ndarray
     owner: np.ndarray
     totals: np.ndarray
+    source: np.ndarray
+    kept: np.ndarray
+    tail: np.ndarray
+    pieces: _Pieces
 
     def intervals(self, k: int) -> IntervalSet:
-        lo, hi = np.searchsorted(self.owner, [k, k + 1])
-        return IntervalSet(tuple(zip(self.starts[lo:hi], self.ends[lo:hi])))
+        lo = np.searchsorted(self.owner, self.source[k])
+        hi = lo + self.kept[k]
+        runs = list(zip(self.starts[lo:hi], self.ends[lo:hi]))
+        return IntervalSet(tuple(runs + [(a, b) for a, b in self.tail[k] if not np.isnan(a)]))
+
+
+def _midpoints_in(mset: MeasurableSet, origins: np.ndarray, mus: np.ndarray,
+                  owner: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Whether the midpoint of each piece [left, right] of segment `owner`
+    lies in a true cell, by one `Grid.point_to_cell` call."""
+    grid = mset.grid
+    mids = (left + right) / 2.0
+    pts = np.stack([origins[:, axis][owner] + mids * mus[:, axis][owner]
+                    for axis in range(grid.dimension)], axis=-1)
+    return mset.mask[grid.point_to_cell(pts)]
+
+
+def _boundary_span(h: float, x0: np.ndarray, m: np.ndarray,
+                   t_max: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per segment, the first and last index k of the cell boundaries k*h
+    along one axis between the coordinates x0 and x0 + t_max*m of its ends:
+    the boundaries `_trace` tests for cuts."""
+    x1 = x0 + t_max * m
+    return (np.floor(np.minimum(x0, x1) / h).astype(np.int64) + 1,
+            np.ceil(np.maximum(x0, x1) / h).astype(np.int64) - 1)
 
 
 def _trace(mset: MeasurableSet, origins: np.ndarray, mus: np.ndarray,
@@ -926,9 +978,7 @@ def _trace(mset: MeasurableSet, origins: np.ndarray, mus: np.ndarray,
     for axis in range(grid.dimension):
         m = mus[live, axis]
         x0 = origins[live, axis]
-        x1 = x0 + t_max[live] * m
-        k0 = np.floor(np.minimum(x0, x1) / h).astype(np.int64) + 1
-        k1 = np.ceil(np.maximum(x0, x1) / h).astype(np.int64) - 1
+        k0, k1 = _boundary_span(h, x0, m, t_max[live])
         count = np.where(np.abs(m) < 1e-15, 0, np.maximum(k1 - k0 + 1, 0))
         # k0, ..., k1 of every segment, back to back
         ks = np.repeat(k0 - (np.cumsum(count) - count), count) + np.arange(count.sum())
@@ -951,10 +1001,7 @@ def _trace(mset: MeasurableSet, origins: np.ndarray, mus: np.ndarray,
     # consecutive cuts of one segment bound a piece; its midpoint decides it
     piece = np.flatnonzero(owner[1:] == owner[:-1])
     left, right, p_owner = t[piece], t[piece + 1], owner[piece]
-    mids = (left + right) / 2.0
-    pts = np.stack([origins[:, axis][p_owner] + mids * mus[:, axis][p_owner]
-                    for axis in range(grid.dimension)], axis=-1)
-    included = mset.mask[grid.point_to_cell(pts)]
+    included = _midpoints_in(mset, origins, mus, p_owner, left, right)
 
     # a run starts at an included piece not joined to an included predecessor
     # of its segment, and ends at one not joined to an included successor
@@ -973,7 +1020,115 @@ def _trace(mset: MeasurableSet, origins: np.ndarray, mus: np.ndarray,
     rows = np.zeros((len(mus), counts.max(initial=0) + 1))
     column = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
     rows[owner, column] = ends - starts
-    return _Traces(starts, ends, owner, np.cumsum(rows, axis=1)[:, -1])
+    sums = np.cumsum(rows, axis=1)
+    pieces = _Pieces(left, included, p_owner, np.cumsum(first) - first, b,
+                     np.cumsum(~merged) - 1, np.where(column > 0, sums[owner, column - 1], 0.0))
+    return _Traces(starts, ends, owner, sums[:, -1], np.arange(len(mus)), counts,
+                   np.full((len(mus), 2, 2), np.nan), pieces)
+
+
+def _search_left(values: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                 x: np.ndarray) -> np.ndarray:
+    """Per query, the first index in [lo, hi) whose value is not below x, or
+    hi: `np.searchsorted` of each x in its own sorted slice values[lo:hi],
+    by a binary search over all slices at once."""
+    at = lo
+    step = 1 << int(np.max(hi - lo, initial=0)).bit_length()
+    while step := step >> 1:
+        probe = at + step
+        at = np.where((probe <= hi) & (values[np.minimum(probe, hi) - 1] < x), probe, at)
+    return at
+
+
+def _prefix_traces(mset: MeasurableSet, traced: _Traces, origins: np.ndarray, mus: np.ndarray,
+                   t_max: np.ndarray, source: np.ndarray, own: np.ndarray) -> _Traces:
+    """The traces of the segments origins[k] + t*mus[k], t in [0, t_max[k]],
+    from `traced`, a pass over those where `own` holds.  Each other segment
+    runs along traced segment `source[k]` from its start, no farther, and
+    its cuts are that segment's cuts below t_max[k] (`_shared_traces`
+    checks this).
+
+    Such a segment's pieces are the traced segment's up to its last cut c
+    below t_max[k], then the tail [c, t_max[k]] with its own midpoint test.
+    Its runs are the traced segment's, the last one ending at c where it
+    reached past it; the tail then extends the last run, merges with it
+    under the 1e-15 rule or begins a new one.  Its total adds, left to
+    right, the traced segment's lengths before its last merged interval,
+    that interval's new length and the tail's, as `_trace` adds them.
+    """
+    p = traced.pieces
+    totals = np.zeros(len(t_max))
+    kept = np.zeros(len(t_max), dtype=np.int64)
+    tail = np.full((len(t_max), 2, 2), np.nan)
+    totals[own], kept[own] = traced.totals, traced.kept
+    reads = np.flatnonzero(~own & (t_max > 0.0))
+    s, t_end = source[reads], t_max[reads]
+    lo = np.searchsorted(p.owner, s)
+    at = _search_left(p.left, lo, np.searchsorted(p.owner, s, side="right"), t_end) - 1
+    c = p.left[at]
+    tail_in = _midpoints_in(mset, origins, mus, reads, c, t_end)
+
+    # the last run begun before the tail, and its merged interval
+    run = np.flatnonzero(p.runs_before[at] > p.runs_before[lo])
+    last = p.runs_before[at[run]] - 1
+    interval = p.run_interval[last]
+    end = np.where((at[run] > lo[run]) & p.included[at[run] - 1], c[run], p.run_end[last])
+    joins = tail_in[run] & (c[run] <= end + 1e-15)
+    end = np.where(joins, t_end[run], end)
+    start = traced.starts[interval]
+    totals[reads[run]] = p.length_before[interval] + (end - start)
+    kept[reads[run]] = interval - np.searchsorted(traced.owner, s[run])
+    tail[reads[run], 0] = np.stack([start, end], axis=-1)
+
+    alone = tail_in.copy()  # the tail as a merged interval of its own
+    alone[run[joins]] = False
+    totals[reads[alone]] += t_end[alone] - c[alone]
+    tail[reads[alone], 1] = np.stack([c[alone], t_end[alone]], axis=-1)
+    return traced._replace(totals=totals, source=source, kept=kept, tail=tail)
+
+
+def _shared_traces(mset: MeasurableSet, origins: np.ndarray, mus: np.ndarray,
+                   t_max: np.ndarray) -> _Traces:
+    """The traces `_trace` gives the segments origins[k] + t*mus[k], t in
+    [0, t_max[k]], with each ray traced once.
+
+    Segments whose origin and direction agree bit for bit run along one ray:
+    one `_trace` pass takes the longest of them (the first of equals), and
+    the others read their traces off it (`_prefix_traces`).  A segment's own
+    trace tests only the cell boundaries between its ends, and rounding may
+    leave out one that the longer segment cuts below the shorter one's end.
+    The cuts along an axis are monotone in the boundary index, so only the
+    first boundary past the end on either side can be one; a segment for
+    which one is goes into the pass as well.
+    """
+    n = len(t_max)
+    rays = np.ascontiguousarray(np.concatenate([origins, mus], axis=1))
+    _, ray = np.unique(rays.view(np.dtype((np.void, rays.itemsize * rays.shape[1]))),
+                       return_inverse=True)
+    ray = ray.reshape(-1)
+    order = np.lexsort((-t_max, ray))
+    head = np.ones(n, dtype=bool)
+    head[1:] = ray[order][1:] != ray[order][:-1]
+    longest = np.empty(n, dtype=np.int64)
+    longest[ray[order][head]] = order[head]
+    source = longest[ray]
+
+    h = mset.grid.h
+    for axis in range(mus.shape[1]):
+        m, x0 = mus[:, axis], origins[:, axis]
+        k0, k1 = _boundary_span(h, x0, m, t_max)
+        r0, r1 = _boundary_span(h, x0, m, t_max[source])
+        for k in (np.maximum(k1 + 1, r0), np.minimum(k0 - 1, r1)):
+            cut = (k * h - x0) / np.where(np.abs(m) < 1e-15, 1.0, m)
+            left_out = (np.abs(m) >= 1e-15) & (k >= r0) & (k <= r1) & (cut > 0.0) & (cut < t_max)
+            source[left_out] = np.flatnonzero(left_out)
+
+    own = source == np.arange(n)
+    traced = _trace(mset, origins[own], mus[own], t_max[own])
+    if own.all():
+        return traced
+    return _prefix_traces(mset, traced, origins, mus, t_max,
+                          np.cumsum(own)[source] - 1, own)
 
 
 def ray_directions(dimension: int) -> np.ndarray:
@@ -996,9 +1151,12 @@ def best_ray_intervals(
     a tie.
 
     Downstream bounds consume the returned measured trace, not the
-    spherical-average floor |B ∩ E| / (|S^{d-1}| (2r)^{d-1}).  On a 1D grid
-    the fans of every ball are traced in one `_trace` call; a 2D grid traces
-    one fan per call, which is faster there than many fans at once.
+    spherical-average floor |B ∩ E| / (|S^{d-1}| (2r)^{d-1}).  Fans that
+    share a ray trace it once (`_shared_traces`): the balls of one origin,
+    whose segments from it differ only in length, cost one fan.  On a 1D
+    grid the fans of every ball are traced in one pass; a 2D grid traces the
+    fans of each origin in a pass of their own, as one pass over many
+    distinct rays was slower there than one pass per fan.
     """
     domain = mset.grid.domain
     centers = mset.grid._centers(centers)
@@ -1010,28 +1168,31 @@ def best_ray_intervals(
         raise ConfigError("ray origin too far from the ball")
 
     mus = ray_directions(domain.dimension)
-    per_call = max(1, len(centers)) if domain.dimension == 1 else 1
-    found: list[tuple[Segment, IntervalSet] | ResolutionError] = []
-    for first in range(0, len(centers), per_call):
-        # one row per segment: every ball's fan, ball after ball
-        balls = slice(first, first + per_call)
-        directions = np.tile(mus, (len(radii[balls]), 1))
-        starts, t_max = _fan_segments(
-            domain, *(np.repeat(a[balls], len(mus), axis=0) for a in (centers, radii, ws)),
-            directions)
-        traces = _trace(mset, starts, directions, t_max)
-        for fan in range(0, len(t_max), len(mus)):
+    # one row per segment: every ball's fan, ball after ball
+    directions = np.tile(mus, (len(centers), 1))
+    starts, t_max = _fan_segments(
+        domain, *(np.repeat(a, len(mus), axis=0) for a in (centers, radii, ws)), directions)
+    passes: dict[bytes | None, list[int]] = {}
+    for ball, w in enumerate(ws):
+        passes.setdefault(w.tobytes() if domain.dimension == 2 else None, []).append(ball)
+    found: list[tuple[Segment, IntervalSet] | ResolutionError] = [None] * len(centers)
+    for balls in passes.values():
+        rows = (np.array(balls)[:, None] * len(mus) + np.arange(len(mus))).ravel()
+        traces = _shared_traces(mset, starts[rows], directions[rows], t_max[rows])
+        for i, ball in enumerate(balls):
+            fan = i * len(mus)
             best, best_total = fan, traces.totals[fan]
             for k in range(fan, fan + len(mus)):  # first wins a tie
                 if traces.totals[k] > best_total + 1e-15:
                     best, best_total = k, traces.totals[k]
             if best_total <= 0.0:
-                found.append(ResolutionError(
+                found[ball] = ResolutionError(
                     "no sampled direction meets the set; refine the grid or the fan"
-                ))
+                )
                 continue
-            seg = Segment(tuple(starts[best]), tuple(directions[best]), float(t_max[best]))
-            found.append((seg, traces.intervals(best)))
+            row = rows[best]
+            seg = Segment(tuple(starts[row]), tuple(directions[row]), float(t_max[row]))
+            found[ball] = (seg, traces.intervals(best))
     return found
 
 

@@ -336,7 +336,7 @@ def test_certifier_and_oracle_read_the_sums_own_field(monkeypatch):
     assert GridField.of(es, g) is field
     assert full_grid == []
     assert (cert.aux["sup_domain"], cert.aux["sup_set"]) == (ratio.sup_domain, ratio.sup_set)
-    assert ratio.sup_domain == field.sup_domain().value
+    assert ratio.sup_domain == field.sup_domain.value
 
 
 def test_certify_eigensum_two_dimensional():

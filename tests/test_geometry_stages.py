@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import obscert.certify as certify
+from obscert import geometry
 from obscert.certify import (
     _DEGREE_CAP,
     _GeometryRun,
@@ -458,3 +459,62 @@ def test_a_1d_degree_search_makes_as_many_line_run_calls_at_any_width(monkeypatc
     assert len(set(seen.values())) == 1, seen
     # the cover balls, then each degree's (x, rho) and (x, r_hat) balls
     assert seen[16] == 2 and calls[1] == 2 * 17
+
+
+def test_a_2d_window_whose_degrees_share_a_ray_origin_traces_one_fan(monkeypatch):
+    f, mset, dc, gc = _problem("box", (128, 128))
+    real_rays, real_trace = certify.best_ray_intervals, geometry._trace
+    origins, traced = [], []
+
+    def recording_rays(centers, radii, mset, ws):
+        origins.append(np.array(ws))
+        return real_rays(centers, radii, mset, ws)
+
+    def recording_trace(mset, starts, mus, t_max):
+        traced.append(len(t_max))
+        return real_trace(mset, starts, mus, t_max)
+
+    monkeypatch.setattr(certify, "best_ray_intervals", recording_rays)
+    monkeypatch.setattr(geometry, "_trace", recording_trace)
+    staged, loop = _staged_and_loop(monkeypatch, lambda: certify_sigma1(f, mset, dc, gc, search=8))
+    assert staged == loop and staged.startswith("{")
+    (window,) = origins  # the staged run's one call; the loop calls geometry's own name
+    assert len(window) == 9 and (window == window[0]).all()
+    # one pass of one fan for the window, then one per degree for the loop
+    assert traced == [len(ray_directions(2))] * 10
+
+
+WINDOW_GRIDS = [
+    Grid(Domain.box([1.0, 1.0]), (96, 96)),
+    Grid(Domain.torus([1.0, 1.0]), (96, 96)),
+    Grid(Domain.disk(0.5), (96, 96)),
+    Grid(Domain.box([1.0]), (512,)),
+    Grid(Domain.torus([1.0]), (512,)),
+]
+
+
+@pytest.mark.parametrize("grid", WINDOW_GRIDS, ids=lambda g: f"{g.domain.kind}{g.cells}")
+def test_a_window_whose_ray_origins_differ_matches_one_fan_at_a_time(grid):
+    """Degrees that share a centre and an origin, degrees whose origin is
+    their own centre, and origins outside the ball (where each direction's
+    segment starts at its own entry point): the window gives each ball the
+    ray and trace a call for that ball alone gives it."""
+    rng = np.random.default_rng(37)
+    mset = MeasurableSet.random(grid, 0.3, rng)
+    d, h = grid.dimension, grid.h
+    shared = grid.domain.center + 3.25 * h
+    radii = [0.3 * 0.8 ** k for k in range(9)]
+    centers = [shared + (k % 3) * h for k in range(9)]
+    origins = [shared, shared, centers[2], centers[3], shared, shared, shared, centers[7], shared]
+    # outside its ball, within twice its radius
+    origins[4] = centers[4] + 1.5 * radii[4] * np.eye(d)[0]
+    origins[6] = centers[6] - 1.2 * radii[6] * np.ones(d) / math.sqrt(d)
+    window = best_ray_intervals(np.array(centers), radii, mset, origins)
+    assert any(isinstance(ray, tuple) for ray in window)
+    for c, r, w, ray in zip(centers, radii, origins, window, strict=True):
+        (alone,) = best_ray_intervals([c], [r], mset, [w])
+        if isinstance(alone, ResolutionError):
+            assert isinstance(ray, ResolutionError) and str(ray) == str(alone)
+        else:
+            assert ray[0] == alone[0]
+            assert ray[1].intervals == alone[1].intervals
