@@ -221,8 +221,6 @@ def build_set(cfg: RunConfig, grid: Grid, rng: np.random.Generator) -> Measurabl
             if len(vals) != 2:
                 raise ConfigError("box bounds need lo, hi per axis")
             bounds.append((vals[0], vals[1]))
-        if len(bounds) != grid.dimension:
-            raise ConfigError("bounds must cover every axis")
         return MeasurableSet.from_box(grid, bounds)
     if kind == "ball":
         center = _floats(sec.get("center", ""))

@@ -100,6 +100,20 @@ class FunctionModel:
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def grid_values(self, grid: Grid) -> np.ndarray:
+        """`evaluate(grid.points)` bit for bit, as a new array: the one
+        full-grid evaluation, which `GridField` builds on.  On a 2D grid,
+        TrigSum and Gaussian build it from the per-axis cell centres
+        (`_plane_values`), without `grid.points`; on a 1D grid the points
+        are the axis itself."""
+        values = self._plane_values(grid) if grid.dimension == self.dimension == 2 else None
+        return self.evaluate(grid.points) if values is None else values
+
+    def _plane_values(self, grid: Grid) -> np.ndarray | None:
+        """The values on a 2D grid, equal bit for bit to `evaluate` at its
+        points, or None to evaluate at the points."""
+        return None
+
     def directional_derivative(
         self, points: np.ndarray, direction: np.ndarray, order: int
     ) -> np.ndarray:
@@ -186,8 +200,23 @@ class TrigSum(FunctionModel):
         p = _as_points(points, self.dimension)
         out = np.zeros(p.shape[:-1])
         for m in self.modes:
-            arg = TWO_PI * np.tensordot(p, np.asarray(m.freq, dtype=float), axes=([-1], [0]))
-            out += m.amplitude * np.sin(arg + m.phase)
+            out += m.amplitude * np.sin(TWO_PI * _phase(p, m.freq) + m.phase)
+        return out
+
+    def _plane_values(self, grid: Grid) -> np.ndarray:
+        """Each mode's phase `x k0 + y k1` from the per-axis products, in one
+        buffer reused across modes: the products and the one addition
+        `_phase` makes at the points."""
+        x, y = grid.axis_centers
+        out, phase = np.zeros(grid.cells), np.empty(grid.cells)
+        for m in self.modes:
+            k0, k1 = m.freq
+            np.add((x * k0)[:, None], y * k1, out=phase)
+            phase *= TWO_PI
+            phase += m.phase
+            np.sin(phase, out=phase)
+            phase *= m.amplitude
+            out += phase
         return out
 
     def directional_derivative(self, points, direction, order: int) -> np.ndarray:
@@ -202,7 +231,7 @@ class TrigSum(FunctionModel):
             rate = TWO_PI * float(np.dot(k, mu))
             if rate == 0.0 and order > 0:
                 continue
-            arg = TWO_PI * np.tensordot(p, k, axes=([-1], [0]))
+            arg = TWO_PI * _phase(p, m.freq)
             out += m.amplitude * rate ** order * np.sin(arg + m.phase + shift)
         return out
 
@@ -217,7 +246,7 @@ class TrigSum(FunctionModel):
             rates = [TWO_PI * float(np.dot(k, mu)) for mu in mus]
             if any(rate != 0.0 for rate in rates):
                 modes.append((m.amplitude, rates,
-                              TWO_PI * np.tensordot(p, k, axes=([-1], [0])) + m.phase))
+                              TWO_PI * _phase(p, m.freq) + m.phase))
         for order in range(1, kmax + 1):
             shift = order * math.pi / 2.0
             outs = [np.zeros(p.shape[:-1]) for _ in mus]
@@ -227,6 +256,16 @@ class TrigSum(FunctionModel):
                     if rate != 0.0:
                         out += amplitude * rate ** order * s
             yield outs
+
+
+def _phase(p: np.ndarray, freq: Sequence[int]) -> np.ndarray:
+    """k . x at every point, the per-axis products added in axis order.
+    Separate elementwise operations never fuse a multiply-add, so this rounds
+    alike on every CPU; a BLAS contraction fuses on FMA cores."""
+    out = p[..., 0] * freq[0]
+    for axis in range(1, len(freq)):
+        out += p[..., axis] * freq[axis]
+    return out
 
 
 def _hermite_phys(order: int, z: np.ndarray) -> np.ndarray:
@@ -264,6 +303,17 @@ class Gaussian(FunctionModel):
         p = _as_points(points, self.dimension)
         sq = np.sum((p - np.asarray(self.center)) ** 2, axis=-1)
         return self.amplitude * np.exp(-sq / (2.0 * self.width ** 2))
+
+    def _plane_values(self, grid: Grid) -> np.ndarray:
+        """One buffer of `(x - cx)^2 + (y - cy)^2`, the one addition
+        `evaluate`'s sum over two axes makes, then the rest in place."""
+        (x, y), (cx, cy) = grid.axis_centers, self.center
+        sq = np.add(((x - cx) ** 2)[:, None], (y - cy) ** 2)
+        np.negative(sq, out=sq)
+        sq /= 2.0 * self.width ** 2
+        np.exp(sq, out=sq)
+        sq *= self.amplitude
+        return sq
 
     def directional_derivative(self, points, direction, order: int) -> np.ndarray:
         if order == 0:
@@ -398,7 +448,8 @@ class GridField:
 
     def __init__(self, f: FunctionModel, grid: Grid):
         self.grid = grid
-        values = np.abs(f.evaluate(grid.points))
+        values = f.grid_values(grid)
+        np.abs(values, out=values)
         values[~grid.interior] = -1.0
         self.values = values
 
@@ -424,17 +475,21 @@ class GridField:
         """The sup over the domain, taken once per field: `values` holds -1
         on every exterior cell already, so it is the sup over the interior
         mask without the mask."""
-        return self._sup(self.values)
+        return self._sup(self.values.ravel())
 
     def sup_mask(self, mask: np.ndarray) -> SupResult:
-        return self._sup(np.where(mask, self.values, -1.0))
+        """The sup over the mask's cells, read from those cells only."""
+        cells = np.flatnonzero(mask)
+        return self._sup(self.values.ravel()[cells], cells)
 
-    def _sup(self, masked: np.ndarray) -> SupResult:
-        """The largest value, at its first cell in row-major order."""
-        idx = np.unravel_index(int(np.argmax(masked)), masked.shape)
-        if masked[idx] < 0.0:
+    def _sup(self, values: np.ndarray, cells: np.ndarray | None = None) -> SupResult:
+        """The largest of `values`, the field at the flat cell indices
+        `cells` in ascending order (every cell by default), at its first
+        cell in row-major order."""
+        i = int(np.argmax(values)) if values.size else None
+        if i is None or values[i] < 0.0:
             raise InfeasibleError("region contains no grid sample points")
-        return SupResult(float(masked[idx]), self.grid.points[idx])
+        return SupResult(float(values[i]), self.grid.cell_points(i if cells is None else cells[i]))
 
     @cached_property
     def default_doubling(self) -> tuple[DoublingCertificate, DoublingReport]:
@@ -631,10 +686,10 @@ class GridField:
             first = np.cumsum(count) - count
             cells = (np.repeat(start - first, count) + np.arange(count.sum())) % n
             hits = np.where(self.values[cells] == np.repeat(maxima[:k], count), cells, n)
-            lowest = np.minimum.reduceat(np.append(hits, n), first) if k else []
-        points = self.grid.points.reshape(n, -1)
-        sups = [SupResult(float(v), points[c] if v >= 0.0 else None)
-                for v, c in zip(maxima[:k], lowest)]
+            lowest = np.minimum.reduceat(np.append(hits, n), first) if k else first
+        points = self.grid.cell_points(np.minimum(lowest, n - 1))
+        sups = [SupResult(float(v), p if v >= 0.0 else None)
+                for v, p in zip(maxima[:k], points)]
         return sups, maxima[k:].tolist()
 
 
@@ -722,7 +777,7 @@ def _sample_points(grid: Grid, max_points: int) -> np.ndarray:
     idx = np.flatnonzero(grid.interior)
     if idx.size > max_points:
         idx = idx[:: int(math.ceil(idx.size / max_points))]
-    return grid.points.reshape(-1, grid.dimension)[idx]
+    return grid.cell_points(idx)
 
 
 def _direction_fan(dimension: int, count: int) -> np.ndarray:

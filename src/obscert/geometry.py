@@ -206,6 +206,16 @@ class Grid:
         axes = np.meshgrid(*self.axis_centers, indexing="ij")
         return np.stack(axes, axis=-1)
 
+    def cell_points(self, flat) -> np.ndarray:
+        """The centres of the cells at the row-major flat indices `flat`,
+        shaped np.shape(flat) + (d,): those rows of `points`, read from
+        `axis_centers` without building `points`."""
+        if self.dimension == 1:
+            return self.axis_centers[0][flat, None]
+        i, j = np.divmod(flat, self.cells[1])
+        x, y = self.axis_centers
+        return np.stack((x[i], y[j]), axis=-1)
+
     @cached_property
     def interior(self) -> np.ndarray:
         """Cells whose centre lies in the domain; exterior cells are flagged.
@@ -363,9 +373,14 @@ class Grid:
         return BallBlocks((ox, oy), r, inside, boundary)
 
     def ball_field(self, ball: "Ball") -> np.ndarray:
-        """Boolean field: interior cells whose centre lies in the ball."""
-        dist = self.domain.distance(self.points, self._centers([ball.center])[0])
-        return (dist <= ball.radius) & self.interior
+        """Boolean field: interior cells whose centre lies in the ball.
+
+        A cell is in the ball when ``sqrt(ox + oy) <= r`` over its per-axis
+        squared offsets (`_axis_offsets`), summed in axis order: that root is
+        ``Domain.distance`` bit for bit."""
+        c = self._centers([ball.center])[0]
+        offsets = [self._axis_offsets(axis, c[axis], a) for axis, a in enumerate(self.axis_centers)]
+        return (np.sqrt(reduce(np.add.outer, offsets)) <= ball.radius) & self.interior
 
 
 class BallBlocks(NamedTuple):
@@ -463,12 +478,13 @@ class MeasurableSet:
 
     @staticmethod
     def from_box(grid: Grid, bounds: Sequence[tuple[float, float]]) -> "MeasurableSet":
-        """Cells whose centre lies in the axis-aligned box `bounds`."""
-        mask = grid.interior.copy()
-        pts = grid.points
-        for axis, (lo, hi) in enumerate(bounds):
-            mask &= (pts[..., axis] >= lo) & (pts[..., axis] <= hi)
-        return MeasurableSet(grid, mask)
+        """Cells whose centre lies in the axis-aligned box `bounds`, one
+        (lo, hi) per axis: the outer AND of the axes' tests, as in
+        `Grid.interior`."""
+        if len(bounds) != grid.dimension:
+            raise ConfigError("bounds must cover every axis")
+        tests = [(a >= lo) & (a <= hi) for a, (lo, hi) in zip(grid.axis_centers, bounds)]
+        return MeasurableSet(grid, reduce(np.logical_and.outer, tests) & grid.interior)
 
     @staticmethod
     def from_ball(grid: Grid, ball: Ball) -> "MeasurableSet":

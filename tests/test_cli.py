@@ -1,5 +1,6 @@
 import argparse
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -755,17 +756,28 @@ search = 2
 
 
 def _count_full_grid_evaluations(monkeypatch, cells):
-    """Wrap TrigSum.evaluate; return the list of models it evaluated on the
-    full grid of the given cell counts."""
-    seen = []
-    evaluate = TrigSum.evaluate
+    """Wrap TrigSum.grid_values, the one full-grid entry, and TrigSum.evaluate
+    at the full grid's points outside it; return the list of models either
+    evaluated on the grid of the given cell counts."""
+    seen, inside = [], threading.local()
+    grid_values, evaluate = TrigSum.grid_values, TrigSum.evaluate
 
-    def counting(self, points):
-        if np.shape(points)[:-1] == cells:
+    def counting_grid(self, grid):
+        if grid.cells == cells:
+            seen.append(self)
+        inside.active = True
+        try:
+            return grid_values(self, grid)
+        finally:
+            inside.active = False
+
+    def counting_points(self, points):
+        if np.shape(points)[:-1] == cells and not getattr(inside, "active", False):
             seen.append(self)
         return evaluate(self, points)
 
-    monkeypatch.setattr(TrigSum, "evaluate", counting)
+    monkeypatch.setattr(TrigSum, "grid_values", counting_grid)
+    monkeypatch.setattr(TrigSum, "evaluate", counting_points)
     return seen
 
 
@@ -778,6 +790,29 @@ def test_certify_2d_evaluates_f_on_the_full_grid_once(tmp_path, monkeypatch):
     assert main(["certify", str(cfg), "--output-dir", str(out)]) == EXIT_OK
     assert json.loads((out / "report.json").read_text())["soundness"]["passed"] is True
     assert len(seen) == 1
+
+
+@pytest.mark.parametrize("domain", ["kind = box\nextent = 1.0, 1.0",
+                                    "kind = torus\nextent = 1.0, 1.0",
+                                    "kind = disk\nradius = 0.5"], ids=["box", "torus", "disk"])
+@pytest.mark.parametrize("function", [
+    "kind = trig\nmodes = 1 2:1.0:0.3; 2 -1:0.5:0.9",
+    "kind = gaussian\ncenter = 0.45, 0.55\nwidth = 0.25",
+], ids=["trig", "gaussian"])
+def test_certify_and_verify_on_a_512_grid_never_build_the_grid_points(
+        tmp_path, monkeypatch, domain, function):
+    def no_points(grid):
+        raise AssertionError(f"Grid.points built for {grid.cells}")
+
+    monkeypatch.setattr(Grid, "points", property(no_points))
+    text = (CONFIG_2D.replace("cells = 128, 128", "cells = 512, 512")
+            .replace("kind = box\nextent = 1.0, 1.0", domain)
+            .replace("kind = trig\nmodes = 1 2:1.0:0.3; 2 -1:0.5:0.9", function))
+    cfg = write_config(tmp_path, text)
+    assert main(["verify", str(cfg), "--output-dir", str(tmp_path / "verify")]) == EXIT_OK
+    out = tmp_path / "certify"
+    assert main(["certify", str(cfg), "--output-dir", str(out)]) == EXIT_OK
+    assert json.loads((out / "report.json").read_text())["soundness"]["passed"] is True
 
 
 @pytest.mark.parametrize("workers", [1, 2])
