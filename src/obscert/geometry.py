@@ -660,8 +660,12 @@ def cover_count_bound(domain: Domain, r: float) -> int:
 # Pigeonhole densest ball
 # ---------------------------------------------------------------------------
 
-# (ball, row) pairs a chunk of the cover takes at once in `_row_counts`
+# rows of the bands and ring cells a chunk of the balls takes at once in
+# `_row_counts`
 _PAIRS_PER_CHUNK = 1 << 16
+
+# the cells `_settle_runs` tests for a run in a round: each end and its neighbour
+_CELLS_PER_RUN = 4
 
 
 def _row_counts(mset: MeasurableSet, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -678,6 +682,15 @@ def _row_counts(mset: MeasurableSet, centers: np.ndarray, radii: np.ndarray) -> 
     `_settle_runs`.  The count is then a difference of the set's row prefix
     sums per row.
 
+    The balls that share a centre are counted together, over the band of
+    their largest radius.  The test is monotone in r, so in each row the run
+    of the smallest radius lies in the run of the largest, and the cells
+    between the two form a ring.  A ball of radius r holds the set cells of
+    the inner runs and those of the ring whose rounded ``sqrt(ox + oy)`` is
+    at most r: a centre settles two runs per row and counts its balls by one
+    sorted search of its ring.  A centre whose ring would hold more cells
+    than its radii's own runs would test counts each radius by its runs.
+
     The torus window presumes centres within half a period of the
     fundamental domain, as every cover centre is.
     """
@@ -685,23 +698,74 @@ def _row_counts(mset: MeasurableSet, centers: np.ndarray, radii: np.ndarray) -> 
     (n0, n1), h = grid.cells, grid.h
     torus = grid.domain.kind == "torus"
     prefix = mset.row_prefix
-    reach = int(min(np.ceil(radii.max() / h), n0))
-    band = min(2 * reach + 3, n0)
-    counts = np.zeros(len(centers), dtype=np.int64)
-    per_chunk = max(1, _PAIRS_PER_CHUNK // band)
-    for first_ball in range(0, len(centers), per_chunk):
-        part = slice(first_ball, first_ball + per_chunk)
-        first_row = np.floor(centers[part, 0] / h).astype(np.int64) - reach - 1
+    order = np.lexsort((radii, centers[:, 1], centers[:, 0]))  # by centre, then by radius
+    c, r = centers[order], radii[order]
+    reach = np.minimum(np.ceil(r / h), n0).astype(np.int64)
+    band = np.minimum(2 * reach + 3, n0)
+
+    def groups(opens: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The first and last ball of each run of balls that `opens` starts,
+        and the area in cells of the ring between their radii, at most the
+        grid's."""
+        first = np.flatnonzero(opens)
+        last = np.append(first[1:], len(r)) - 1
+        return first, last, np.minimum(np.pi * (r[last] ** 2 - r[first] ** 2) / h ** 2, n0 * n1)
+
+    new_centre = np.append(True, (c[1:] != c[:-1]).any(axis=1))
+    first, last, ring = groups(new_centre)
+    by_rows = ring > _CELLS_PER_RUN * np.add.reduceat(band, first)
+    first, last, ring = groups(new_centre | np.repeat(by_rows, last - first + 1))
+    group = np.repeat(np.arange(len(first)), last - first + 1)
+    inner, outer = r[first], r[last]
+    weight = band[last] + ring
+    cuts = np.flatnonzero(np.diff((np.cumsum(weight) - weight) // _PAIRS_PER_CHUNK)) + 1
+    counts = np.empty(len(r), dtype=np.int64)
+    for a, b in zip(np.append(0, cuts), np.append(cuts, len(first))):
+        bands = band[last[a:b]]
+        first_row = np.floor(c[first[a:b], 0] / h).astype(np.int64) - reach[last[a:b]] - 1
         if not torus:  # shifted inside the box, the band still holds every row reached
-            first_row = np.clip(first_row, 0, n0 - band)
-        rows = (first_row[:, None] + np.arange(band)).ravel() % n0
-        cx, cy = (np.repeat(c, band) for c in centers[part].T)
+            first_row = np.clip(first_row, 0, n0 - bands)
+        pair, rows = _spans(first_row, bands)
+        pair += a
+        rows %= n0
+        cx, cy = c[first[pair]].T
         ox = grid._axis_offsets(0, cx, grid.axis_centers[0][rows])
-        lo, hi = _row_runs(grid, cy, ox, np.repeat(radii[part], band))
+        lo, hi = _row_runs(grid, cy, ox, inner[pair])
         start = lo % n1
-        stop = start + np.maximum(hi - lo + 1, 0)
-        counts[part] = (prefix[rows, stop] - prefix[rows, start]).reshape(-1, band).sum(axis=1)
-    return counts
+        held = prefix[rows, start + np.maximum(hi - lo + 1, 0)] - prefix[rows, start]
+        base = np.add.reduceat(held, np.cumsum(bands) - bands)
+
+        # the ring's set cells: the outer run less the inner one, if any
+        rim = np.flatnonzero(outer[pair] > inner[pair])
+        lo_out, hi_out = _row_runs(grid, cy[rim], ox[rim], outer[pair[rim]])
+        empty = hi[rim] < lo[rim]
+        cut, resume = (np.where(empty, hi_out + 1, end) for end in (lo[rim], hi[rim] + 1))
+        part, j = _spans(np.concatenate((lo_out, resume)),
+                         np.maximum(np.concatenate((cut - lo_out, hi_out + 1 - resume)), 0))
+        at, j = np.concatenate((rim, rim))[part], j % n1
+        keep = mset.mask[rows[at], j]
+        at, j = at[keep], j[keep]
+        d = np.sqrt(ox[at] + grid._axis_offsets(1, cy[at], grid.axis_centers[1][j]))
+
+        # each ball's count: its group's inner cells and the ring cells sorted
+        # before it (a cell before a ball at its distance), less earlier groups'
+        balls = np.arange(first[a], last[b - 1] + 1)
+        ranked = np.lexsort((np.arange(len(d) + len(balls)) >= len(d),
+                             np.concatenate((d, r[balls])),
+                             np.concatenate((pair[at], group[balls]))))
+        is_ball = ranked >= len(d)
+        ring_cells = np.bincount(pair[at] - a, minlength=b - a)
+        ball = balls[ranked[is_ball] - len(d)]
+        g = group[ball] - a
+        counts[ball] = (base - np.cumsum(ring_cells) + ring_cells)[g] + np.cumsum(~is_ball)[is_ball]
+    return counts[np.argsort(order)]
+
+
+def _spans(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The indices of the spans [start, start + length), span by span, each
+    with the number of its span."""
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    return owner, (starts + lengths - np.cumsum(lengths))[owner] + np.arange(len(owner))
 
 
 def _row_runs(grid: Grid, cy: np.ndarray, ox: np.ndarray,
@@ -785,24 +849,20 @@ def densest_cover_balls(
 
     The measure satisfies the pigeonhole floor |B ∩ E| >= |E| / k exactly in
     cell counts for a cover of k balls, provided the cover covers every true
-    cell.  On a 1D grid the balls of every cover are counted in one call; a
-    2D grid counts one cover per call, since `_row_counts` sizes its row band
-    from the largest radius it is given.
+    cell.  The balls of every cover are counted in one call: on a 2D grid,
+    the covers' balls that share a centre are counted together, from two
+    runs per row and the ring between them (`_row_counts`).
     """
-    grid = mset.grid
-    covers = [cover_domain(grid.domain, r) for r in radii]
     if mset.cell_count == 0:
         raise InfeasibleError("a densest cover ball requires a set of positive measure")
-    per_call = max(1, len(covers)) if grid.dimension == 1 else 1
+    grid = mset.grid
+    covers = [cover_domain(grid.domain, r) for r in radii]
+    sizes = [len(cover) for cover in covers]
+    counts = _ball_counts(mset, np.concatenate(covers), np.repeat(radii, sizes)) if covers else []
     found = []
-    for first in range(0, len(covers), per_call):
-        chunk = covers[first:first + per_call]
-        sizes = [len(cover) for cover in chunk]
-        counts = _ball_counts(mset, np.concatenate(chunk),
-                              np.repeat(radii[first:first + per_call], sizes))
-        for cover, part in zip(chunk, np.split(counts, np.cumsum(sizes)[:-1])):
-            best = int(np.argmax(part))  # the first of the largest counts
-            found.append((len(cover), cover[best], int(part[best]) * grid.h ** grid.dimension))
+    for cover, part in zip(covers, np.split(counts, np.cumsum(sizes)[:-1])):
+        best = int(np.argmax(part))  # the first of the largest counts
+        found.append((len(cover), cover[best], int(part[best]) * grid.h ** grid.dimension))
     return found
 
 

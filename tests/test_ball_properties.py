@@ -3,9 +3,10 @@
 Each example draws a grid (kind, extent, cell counts, many not multiples of
 the block side), a stepped field with many tied values, a random set, and
 balls whose centres include points on and next to the torus seams and
-outside the domain, and whose radii include exact cell distances and the
-distance of the farthest cell.  Every ball query must equal the same query
-answered over the full grid with `Domain.distance`.
+outside the domain, and whose radii include exact cell distances, one ulp
+either side of them, radii below h/2 and the distance of the farthest cell.
+Every ball query must equal the same query answered over the full grid with
+`Domain.distance`.
 """
 
 import math
@@ -67,13 +68,20 @@ def centres(draw, grid):
 
 
 def _radius(draw, grid, dist):
-    """A radius equal to some cell's distance from the centre, any radius up
-    to the domain's diameter, the distance of the farthest cell (the ball is
-    then the whole grid or ring) or a radius past it."""
+    """A radius equal to the distance from the centre of one of the nine
+    nearest cells or one ulp either side of it, one below h/2 (rows near the
+    centre's then hold no cell of the ball), so that a centre's radii are
+    often close, as a window of degrees gives them; or the distance of any
+    cell, any radius up to the domain's diameter, the distance of the
+    farthest cell (the ball is then the whole grid or ring) or a radius past
+    it."""
+    near = float(np.sort(dist.ravel())[draw(st.integers(0, min(8, dist.size - 1)))])
+    small = draw(st.floats(1e-3 * grid.h, grid.h / 2.0, exclude_max=True))
     exact = float(dist.ravel()[draw(st.integers(0, dist.size - 1))])
     anywhere = draw(st.floats(1e-3, grid.domain.diameter))
     farthest = float(dist.max())
-    r = draw(st.sampled_from([exact, anywhere, farthest, 2.0 * grid.domain.diameter]))
+    r = draw(st.sampled_from([near, float(np.nextafter(near, 0.0)), float(np.nextafter(near, np.inf)),
+                              small, exact, anywhere, farthest, 2.0 * grid.domain.diameter]))
     return r if r > 0.0 else grid.h / 2.0
 
 

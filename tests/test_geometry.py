@@ -290,6 +290,14 @@ def test_densest_ball_rejects_empty():
         densest_cover_balls(MeasurableSet.empty(grid), [0.5])
 
 
+def test_densest_ball_rejects_an_empty_set_before_building_any_cover(monkeypatch):
+    grid = Grid(Domain.box([1.0, 1.0]), (32, 32))
+    monkeypatch.setattr(geometry, "cover_domain", lambda *args: pytest.fail("built a cover"))
+    with pytest.raises(InfeasibleError,
+                       match="^a densest cover ball requires a set of positive measure$"):
+        densest_cover_balls(MeasurableSet.empty(grid), [0.5, 0.25])
+
+
 def test_a_ball_of_nan_radius_is_rejected():
     with pytest.raises(ConfigError, match="radius must be positive"):
         Ball.at([0.5, 0.5], math.nan)

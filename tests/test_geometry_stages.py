@@ -346,6 +346,14 @@ def test_a_search_longer_than_one_stage_window(monkeypatch):
     assert staged == loop and staged.startswith("{")
 
 
+def test_a_2d_search_longer_than_one_stage_window(monkeypatch):
+    f, mset, dc, gc = _problem("torus", (128, 128))
+    search = certify._STAGE_DEGREES + 8
+    staged, loop = _staged_and_loop(
+        monkeypatch, lambda: certify_sigma1(f, mset, dc, gc, search=search, n_override=1))
+    assert staged == loop and staged.startswith("{")
+
+
 def _nearly_null_set(kappa=None):
     """One cell of a 64-cell line on which the sine is 1e-9: supE / supD is so
     small that the radii of the degrees up to 6 fall below 2h."""
@@ -459,6 +467,27 @@ def test_a_1d_degree_search_makes_as_many_line_run_calls_at_any_width(monkeypatc
     assert len(set(seen.values())) == 1, seen
     # the cover balls, then each degree's (x, rho) and (x, r_hat) balls
     assert seen[16] == 2 and calls[1] == 2 * 17
+
+
+def test_a_2d_degree_search_makes_as_many_row_run_calls_at_any_width(monkeypatch):
+    f, mset, dc, gc = _problem("torus", (128, 128))
+    real = geometry._row_runs
+    calls = []
+
+    def counting(grid, cy, ox, r):
+        calls.append(len(r))
+        return real(grid, cy, ox, r)
+
+    monkeypatch.setattr(geometry, "_row_runs", counting)
+    seen = {}
+    for search in (2, 8, 16):
+        calls.clear()
+        cert = certify_sigma1(f, mset, dc, gc, search=search)
+        seen[search] = len(calls)
+        assert cert.aux["n_base"] + search >= cert.n
+    assert len(set(seen.values())) == 1, seen
+    # the inner runs of every cover centre, then the outer runs of its ring
+    assert seen[16] == 2
 
 
 def test_a_2d_window_whose_degrees_share_a_ray_origin_traces_one_fan(monkeypatch):

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from obscert import functions
+from obscert import functions, geometry
 from obscert.errors import ConfigError, HypothesisError, InfeasibleError
 from obscert.functions import (
     FunctionModel,
@@ -625,6 +625,40 @@ def test_row_counts_on_small_tori_from_the_seams_past_the_full_ring(name):
     masks = [MeasurableSet.from_mask(grid, rng.random(grid.cells) < p) for p in (0.3, 0.6)]
     for e in masks + [MeasurableSet.full(grid)]:
         assert _ball_counts(e, centers, radii).tolist() == _reference_counts(e, centers, radii)
+
+
+@pytest.mark.parametrize("name", ["box", "torus", "disk"])
+def test_row_counts_of_many_radii_per_centre_equal_brute_force(name, monkeypatch):
+    # per centre, radii as a window of degrees gives them: close together,
+    # some equal, some on a cell's distance or one ulp either side of it,
+    # and one below h/2; centres on the torus seams.  The last centre's radii
+    # 0.07 and 0.45 leave a ring of more cells than their runs test, so it
+    # counts each radius by its runs
+    grid = GRIDS[name]
+    domain, h = grid.domain, grid.h
+    ext = np.asarray(domain.extent)
+    centers, radii = [], []
+    for c in [domain.center + 3.25 * h, (0.0, 0.0), (ext[0], 0.5), (0.3, ext[1] - 1e-12)]:
+        dist = np.unique(domain.distance(grid.points, np.asarray(c)))
+        near = dist[np.searchsorted(dist, 0.2):][:4]
+        rs = [0.4 * h, float(near[1]), float(near[1]), float(near[1])]
+        rs += [float(x) for r in near for x in (np.nextafter(r, 0.0), r, np.nextafter(r, np.inf))]
+        centers += [c] * len(rs)
+        radii += rs
+    far = domain.center + (0.01, -0.02)
+    centers += [far, far]
+    radii += [0.07, 0.45]
+    calls = []
+    real = geometry._row_runs
+    monkeypatch.setattr(geometry, "_row_runs",
+                        lambda grid, cy, ox, r: calls.append(set(r)) or real(grid, cy, ox, r))
+    rng = np.random.default_rng(29)
+    for e in (MeasurableSet.random(grid, 0.4, rng), MeasurableSet.full(grid)):
+        calls.clear()
+        assert _ball_counts(e, centers, radii).tolist() == _reference_counts(e, centers, radii)
+        inner, outer = calls  # one chunk: the inner runs, then the outer runs of the rings
+        assert {0.07, 0.45} <= inner and 0.45 not in outer
+        assert max(radii[:-2]) in outer and max(radii[:-2]) not in inner
 
 
 def test_densest_ball_in_2d_reads_no_block_and_builds_the_row_prefix_once(monkeypatch):
