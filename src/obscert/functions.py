@@ -19,6 +19,7 @@ from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, HypothesisError, InfeasibleError
 from .geometry import BLOCK, Ball, BallBlocks, Domain, Grid, MeasurableSet
@@ -33,6 +34,11 @@ HERMITE_ENVELOPE = 1.09
 # Entries per chunk of a 2D ball query: ball-block tests classed by one
 # `Grid.ball_blocks` call, and cells tested in one round of the block walk.
 _WALK_CHUNK = 1 << 17
+
+# A 2D trig mode takes its phase table when the table needs at most one sine
+# per this many cells; reading a table of more than about one sine per two
+# cells through its strided view costs what the sines it saves would.
+_CELLS_PER_SINE = 8
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +110,10 @@ class FunctionModel:
         """`evaluate(grid.points)` bit for bit, as a new array: the one
         full-grid evaluation, which `GridField` builds on.  On a 2D grid,
         TrigSum and Gaussian build it from the per-axis cell centres
-        (`_plane_values`), without `grid.points`; on a 1D grid the points
-        are the axis itself."""
+        (`_plane_values`), without `grid.points`, and a trig mode whose
+        phases are exact sums takes one sine per distinct phase, from a
+        table (`_phase_table`); on a 1D grid the points are the axis
+        itself."""
         values = self._plane_values(grid) if grid.dimension == self.dimension == 2 else None
         return self.evaluate(grid.points) if values is None else values
 
@@ -204,19 +212,25 @@ class TrigSum(FunctionModel):
         return out
 
     def _plane_values(self, grid: Grid) -> np.ndarray:
-        """Each mode's phase `x k0 + y k1` from the per-axis products, in one
-        buffer reused across modes: the products and the one addition
-        `_phase` makes at the points."""
+        """Each mode's phase `x k0 + y k1` from the per-axis products and the
+        one addition `_phase` makes at the points, then the rest in place:
+        over the mode's exact phase sums where `_phase_table` gives their
+        table, one sine per entry, added through its strided view; else over
+        one phase per cell, in one buffer reused across modes."""
         x, y = grid.axis_centers
         out, phase = np.zeros(grid.cells), np.empty(grid.cells)
         for m in self.modes:
             k0, k1 = m.freq
-            np.add((x * k0)[:, None], y * k1, out=phase)
-            phase *= TWO_PI
-            phase += m.phase
-            np.sin(phase, out=phase)
-            phase *= m.amplitude
-            out += phase
+            a, b = x * k0, y * k1
+            table = _phase_table(a, b)
+            if table is None:
+                table = np.add(a[:, None], b, out=phase), phase
+            values, view = table
+            values *= TWO_PI
+            values += m.phase
+            np.sin(values, out=values)
+            values *= m.amplitude
+            out += view
         return out
 
     def directional_derivative(self, points, direction, order: int) -> np.ndarray:
@@ -266,6 +280,53 @@ def _phase(p: np.ndarray, freq: Sequence[int]) -> np.ndarray:
     for axis in range(1, len(freq)):
         out += p[..., axis] * freq[axis]
     return out
+
+
+def _low_bit(v: float) -> int:
+    """The exponent of the lowest set bit of a finite float v != 0."""
+    mantissa, exponent = math.frexp(v)
+    n = int(mantissa * 2.0 ** 53)
+    return exponent - 53 + (n & -n).bit_length() - 1
+
+
+def _phase_table(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The sums `np.add.outer(a, b)` as a table and a strided view of it
+    that equals them bit for bit, or None where the sums are not shown exact
+    or the table would need more than one entry per `_CELLS_PER_SINE` cells.
+
+    Each axis must rebuild bit for bit as (start + step i) 2^e, with one e
+    for both (the least set bit of their first two values), and every
+    integer A_i, B_j and A_i + B_j must lie below 2^53 in magnitude.  Then
+    each float sum a_i + b_j is exactly (A_i + B_j) 2^e, so it depends on
+    s = A_i + B_j alone: the table holds s 2^e for every s from the least
+    corner sum lo to the largest, and cell (i, j) reads entry s - lo.
+    """
+    head = np.concatenate((a[:2], b[:2]))
+    if not np.isfinite(head).all():
+        return None
+    e = min((_low_bit(float(v)) for v in head if v != 0), default=0)
+    axes = []  # (start, step, cells); a one-cell axis has step 0
+    for u in (a, b):
+        start, second = (int(math.ldexp(float(v), -e)) for v in u[:2][[0, -1]])
+        axes.append((start, second - start, len(u)))
+    ends = [(start, start + step * (n - 1)) for start, step, n in axes]
+    lo, hi = sum(min(pair) for pair in ends), sum(max(pair) for pair in ends)
+    if max(map(abs, (lo, hi, *ends[0], *ends[1]))) >= 1 << 53:
+        return None
+    if (hi - lo + 1) * _CELLS_PER_SINE > len(a) * len(b):
+        return None
+    for u, (start, step, n) in zip((a, b), axes):
+        rebuilt = np.ldexp(start + step * np.arange(n), e)
+        if not np.array_equal(rebuilt.view(np.int64), u.view(np.int64)):
+            return None
+    table = np.ldexp(np.arange(lo, hi + 1), e)
+    (a0, p, n0), (b0, q, n1) = axes
+    o = a0 + b0 - lo  # the entry of cell (0, 0); cell (i, j) reads o + p i + q j
+    corners = [o + p * i + q * j for i in (0, n0 - 1) for j in (0, n1 - 1)]
+    if min(corners) < 0 or max(corners) >= len(table):
+        return None
+    size = table.itemsize
+    return table, as_strided(table[o:], (n0, n1), (p * size, q * size), writeable=False)
 
 
 def _hermite_phys(order: int, z: np.ndarray) -> np.ndarray:

@@ -617,16 +617,12 @@ def cover_domain(domain: Domain, r: float) -> np.ndarray:
     On a disk, cubes that do not meet the disk are left out, and centres
     falling outside it are projected back inside (projection onto a convex
     set is 1-Lipschitz, so coverage is preserved), keeping the cardinality
-    under the certified per-axis bound.
+    under the certified per-axis bound.  The lattice depends on r only
+    through its per-axis centre counts (`_lattice_counts`).
     """
-    if not r > 0:  # NaN too
-        raise ConfigError("cover radius must be positive")
     d = domain.dimension
-    spacing = r / math.sqrt(d)
-    axes = []
-    for ext in domain.extent:
-        m = max(1, math.ceil(ext / spacing))
-        axes.append((np.arange(m) + 0.5) * (ext / m))
+    axes = [(np.arange(m) + 0.5) * (ext / m)
+            for ext, m in zip(domain.extent, _lattice_counts(domain, r))]
     centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     if domain.kind == "disk":
         half = np.array([ext / len(axis) / 2.0 for ext, axis in zip(domain.extent, axes)])
@@ -639,6 +635,15 @@ def cover_domain(domain: Domain, r: float) -> np.ndarray:
         scale = domain.radius * (1 - 1e-12) / dist[out]
         centers[out] = domain.center + off[out] * scale[:, None]
     return centers
+
+
+def _lattice_counts(domain: Domain, r: float) -> tuple[int, ...]:
+    """The per-axis centre counts of the radius-r cover lattice: spacing
+    r/sqrt(d), so ceil(extent / spacing) centres on each axis, at least one."""
+    if not r > 0:  # NaN too
+        raise ConfigError("cover radius must be positive")
+    spacing = r / math.sqrt(domain.dimension)
+    return tuple(max(1, math.ceil(ext / spacing)) for ext in domain.extent)
 
 
 def cover_count_bound(domain: Domain, r: float) -> int:
@@ -849,14 +854,18 @@ def densest_cover_balls(
 
     The measure satisfies the pigeonhole floor |B ∩ E| >= |E| / k exactly in
     cell counts for a cover of k balls, provided the cover covers every true
-    cell.  The balls of every cover are counted in one call: on a 2D grid,
-    the covers' balls that share a centre are counted together, from two
-    runs per row and the ring between them (`_row_counts`).
+    cell.  Radii whose lattices have the same per-axis centre counts share
+    one cover, built once.  The balls of every cover are counted in one call:
+    on a 2D grid, the covers' balls that share a centre are counted together,
+    from two runs per row and the ring between them (`_row_counts`).
     """
     if mset.cell_count == 0:
         raise InfeasibleError("a densest cover ball requires a set of positive measure")
     grid = mset.grid
-    covers = [cover_domain(grid.domain, r) for r in radii]
+    shapes = [_lattice_counts(grid.domain, r) for r in radii]
+    # any radius of a shape builds its lattice; the dict keeps one per shape
+    lattices = {s: cover_domain(grid.domain, r) for s, r in dict(zip(shapes, radii)).items()}
+    covers = [lattices[shape] for shape in shapes]
     sizes = [len(cover) for cover in covers]
     counts = _ball_counts(mset, np.concatenate(covers), np.repeat(radii, sizes)) if covers else []
     found = []

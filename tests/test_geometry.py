@@ -298,6 +298,27 @@ def test_densest_ball_rejects_an_empty_set_before_building_any_cover(monkeypatch
         densest_cover_balls(MeasurableSet.empty(grid), [0.5, 0.25])
 
 
+@pytest.mark.parametrize("domain", [Domain.box([1.0, 1.0]), Domain.torus([1.0, 1.0]),
+                                    Domain.disk(0.5), Domain.box([1.0])],
+                         ids=["box", "torus", "disk", "box-1d"])
+def test_densest_cover_balls_builds_each_distinct_lattice_once(domain, monkeypatch):
+    # on the unit square 0.3 and 0.29 give 5 centres per axis, 0.21 gives 7
+    # and 0.2 gives 8: five radii, three lattices (on the unit interval 0.3
+    # and 0.29 give 4, 0.21 and 0.2 give 5: two lattices)
+    grid = Grid(domain, (64,) * domain.dimension)
+    e = MeasurableSet.from_mask(grid, np.random.default_rng(3).random(grid.cells) < 0.3)
+    radii = [0.3, 0.29, 0.21, 0.3, 0.2]
+    expected = [densest_cover_balls(e, [r])[0] for r in radii]
+    built = []
+    monkeypatch.setattr(geometry, "cover_domain",
+                        lambda d, r: built.append(r) or cover_domain(d, r))
+    found = densest_cover_balls(e, radii)
+    assert len(built) == (3 if domain.dimension == 2 else 2)
+    for (count, center, inter), (count0, center0, inter0) in zip(found, expected):
+        assert (count, inter) == (count0, inter0)
+        assert np.array_equal(center, center0)
+
+
 def test_a_ball_of_nan_radius_is_rejected():
     with pytest.raises(ConfigError, match="radius must be positive"):
         Ball.at([0.5, 0.5], math.nan)
