@@ -47,11 +47,8 @@ from .functions import (
 from .interp import (
     NodeSet,
     PolyBound,
-    denominator_lower_bound,
-    lagrange_eval,
     poly_sup_bound,
     remainder_bound,
-    remainder_empirical_check,
     separate_points,
 )
 from .certify import (
@@ -74,7 +71,6 @@ from .eigensum import (
     certify_eigensum,
     doubling_growth_study,
     gamma_params,
-    orthogonality_check,
 )
 
 __version__ = "0.1.0"

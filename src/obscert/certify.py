@@ -823,6 +823,8 @@ def _certify_doubling(
     rule (n -> r, appending its radius-choice step) and keep the smallest
     sound constant; the run at n_base is the prescribed one.  The degrees
     whose radius and exponent pass share one staged geometry run."""
+    if search < 0:
+        raise ConfigError(f"search must be nonnegative, got {search}")
     if n_base + search > _DEGREE_CAP:
         raise InfeasibleError(
             f"degree {n_base + search} is beyond desk scale; the cap is {_DEGREE_CAP}"

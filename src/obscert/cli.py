@@ -168,7 +168,15 @@ def _parse_trig_modes(text: str, dimension: int) -> TrigSum:
     return TrigSum.of(modes, dimension)
 
 
-def _build_function_from(sec: dict[str, str], cfg: RunConfig, domain: Domain) -> FunctionModel:
+def _build_function_from(
+    name: str, cfg: RunConfig, domain: Domain, enclosing: tuple[str, ...] = ()
+) -> FunctionModel:
+    """The model of section `name`; `enclosing` holds the product sections
+    it is a factor of, so a section that names itself as a factor, directly
+    or through another product, is rejected."""
+    if name in enclosing:
+        raise ConfigError(f"product factors form a cycle: {' -> '.join(enclosing + (name,))}")
+    sec = cfg.section(name)
     kind = sec.get("kind", "trig")
     if kind == "trig":
         if "modes" not in sec:
@@ -192,14 +200,14 @@ def _build_function_from(sec: dict[str, str], cfg: RunConfig, domain: Domain) ->
         if len(names) != 2:
             raise ConfigError("product needs exactly two factor sections")
         return Product(
-            _build_function_from(cfg.section(names[0]), cfg, domain),
-            _build_function_from(cfg.section(names[1]), cfg, domain),
+            _build_function_from(names[0], cfg, domain, enclosing + (name,)),
+            _build_function_from(names[1], cfg, domain, enclosing + (name,)),
         )
     raise ConfigError(f"unknown function kind {kind!r}")
 
 
 def build_function(cfg: RunConfig, domain: Domain) -> FunctionModel:
-    return _build_function_from(cfg.section("function"), cfg, domain)
+    return _build_function_from("function", cfg, domain)
 
 
 def build_set(cfg: RunConfig, grid: Grid, rng: np.random.Generator) -> MeasurableSet:
@@ -230,6 +238,8 @@ def build_set(cfg: RunConfig, grid: Grid, rng: np.random.Generator) -> Measurabl
             raise ConfigError(f"malformed ball radius: {exc}") from exc
         return MeasurableSet.from_ball(grid, Ball.at(center, radius))
     if kind == "mask":
+        if "file" not in sec:
+            raise ConfigError("mask set needs file")
         cells, h, mask = read_mask_raster(cfg.path.parent / sec["file"])
         return attach_mask(grid, cells, h, mask)
     raise ConfigError(f"unknown set kind {kind!r}")
@@ -461,6 +471,8 @@ def _sweep_values(cfg: RunConfig) -> tuple[str, list[float]]:
     values = _floats(sec.get("values", ""))
     if not values:
         raise ConfigError("sweep needs at least one value")
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"sweep values must be finite, got {sec['values']!r}")
     return axis, values
 
 
@@ -504,6 +516,8 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path) -> Report:
     def run_row(value: float) -> dict[str, Any]:
         row: dict[str, Any] = {"axis": axis, "value": value}
         try:
+            if axis != "fraction" and not value.is_integer():
+                raise ConfigError(f"{axis} values must be integers, got {value!r}")
             f = base_f
             if axis == "mode-scale":
                 f = _scaled_modes(base_f, int(value))

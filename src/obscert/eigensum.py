@@ -1,10 +1,10 @@
 """Sums of Laplace eigenfunctions on the flat torus.
 
 Trigonometric modes sin(2 pi k.x + phi) are exact eigenfunctions of the
-(negative) Laplacian with eigenvalue (2 pi |k|)^2, so eigenvalue grouping,
-orthogonality, power bounds and derivative certificates are all closed form.
-The growth parameter gamma = C (sqrt(lambda) + m^2 log m + 1) feeds a
-doubling certificate kappa = e^gamma into the analytic-branch certifier.
+(negative) Laplacian with eigenvalue (2 pi |k|)^2, so eigenvalue grouping
+and derivative certificates are closed form.  The growth parameter
+gamma = C (sqrt(lambda) + m^2 log m + 1) feeds a doubling certificate
+kappa = e^gamma into the analytic-branch certifier.
 """
 
 from __future__ import annotations
@@ -18,12 +18,11 @@ from typing import Sequence
 import numpy as np
 
 from .certify import ObservabilityCertificate, certify_sigma1, empirical_ratio
-from .errors import ConfigError, HypothesisError, ResolutionError
+from .errors import ConfigError, HypothesisError
 from .functions import (
     TWO_PI,
     DoublingCertificate,
     FunctionModel,
-    TrigMode,
     TrigSum,
     derive_gevrey,
     estimate_doubling,
@@ -67,20 +66,6 @@ class EigenSum(TrigSum):
     def max_eigenvalue(self) -> float:
         return self.eigenvalues[-1]
 
-    def component(self, eigenvalue: float) -> TrigSum:
-        ms = tuple(
-            m for m in self.modes if abs((TWO_PI * m.freq_norm) ** 2 - eigenvalue) < 1e-9
-        )
-        return TrigSum(ms, self.dimension)
-
-    def laplace_power(self, order: int) -> TrigSum:
-        """(-Laplacian)^order applied to the sum, again a trigonometric sum."""
-        ms = tuple(
-            TrigMode(m.freq, m.amplitude * (TWO_PI * m.freq_norm) ** (2 * order), m.phase)
-            for m in self.modes
-        )
-        return TrigSum(ms, self.dimension)
-
 
 def build_eigensum(
     modes: Sequence[tuple[Sequence[int], float, float]],
@@ -90,63 +75,9 @@ def build_eigensum(
     return EigenSum(TrigSum.of(modes, dimension).modes, dimension, allow_constant)
 
 
-# ---------------------------------------------------------------------------
-# L2 machinery on the periodic grid
-# ---------------------------------------------------------------------------
-
-def l2_inner(u: FunctionModel, v: FunctionModel, grid: Grid) -> float:
-    """Periodic trapezoidal inner product; exact for unaliased trig products."""
-    pu = u.evaluate(grid.points)
-    pv = v.evaluate(grid.points)
-    return float(np.mean(pu * pv)) * grid.domain.volume
-
-
-def l2_norm(u: FunctionModel, grid: Grid) -> float:
-    return math.sqrt(max(0.0, l2_inner(u, u, grid)))
-
-
-@dataclass
-class OrthogonalityReport:
-    passed: bool
-    max_inner: float
-    max_power_excess: float
-    pairs_checked: int
-
-
 def _require_unit_torus(domain: Domain) -> None:
     if domain.kind != "torus" or any(abs(e - 1.0) > 1e-12 for e in domain.extent):
         raise ConfigError("integer-frequency eigen-sums live on the unit torus")
-
-
-def orthogonality_check(es: EigenSum, grid: Grid) -> OrthogonalityReport:
-    """Distinct-eigenvalue components are orthogonal; Laplacian powers obey
-    the eigenvalue bound |(-Lap)^n h|_2 <= lambda^n |h|_2 for n = 1..4."""
-    _require_unit_torus(grid.domain)
-    if min(grid.cells) < 4 * es.max_freq_norm:
-        raise ResolutionError(
-            f"aliased grid: {min(grid.cells)} cells for max frequency {es.max_freq_norm}"
-        )
-    comps = [es.component(lam) for lam in es.eigenvalues]
-    max_inner = 0.0
-    pairs = 0
-    for i in range(len(comps)):
-        for j in range(i + 1, len(comps)):
-            max_inner = max(max_inner, abs(l2_inner(comps[i], comps[j], grid)))
-            pairs += 1
-
-    lam = es.max_eigenvalue
-    norm_h = l2_norm(es, grid)
-    max_excess = -math.inf
-    for order in range(1, 5):
-        lhs = l2_norm(es.laplace_power(order), grid)
-        rhs = lam ** order * norm_h
-        max_excess = max(max_excess, (lhs - rhs) / rhs)
-    return OrthogonalityReport(
-        passed=max_inner <= 1e-10 and max_excess <= 1e-9,
-        max_inner=max_inner,
-        max_power_excess=max_excess,
-        pairs_checked=pairs,
-    )
 
 
 # ---------------------------------------------------------------------------

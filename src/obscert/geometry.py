@@ -103,12 +103,6 @@ class Domain:
         return float(np.linalg.norm(ext))
 
     @property
-    def volume(self) -> float:
-        if self.kind == "disk":
-            return math.pi * self.radius ** 2
-        return float(np.prod(self.extent))
-
-    @property
     def max_ball_radius(self) -> float:
         """Largest radius at which the single-interval ray property is safe.
 
@@ -569,10 +563,6 @@ class IntervalSet:
     @property
     def total(self) -> float:
         return sum(b - a for a, b in self.intervals)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.intervals or self.total == 0.0
 
     @property
     def inf(self) -> float:
@@ -1304,16 +1294,28 @@ def write_mask_raster(path, mset: MeasurableSet) -> None:
 
 
 def read_mask_raster(path) -> tuple[tuple[int, ...], float, np.ndarray]:
-    """Read a raster back as (cells, h, mask); attach to a grid separately."""
-    with open(path, "r", encoding="ascii") as fh:
-        magic = fh.readline().strip()
-        if magic != MASK_MAGIC:
-            raise ConfigError(f"not a mask raster: bad magic {magic!r}")
-        header = fh.readline().split()
-        d = int(header[0])
-        cells = tuple(int(v) for v in header[1 : 1 + d])
-        h = float(fh.readline().strip())
-        values = [int(v) for line in fh for v in line.split()]
+    """Read a raster back as (cells, h, mask); attach to a grid separately.
+
+    A file that cannot be read or does not hold one value per cell raises
+    ConfigError."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            magic = fh.readline().strip()
+            if magic != MASK_MAGIC:
+                raise ConfigError(f"not a mask raster: bad magic {magic!r}")
+            header = fh.readline().split()
+            d = int(header[0])
+            cells = tuple(int(v) for v in header[1 : 1 + d])
+            h = float(fh.readline().strip())
+            values = [int(v) for line in fh for v in line.split()]
+    except OSError as exc:
+        raise ConfigError(f"cannot read mask raster {path}: {exc}") from exc
+    except (ValueError, IndexError) as exc:
+        raise ConfigError(f"malformed mask raster {path}: {exc}") from exc
+    if len(cells) != d or min(cells, default=0) < 1 or len(values) != math.prod(cells):
+        raise ConfigError(
+            f"mask raster {path} holds {len(values)} values for cells {cells}"
+        )
     mask = np.asarray(values, dtype=bool).reshape(cells)
     return cells, h, mask
 

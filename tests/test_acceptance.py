@@ -43,9 +43,10 @@ from obscert.geometry import (
     cover_domain,
     densest_cover_balls,
 )
-from obscert.interp import NodeSet, poly_sup_bound, remainder_bound, lagrange_eval
+from obscert.interp import NodeSet, poly_sup_bound, remainder_bound
 from obscert.logspace import LOG2, log_add, log_factorial
 from obscert.cli import main
+from oracles import lagrange_eval
 
 TWO_PI = 2 * math.pi
 

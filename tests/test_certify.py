@@ -308,6 +308,14 @@ def test_runtime_check_makes_one_degree_infeasible(monkeypatch):
     assert all(s.holds is not False for s in cert.trace)
 
 
+def test_a_negative_search_is_a_config_error():
+    _, f, e, dc, gc = _sine_problem()
+    with pytest.raises(ConfigError, match="search must be nonnegative, got -1"):
+        certify_sigma1(f, e, dc, gc, search=-1)
+    with pytest.raises(ConfigError, match="search must be nonnegative, got -1"):
+        certify_sigma_gt1(f, e, dc, GevreyCertificate(gc.M, gc.delta, 2.0), search=-1)
+
+
 def test_runtime_check_rejects_an_unverified_ucp_certificate():
     # a far below the verified value: the master inequality still holds on
     # this function, only the propagation step shows the certificate is wrong

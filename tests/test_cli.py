@@ -124,6 +124,7 @@ def test_malformed_values_are_config_errors(tmp_path):
     for old, new in (
         ("cells = 512", "cells = many"),
         ("search = 4", "search = wide"),
+        ("search = 4", "search = -3"),
         ("modes = 1:1.0:0.0; 2:0.4:0.9", "modes = one:1.0:0.0"),
         ("fraction = 0.2", "fraction = lots"),
     ):
@@ -310,6 +311,33 @@ mask_out = echo.txt
     out = tmp_path / "out"
     assert main(["certify", str(cfg_path), "--output-dir", str(out)]) == EXIT_OK
     assert (out / "echo.txt").read_text() == (tmp_path / "mask.txt").read_text()
+
+
+@pytest.mark.parametrize("set_section, raster", [
+    ("kind = mask", None),
+    ("kind = mask\nfile = mask.txt", None),
+    ("kind = mask\nfile = mask.txt", "MASKRASTER\n1 4\n0.25\n1 0 1\n"),
+], ids=["no-file-key", "missing-raster", "too-few-values"])
+def test_a_malformed_mask_set_is_a_config_error(tmp_path, capsys, set_section, raster):
+    if raster is not None:
+        (tmp_path / "mask.txt").write_text(raster)
+    text = BASE_CONFIG.replace("kind = random\nfraction = 0.2", set_section)
+    cfg = write_config(tmp_path, text)
+    assert main(["certify", str(cfg), "--output-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "mask" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sections", [
+    "[function]\nkind = product\nfactors = function, function\n",
+    "[function]\nkind = product\nfactors = left, right\n"
+    "[left]\nkind = trig\nmodes = 1:1.0:0.0\n"
+    "[right]\nkind = product\nfactors = left, function\n",
+], ids=["itself", "through-another-product"])
+def test_a_product_that_is_its_own_factor_is_a_config_error(tmp_path, capsys, sections):
+    text = BASE_CONFIG.replace("[function]\nkind = trig\nmodes = 1:1.0:0.0; 2:0.4:0.9\n", sections)
+    cfg = write_config(tmp_path, text)
+    assert main(["certify", str(cfg), "--output-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "product factors form a cycle" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -629,10 +657,31 @@ def test_sweep_degree_beyond_the_cap_is_a_row_error(tmp_path):
     assert rows[1]["status"].startswith("error: degree 100000000 is beyond desk scale")
 
 
+@pytest.mark.parametrize("axis, values", [("degree", "values = 6, 2.5"),
+                                          ("mode-scale", "values = 1, 1.5")])
+def test_sweep_values_that_are_not_integers_are_row_errors(tmp_path, axis, values):
+    cfg_path = _sweep_config(tmp_path, axis, "sweep.cfg", extra=[(AXES[axis], values)])
+    out = tmp_path / "out"
+    assert main(["sweep", str(cfg_path), "--output-dir", str(out)]) == EXIT_INFEASIBLE
+    rows = json.loads((out / "sweep.json").read_text())["rows"]
+    assert rows[0]["status"] == "ok"
+    bad = float(values.split(", ")[1])
+    assert rows[1] == {"axis": axis, "value": bad,
+                       "status": f"error: {axis} values must be integers, got {bad!r}"}
+
+
 def test_sweep_empty_axis_is_config_error(tmp_path):
     text = SWEEP_CONFIG.replace("values = 0.5, 0.25, 0.125, 0.0625", "values =")
     cfg_path = write_config(tmp_path, text)
     assert main(["sweep", str(cfg_path), "--output-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("axis, values", [("fraction", "values = 0.5, nan"),
+                                          ("degree", "values = inf")])
+def test_sweep_values_that_are_not_finite_are_config_errors(tmp_path, capsys, axis, values):
+    cfg_path = _sweep_config(tmp_path, axis, "sweep.cfg", extra=[(AXES[axis], values)])
+    assert main(["sweep", str(cfg_path), "--output-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "sweep values must be finite" in capsys.readouterr().err
 
 
 def test_sweep_partial_failure_recorded(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 import obscert.eigensum as eigensum_module
 from obscert.certify import certify_sigma1, empirical_ratio, soundness_check
-from obscert.errors import ConfigError, ResolutionError
+from obscert.errors import ConfigError
 from obscert.eigensum import (
     EigenSum,
     build_eigensum,
@@ -15,9 +15,6 @@ from obscert.eigensum import (
     doubling_growth_study,
     eigensum_study_csv,
     gamma_params,
-    l2_inner,
-    l2_norm,
-    orthogonality_check,
     shape_constant,
 )
 from obscert.functions import (
@@ -98,13 +95,21 @@ def test_malformed_sum_raises_config_error(build, match):
         build()
 
 
+def _neg_laplacian(es):
+    """(-Lap) h = sum_j a_j (2 pi |k_j|)^2 sin(2 pi k_j.x + phi_j), a trig sum."""
+    return TrigSum.of(
+        [(m.freq, m.amplitude * (TWO_PI * m.freq_norm) ** 2, m.phase) for m in es.modes],
+        es.dimension,
+    )
+
+
 def test_laplacian_identity_at_random_points():
     # -Lap h = sum lambda_i phi_i, via exact axis second derivatives
     rng = np.random.default_rng(6)
     es = build_eigensum([([1], 1.0, 0.2), ([3], 0.4, 1.0), ([5], 0.25, 2.2)], 1)
     pts = rng.uniform(0, 1, size=(1000, 1))
     lap = -es.directional_derivative(pts, np.array([1.0]), 2)
-    want = es.laplace_power(1).evaluate(pts)
+    want = _neg_laplacian(es).evaluate(pts)
     assert np.allclose(lap, want, rtol=1e-8, atol=1e-8 * np.max(np.abs(want)))
 
 
@@ -116,45 +121,8 @@ def test_laplacian_identity_2d():
         es.directional_derivative(pts, np.array([1.0, 0.0]), 2)
         + es.directional_derivative(pts, np.array([0.0, 1.0]), 2)
     )
-    want = es.laplace_power(1).evaluate(pts)
+    want = _neg_laplacian(es).evaluate(pts)
     assert np.allclose(lap, want, rtol=1e-8, atol=1e-8 * np.max(np.abs(want)))
-
-
-# ---------------------------------------------------------------------------
-# Orthogonality and power bounds
-# ---------------------------------------------------------------------------
-
-def test_orthogonality_exact_for_aligned_modes():
-    g = torus_grid(256)
-    u = TrigSum.sine([1])
-    v = TrigSum.sine([2])
-    assert abs(l2_inner(u, v, g)) <= 1e-14
-
-
-def test_orthogonality_report_passes():
-    g = torus_grid(512)
-    es = build_eigensum([([1], 1.0, 0.0), ([2], 0.7, 0.4), ([4], 0.2, 1.3)], 1)
-    rep = orthogonality_check(es, g)
-    assert rep.passed
-    assert rep.max_inner <= 1e-10
-    assert rep.pairs_checked == 3
-
-
-def test_power_bound_single_mode_equality():
-    g = torus_grid(512)
-    es = build_eigensum([([2], 1.0, 0.3)], 1)
-    lam = es.max_eigenvalue
-    h_norm = l2_norm(es, g)
-    for order in (1, 2, 3, 4):
-        lhs = l2_norm(es.laplace_power(order), g)
-        assert lhs == pytest.approx(lam ** order * h_norm, rel=1e-10)
-
-
-def test_orthogonality_rejects_aliased_grid():
-    g = torus_grid(16)
-    es = build_eigensum([([7], 1.0, 0.0)], 1)
-    with pytest.raises(ResolutionError):
-        orthogonality_check(es, g)
 
 
 # ---------------------------------------------------------------------------

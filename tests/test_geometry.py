@@ -484,7 +484,7 @@ def test_restrict_full_and_empty():
     assert len(full.intervals) == 1
     assert full.total == pytest.approx(0.5, abs=1e-12)
     empty = restrict_to_segment(MeasurableSet.empty(grid), seg)
-    assert empty.is_empty
+    assert not empty.intervals
 
 
 def test_restrict_two_cells_1d():

@@ -6,15 +6,8 @@ import pytest
 from obscert.errors import ConfigError, InfeasibleError
 from obscert.functions import GevreyCertificate, Polynomial1D, TrigSum
 from obscert.geometry import IntervalSet, Segment
-from obscert.interp import (
-    NodeSet,
-    denominator_lower_bound,
-    lagrange_eval,
-    poly_sup_bound,
-    remainder_bound,
-    remainder_empirical_check,
-    separate_points,
-)
+from obscert.interp import NodeSet, poly_sup_bound, remainder_bound, separate_points
+from oracles import lagrange_eval, remainder_empirical_check
 
 TWO_PI = 2 * math.pi
 
@@ -180,36 +173,6 @@ def test_log_weights_and_kernel_equal_the_loop_form():
             got = lagrange_eval(xs, vals, probes)
             want = _lagrange_eval_probe_major(xs, vals, probes)
         assert np.array_equal(got, want, equal_nan=True), (n, probes.size)
-
-
-# ---------------------------------------------------------------------------
-# Denominator lower bound
-# ---------------------------------------------------------------------------
-
-def test_denominator_examples():
-    logs = denominator_lower_bound(2, 0.5)
-    assert math.exp(logs[1]) == pytest.approx(0.25, rel=1e-12)
-    # equality for equispaced nodes {0, 0.5, 1} at i = 1
-    xs = np.array([0.0, 0.5, 1.0])
-    prod = abs(np.prod(xs[1] - np.delete(xs, 1)))
-    assert prod == pytest.approx(math.exp(logs[1]), rel=1e-12)
-
-    assert denominator_lower_bound(0, 0.3) == pytest.approx([0.0])
-
-    logs3 = denominator_lower_bound(3, 0.1)
-    assert math.exp(logs3[0]) == pytest.approx(0.006, rel=1e-12)
-
-
-def test_denominator_bound_sound_random_nodes():
-    rng = np.random.default_rng(37)
-    for _ in range(300):
-        n = int(rng.integers(1, 21))
-        ns = random_gap_nodes(rng, n)
-        logs = denominator_lower_bound(n, ns.gap)
-        xs = ns.nodes
-        for i in range(n + 1):
-            brute = float(np.sum(np.log(np.abs(xs[i] - np.delete(xs, i)))))
-            assert brute >= logs[i] - 1e-9
 
 
 # ---------------------------------------------------------------------------
