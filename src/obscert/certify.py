@@ -1,29 +1,31 @@
-"""Assembly of observability certificates.
+"""Assembly of observability certificates: measure, then prove.
 
-The pipeline instantiates every proof step with concrete, measured
-quantities: the cover count from the actual lattice, the chain exponent from
-the actual chain, the 1D trace length as measured along the selected ray.
-Each inequality is recorded as a trace step with its inputs and claimed
-output, and the final constant is obtained by resolving the implicit
-inequality  sup_domain <= A * sup_domain^e * sup_set^(1-e)  as
-C = A^(1/(1-e)) in log space.
+The measuring pass (`_measure`) takes the grid's numbers at each (n, r):
+the cover count of the actual lattice, the densest ball's intersection with
+the set, the ball sups, the trace along the selected ray with its nodes and,
+in the doubling branches, the chain.  It keeps them in one frozen record per
+(n, r), or the error of the first stage that failed there.  A plan
+(`_doubling_plan`, `_ucp_plan`) maps the problem, the certificate and a
+record to the constant: each inequality of the proof is a step with its
+inputs and claimed output, and  sup_domain <= A * sup_domain^e * sup_set^(1-e)
+is resolved as C = A^(1/(1-e)) in log space.  Every record goes through the
+plan, so every check decides every degree; the winner's goes through it once
+more to build the trace a report carries.
 
 Every step is built through one table, `STEP_KINDS`, which holds each kind's
 detail text, the rule deriving its computable outputs from its recorded
-inputs, and the check of its inequality, decided as the step is appended.
-`audit_trace` replays a written trace through the same table.
+inputs, and the check of its inequality.  `audit_trace` replays a written
+trace through the same table.
 
 Soundness of the returned constant against the same-grid empirical ratio is
-a consequence of the numerically verified master inequality alone, so a
-certification that completes is sound by construction; the hypothesis
-certificates are what make the master inequality provable rather than
-accidental.
+a consequence of the numerically verified master inequality alone; the
+hypothesis certificates make that inequality provable rather than accidental.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -465,19 +467,20 @@ STEP_LINKS: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {
 
 
 def _put(
-    steps: list[TraceStep], name: str, inputs: Values, measured: Values | None = None
+    steps: list[TraceStep] | None, name: str, inputs: Values, measured: Values | None = None
 ) -> Values:
-    """Append a step of kind `name` with its inputs, its measured outputs and
-    the outputs its rule derives; returns the outputs.  A step whose
-    inequality fails makes the run infeasible."""
+    """The outputs of a step of kind `name`: its measured outputs and those
+    its rule derives from its inputs.  A step whose inequality fails makes
+    the run infeasible.  Given a list, the step is appended to it."""
     kind = STEP_KINDS[name]
     measured = measured or {}
-    step = TraceStep(kind.step, kind.detail, dict(inputs), measured | kind.derive(inputs, measured))
-    failure = kind.failure(step.outputs)
+    outputs = measured | kind.derive(inputs, measured)
+    failure = kind.failure(outputs)
     if failure:
-        raise InfeasibleError(f"trace step {step.step!r} does not hold: {failure}")
-    steps.append(step)
-    return step.outputs
+        raise InfeasibleError(f"trace step {kind.step!r} does not hold: {failure}")
+    if steps is not None:
+        steps.append(TraceStep(kind.step, kind.detail, dict(inputs), outputs))
+    return outputs
 
 
 def audit_trace(trace: Sequence[Mapping[str, Any]], log10_c: float | None = None) -> None:
@@ -538,14 +541,15 @@ def _copied(last: Mapping[str, tuple[int, Mapping[str, float]]],
 
 
 # ---------------------------------------------------------------------------
-# Shared steps: the problem, geometric run at one (n, r), proof tail
+# Measuring: the problem, and one record per (n, r)
 # ---------------------------------------------------------------------------
 
 class _Problem:
     """What every branch reads before its first degree: the model, the set
     and its grid, the Gevrey certificate, the shared field, the domain and
-    set sups with their logs, log_X = log(M supD / supE) and the effective
-    radius bound r0_eff = min(r0, 1, max ball radius)."""
+    set sups with their logs, log_X = log(M supD / supE), the effective
+    radius bound r0_eff = min(r0, 1, max ball radius) and the volume of the
+    interior cells."""
 
     def __init__(self, f: FunctionModel, mset: MeasurableSet, gc: GevreyCertificate, r0: float):
         self.f, self.mset, self.grid, self.gc = f, mset, mset.grid, gc
@@ -558,182 +562,173 @@ class _Problem:
         self.log_sup_set = to_log(self.sup_set)
         self.log_x = math.log(gc.M) + self.log_sup_domain - self.log_sup_set
         self.r0_eff = min(r0, 1.0, self.grid.domain.max_ball_radius)
+        self.vol_domain = self.grid.n_interior * self.grid.h ** self.grid.dimension
 
 
-# degrees one staged geometry run takes at once: a longer degree search
-# runs in windows of this many, so the covers and traces it holds stay small
+# degrees one measuring pass takes at once: a longer degree search runs in
+# windows of this many, so the covers and traces it holds stay small
 _STAGE_DEGREES = 32
 
 
-@dataclass
-class _GeometryRun:
-    """One (n, r) point of a geometry run: its trace so far, what the rest of
-    the run reads from the geometric steps, and the aux keys every branch
-    records; or the error of the first step it failed at, after which the
-    later stages leave it out."""
+@dataclass(frozen=True)
+class _Record:
+    """Every number a plan reads that the grid gives at one (n, r), with
+    the ball sups and |f(w)| at the near-max point w as natural logs; or the
+    error of the first stage that failed.  Only the doubling branches
+    measure r_hat, its ball sup and the chain."""
 
     n: int
     r: float = math.nan
-    steps: list[TraceStep] = dc_field(default_factory=list)
     error: InfeasibleError | ResolutionError | None = None
     rho: float = math.nan
-    center: np.ndarray | None = None  # of the densest cover ball
-    w: np.ndarray | None = None
-    sup_ball_rho: float = math.nan
-    sup_ball_rhat: float = math.nan  # the chain end's ball sup, when a doubling run asks
-    log_poly: float = math.nan
-    log_remainder_coeff: float = math.nan
-    aux: dict[str, float] = dc_field(default_factory=dict)
+    r_hat: float = math.nan
+    count: int = 0
+    count_bound: int = 0
+    intersection_measure: float = math.nan
+    trace_length: float = math.nan
+    t_max: float = math.nan
+    gap: float = math.nan
+    data_sup: float = math.nan
+    log_sup_rho: float = math.nan
+    log_w: float = math.nan
+    log_sup_rhat: float = math.nan
+    chain_steps: int = 0
+    concentric_steps: int = 0
 
 
-def _each(runs: Sequence[_GeometryRun], step: Callable[..., None],
-          *columns: Sequence[Any]) -> list[_GeometryRun]:
-    """Take `step` at each run that has not failed, with the run's entry of
-    each of `columns`; a run whose step raises `InfeasibleError` or
+def _each(runs: Sequence[dict[str, Any]], stage: Callable[..., None],
+          *columns: Sequence[Any]) -> list[dict[str, Any]]:
+    """Take `stage` at each run that has not failed, with the run's entry of
+    each of `columns`; a run whose stage raises `InfeasibleError` or
     `ResolutionError` keeps it as its error.  Returns the runs that have
     still not failed."""
-    for g, *entries in zip(runs, *columns, strict=True):
-        if g.error is None:
+    for m, *entries in zip(runs, *columns, strict=True):
+        if "error" not in m:
             try:
-                step(g, *entries)
+                stage(m, *entries)
             except (InfeasibleError, ResolutionError) as exc:
-                g.error = exc
-    return [g for g in runs if g.error is None]
+                m["error"] = exc
+    return [m for m in runs if "error" not in m]
 
 
-def _run_geometry(p: _Problem, runs: Sequence[_GeometryRun],
-                  dc: DoublingCertificate | None = None) -> None:
-    """Append the cover, pigeonhole, ray, node and interpolation-bound steps
-    at each (n, r) run, one stage at a time for every run still standing:
-    the covers and their densest balls; the near-max sups about each ball's
-    centre, with, given `dc`, the sup over the ball of radius
-    r_hat = hat_radius(dc, rho) there that the chain ends in; the ray fans;
-    then, per run, the nodes and the steps.  Each run fails at the step,
-    and with the error, that a run at its (n, r) alone meets first."""
-    f, mset, gc, grid = p.f, p.mset, p.gc, p.grid
-    domain = grid.domain
+def _measure(p: _Problem, degrees: Sequence[int], radius: Callable[[int], float],
+             dc: DoublingCertificate | None = None) -> list[_Record]:
+    """The record of each degree n at the radius `radius(n)`, measured one
+    stage at a time for every degree still standing: the radii; the covers
+    and their densest balls; the near-max sups about each ball's centre,
+    with, given `dc`, the sup over the ball of radius r_hat there; the ray
+    fans with their nodes; then, given `dc`, the chains.  Each degree fails
+    at the stage, and with the error, that a pass at its (n, r) alone meets
+    first."""
+    f, mset, grid = p.f, p.mset, p.grid
+    runs: list[dict[str, Any]] = [{"n": n} for n in degrees]
 
-    def resolvable(g: _GeometryRun) -> None:
-        if g.r < 2.0 * grid.h:
+    def resolvable(m: dict[str, Any]) -> None:
+        m["r"] = radius(m["n"])
+        if m["r"] < 2.0 * grid.h:
             raise InfeasibleError(
-                f"radius {g.r:.3e} below twice the grid resolution, 2h = {2.0 * grid.h:.3e} "
+                f"radius {m['r']:.3e} below twice the grid resolution, 2h = {2.0 * grid.h:.3e} "
                 f"(h = {grid.h:.3e})"
             )
 
-    standing = _each(runs, resolvable)
-    if not standing:
-        return
-
-    def pigeonhole(g: _GeometryRun, densest: tuple[int, np.ndarray, float]) -> None:
-        count, g.center, inter = densest
-        _put(
-            g.steps, "cover",
-            {"r": g.r, "diameter": domain.diameter, "dimension": float(domain.dimension)},
-            {"count": float(count), "count_bound": float(cover_count_bound(domain, g.r))},
-        )
-        _put(
-            g.steps, "pigeonhole-ball",
-            {"set_measure": mset.measure, "cover_count": float(count)},
-            {"intersection_measure": inter},
-        )
-        g.rho = g.r / 10.0
-        g.aux = {"cover_count": float(count), "intersection_measure": inter}
-
-    standing = _each(standing, pigeonhole, densest_cover_balls(mset, [g.r for g in standing]))
-    if not standing:
-        return
-    centers = np.array([g.center for g in standing])
-    r_hats = [] if dc is None else [hat_radius(dc, g.rho)[0] for g in standing]
-    sups, maxima = p.field.sup_balls(centers, [g.rho for g in standing], r_hats)
-    for g, sup_rhat in zip(standing, maxima):
-        g.sup_ball_rhat = sup_rhat
-
-    def near_max(g: _GeometryRun, sup: SupResult) -> None:
-        g.sup_ball_rho, g.w = sup
-        x = g.center
-        x_val = float(np.abs(f.evaluate(x)))
-        if x_val > g.sup_ball_rho:  # the ball's own centre competes with its cells
-            g.sup_ball_rho, g.w = x_val, x
-        if g.sup_ball_rho <= 0.0:
+    def near_max(m: dict[str, Any], sup: SupResult) -> None:
+        sup_rho, m["w"] = sup
+        x_val = float(np.abs(f.evaluate(m["center"])))
+        if x_val > sup_rho:  # the ball's own centre competes with its cells
+            sup_rho, m["w"] = x_val, m["center"]
+        if sup_rho <= 0.0:
             raise InfeasibleError("function vanishes on the near-maximiser ball")
+        m["log_sup_rho"] = to_log(sup_rho)
+        m["log_w"] = to_log(float(np.abs(f.evaluate(m["w"]))))
 
-    standing = _each(standing, near_max, sups)
-    if not standing:
-        return
-
-    def interpolation(g: _GeometryRun, ray: tuple[Segment, IntervalSet] | ResolutionError) -> None:
+    def fan(m: dict[str, Any], ray: tuple[Segment, IntervalSet] | ResolutionError) -> None:
         if isinstance(ray, ResolutionError):
             raise ray
         seg, trace_set = ray
-        ell = trace_set.total
-        ray_out = _put(
-            g.steps, "ray-selection",
-            {
-                "r": g.r,
-                "n_directions": float(len(ray_directions(domain.dimension))),
-                "intersection_measure": g.aux["intersection_measure"],
-            },
-            {"trace_length": ell, "t_max": seg.t_max},
+        nodes = separate_points(trace_set, m["n"])
+        node_vals = np.abs(f.evaluate(seg.points(nodes.nodes)))
+        m["trace_length"], m["t_max"], m["gap"] = trace_set.total, seg.t_max, nodes.gap
+        m["data_sup"] = max(p.sup_set, float(np.max(node_vals)))
+
+    def chain(m: dict[str, Any]) -> None:
+        prop = propagate_doubling(
+            dc, m["rho"], chain_of_balls(grid.domain, p.x_bar, m["center"], m["r_hat"])
         )
-        nodes = separate_points(trace_set, g.n)
-        node_pts = seg.points(nodes.nodes)
-        node_vals = np.abs(f.evaluate(node_pts))
-        data_sup = max(p.sup_set, float(np.max(node_vals)))
-        nodes_out = _put(
-            g.steps, "point-separation",
-            {"trace_length": ell, "n": float(g.n)},
-            {"gap": nodes.gap, "data_sup": data_sup},
-        )
-        g.log_poly = _put(
-            g.steps, "polynomial-sup-bound",
-            {"n": float(g.n), "t_max": seg.t_max, "gap": nodes.gap, "data_sup": data_sup},
-        )["log_bound"]
-        g.log_remainder_coeff = _put(
-            g.steps, "remainder-bound",
-            {"n": float(g.n), "t_max": seg.t_max, "M": gc.M, "delta": gc.delta, "sigma": gc.sigma},
-        )["log_coeff"]
-        g.aux = ray_out | nodes_out | g.aux | {
-            "r0_eff": p.r0_eff,
-            "sup_domain": p.sup_domain,
-            "sup_set": p.sup_set,
-            "M": gc.M,
-            "delta": gc.delta,
-            "sigma": gc.sigma,
-        }
+        if m["sup_rhat"] < 0.0:
+            raise InfeasibleError("ball contains no sample points")
+        m["chain_steps"], m["concentric_steps"] = prop.chain_steps, prop.concentric_steps
+        m["log_sup_rhat"] = to_log(m["sup_rhat"])
 
-    rays = best_ray_intervals(np.array([g.center for g in standing]), [g.r for g in standing],
-                              mset, [g.w for g in standing])
-    _each(standing, interpolation, rays)
+    standing = _each(runs, resolvable)
+    if standing:
+        densest = densest_cover_balls(mset, [m["r"] for m in standing])
+        for m, (count, center, inter) in zip(standing, densest):
+            m.update(count=count, center=center, intersection_measure=inter,
+                     count_bound=cover_count_bound(grid.domain, m["r"]), rho=m["r"] / 10.0)
+        centers = np.array([m["center"] for m in standing])
+        r_hats = [] if dc is None else [hat_radius(dc, m["rho"])[0] for m in standing]
+        sups, maxima = p.field.sup_balls(centers, [m["rho"] for m in standing], r_hats)
+        for m, r_hat, sup_rhat in zip(standing, r_hats, maxima):
+            m["r_hat"], m["sup_rhat"] = r_hat, sup_rhat
+        standing = _each(standing, near_max, sups)
+    if standing:
+        rays = best_ray_intervals(np.array([m["center"] for m in standing]),
+                                  [m["r"] for m in standing], mset, [m["w"] for m in standing])
+        standing = _each(standing, fan, rays)
+    if standing and dc is not None:
+        _each(standing, chain)
+    names = {field.name for field in fields(_Record)}
+    return [_Record(**{k: v for k, v in m.items() if k in names}) for m in runs]
 
 
-def _proof_tail(
-    p: _Problem,
-    geo: _GeometryRun,
-    steps: list[TraceStep],
-    log_t: float = math.nan,
-    factor: Values | None = None,
-) -> tuple[float, float]:
-    """Append near-max-point; then, in the doubling branches, the
-    propagation-factor step with inputs `factor`, which gives log T in place
-    of `log_t`; then interpolation-split and the master inequality
-    supD <= T (poly + remainder).  Returns log T and the master right side."""
-    log_w_val = to_log(float(np.abs(p.f.evaluate(geo.w))))
-    _put(
-        steps, "near-max-point",
-        {"rho": geo.rho},
-        {"lhs_log": to_log(geo.sup_ball_rho), "rhs_log": LOG2 + log_w_val},
-    )
-    if factor is not None:
-        log_t = _put(steps, "propagation-factor", factor)["log_total"]
-    log_remainder = geo.log_remainder_coeff + p.log_sup_domain
-    _put(
-        steps, "interpolation-split",
-        {"log_poly": geo.log_poly, "log_remainder": log_remainder},
-        {"lhs_log": log_w_val},
-    )
-    return log_t, _put(
+# ---------------------------------------------------------------------------
+# Proving: the step plans
+# ---------------------------------------------------------------------------
+
+def _aux(p: _Problem, rec: _Record, proved: Values) -> dict[str, float]:
+    """A report's aux keys: the record's measured numbers, the problem's,
+    and the values its plan proved from them."""
+    measured = ("intersection_measure", "trace_length", "t_max", "gap", "data_sup")
+    return {"cover_count": float(rec.count)} | {k: getattr(rec, k) for k in measured} | {
+        "r0_eff": p.r0_eff, "sup_domain": p.sup_domain, "sup_set": p.sup_set,
+        "M": p.gc.M, "delta": p.gc.delta, "sigma": p.gc.sigma,
+    } | proved
+
+
+def _geometry_steps(p: _Problem, rec: _Record,
+                    steps: list[TraceStep] | None) -> tuple[float, float]:
+    """The cover, pigeonhole-ball, ray, node and interpolation-bound steps
+    of a record; returns log_poly and log_remainder_coeff."""
+    domain, gc, n = p.grid.domain, p.gc, float(rec.n)
+    _put(steps, "cover",
+         {"r": rec.r, "diameter": domain.diameter, "dimension": float(domain.dimension)},
+         {"count": float(rec.count), "count_bound": float(rec.count_bound)})
+    _put(steps, "pigeonhole-ball", {"set_measure": p.mset.measure, "cover_count": float(rec.count)},
+         {"intersection_measure": rec.intersection_measure})
+    _put(steps, "ray-selection",
+         {"r": rec.r, "n_directions": float(len(ray_directions(domain.dimension))),
+          "intersection_measure": rec.intersection_measure},
+         {"trace_length": rec.trace_length, "t_max": rec.t_max})
+    _put(steps, "point-separation", {"trace_length": rec.trace_length, "n": n},
+         {"gap": rec.gap, "data_sup": rec.data_sup})
+    bound = {"n": n, "t_max": rec.t_max, "gap": rec.gap, "data_sup": rec.data_sup}
+    return _put(steps, "polynomial-sup-bound", bound)["log_bound"], _put(
+        steps, "remainder-bound",
+        {"n": n, "t_max": rec.t_max, "M": gc.M, "delta": gc.delta, "sigma": gc.sigma},
+    )["log_coeff"]
+
+
+def _proof_tail(p: _Problem, rec: _Record, log_poly: float, log_remainder_coeff: float,
+                log_t: float, steps: list[TraceStep] | None) -> float:
+    """The interpolation-split step and the master inequality
+    supD <= T (poly + remainder) with log T = `log_t`; returns the master
+    right side."""
+    log_remainder = log_remainder_coeff + p.log_sup_domain
+    _put(steps, "interpolation-split", {"log_poly": log_poly, "log_remainder": log_remainder},
+         {"lhs_log": rec.log_w})
+    return _put(
         steps, "master-inequality",
-        {"log_total_factor": log_t, "log_poly": geo.log_poly, "log_remainder": log_remainder},
+        {"log_total_factor": log_t, "log_poly": log_poly, "log_remainder": log_remainder},
         {"lhs_log": p.log_sup_domain},
     )["rhs_log"]
 
@@ -742,72 +737,63 @@ def _proof_tail(
 # Doubling branches (sigma = 1 and sigma > 1)
 # ---------------------------------------------------------------------------
 
-def _doubling_run(
-    branch: str, p: _Problem, dc: DoublingCertificate, geo: _GeometryRun
-) -> ObservabilityCertificate:
-    """The certificate at the run's degree and radius, after its geometric
-    steps."""
-    n, steps = geo.n, geo.steps
-    exponent = dc.log2_kappa / (n + 1)
-    chain = chain_of_balls(
-        p.grid.domain, p.x_bar, geo.center, hat_radius(dc, geo.rho)[0]
-    )
-    prop = propagate_doubling(dc, geo.rho, chain)
+def _radius(branch: str, p: _Problem, dc: DoublingCertificate, n: int,
+            steps: list[TraceStep] | None = None) -> float:
+    """The radius at degree n, through the branch's radius-choice step; a
+    degree whose resolution exponent log2(kappa) / (n + 1) is not below 1
+    is infeasible."""
+    gc = p.gc
+    if branch == BRANCH_SIGMA1:
+        r = _put(steps, "radius-choice/sigma1",
+                 {"n": float(n), "r0_eff": p.r0_eff, "log_X": p.log_x},
+                 {"r": choose_r_sigma1(n, p.sup_set, p.sup_domain, gc.M, p.r0_eff)})["r"]
+    else:
+        r = _put(steps, "radius-choice/sigma-gt1",
+                 {"n": float(n), "delta": gc.delta, "sigma": gc.sigma, "log_X": p.log_x},
+                 {"r": choose_r_sigma_gt1(n, p.sup_set, p.sup_domain, gc.M, gc.delta, gc.sigma),
+                  "rhs_log": math.log(p.r0_eff)})["r"]
+    if dc.log2_kappa / (n + 1) >= 1.0:
+        raise InfeasibleError(f"degree {n} too small for doubling constant {dc.kappa}")
+    return r
 
-    sup_rhat = geo.sup_ball_rhat
-    if sup_rhat < 0.0:
-        raise InfeasibleError("ball contains no sample points")
+
+def _doubling_plan(
+    branch: str, p: _Problem, dc: DoublingCertificate, rec: _Record,
+    steps: list[TraceStep] | None = None,
+) -> tuple[float, Values]:
+    """The proof at a doubling-branch record, from its radius choice to its
+    resolution: log C, and the values a report's aux keeps.  Given a list,
+    the steps are appended to it."""
+    _radius(branch, p, dc, rec.n, steps)
+    log_poly, log_remainder_coeff = _geometry_steps(p, rec, steps)
+    log_kappa = math.log(dc.kappa)
     _put(steps, "global-max-slack", {}, {"lhs_log": p.log_sup_domain})
-    _put(
-        steps, "chain-propagation",
-        {"kappa": dc.kappa, "r_hat": prop.r_hat, "chain_steps": float(prop.chain_steps)},
-        {
-            "lhs_log": p.log_sup_domain,
-            "rhs_log": prop.chain_steps * math.log(dc.kappa) + to_log(sup_rhat),
-        },
-    )
-    _put(
-        steps, "concentric-reduction",
-        {"kappa": dc.kappa, "concentric_steps": float(prop.concentric_steps)},
-        {
-            "lhs_log": to_log(sup_rhat),
-            "rhs_log": prop.concentric_steps * math.log(dc.kappa) + to_log(geo.sup_ball_rho),
-        },
-    )
+    _put(steps, "chain-propagation",
+         {"kappa": dc.kappa, "r_hat": rec.r_hat, "chain_steps": float(rec.chain_steps)},
+         {"lhs_log": p.log_sup_domain, "rhs_log": rec.chain_steps * log_kappa + rec.log_sup_rhat})
+    _put(steps, "concentric-reduction",
+         {"kappa": dc.kappa, "concentric_steps": float(rec.concentric_steps)},
+         {"lhs_log": rec.log_sup_rhat,
+          "rhs_log": rec.concentric_steps * log_kappa + rec.log_sup_rho})
+    _put(steps, "near-max-point", {"rho": rec.rho},
+         {"lhs_log": rec.log_sup_rho, "rhs_log": LOG2 + rec.log_w})
+    factor = {"kappa": dc.kappa, "chain_steps": float(rec.chain_steps),
+              "concentric_steps": float(rec.concentric_steps)}
+    log_t = _put(steps, "propagation-factor", factor)["log_total"]
+    log_master = _proof_tail(p, rec, log_poly, log_remainder_coeff, log_t, steps)
 
-    factor = {
-        "kappa": dc.kappa,
-        "chain_steps": float(prop.chain_steps),
-        "concentric_steps": float(prop.concentric_steps),
-    }
-    log_t, log_master = _proof_tail(p, geo, steps, factor=factor)
-
+    exponent = dc.log2_kappa / (rec.n + 1)
     log_t_base = _put(
-        steps, "prefactor-split",
-        {"log_total_factor": log_t, "exponent": exponent, "log_X": p.log_x},
+        steps, "prefactor-split", {"log_total_factor": log_t, "exponent": exponent, "log_X": p.log_x}
     )["log_T_base"]
-    log_a = _put(
-        steps, "assembly",
-        {
-            "log_T_base": log_t_base,
-            "exponent": exponent,
-            "log_M": math.log(p.gc.M),
-            "log_poly": geo.log_poly,
-            "log_remainder_coeff": geo.log_remainder_coeff,
-            "log_sup_domain": p.log_sup_domain,
-            "log_sup_set": p.log_sup_set,
-        },
-        {"identity_rhs": log_master},
-    )["log_A"]
+    log_a = _put(steps, "assembly", {
+        "log_T_base": log_t_base, "exponent": exponent, "log_M": math.log(p.gc.M),
+        "log_poly": log_poly, "log_remainder_coeff": log_remainder_coeff,
+        "log_sup_domain": p.log_sup_domain, "log_sup_set": p.log_sup_set,
+    }, {"identity_rhs": log_master})["log_A"]
     log_c = _put(steps, "resolution", {"log_A": log_a, "exponent": exponent})["log_C"]
-    aux = geo.aux | factor | {
-        "r_hat": prop.r_hat,
-        "exponent": exponent,
-        "log_X": p.log_x,
-        "log_A": log_a,
-        "log_total_factor": log_t,
-    }
-    return ObservabilityCertificate(branch, max(log_c, 0.0), n, geo.r, aux, steps)
+    return log_c, factor | {"r_hat": rec.r_hat, "exponent": exponent, "log_X": p.log_x,
+                            "log_A": log_a, "log_total_factor": log_t}
 
 
 def _certify_doubling(
@@ -816,51 +802,49 @@ def _certify_doubling(
     dc: DoublingCertificate,
     n_base: int,
     search: int,
-    radius_rule: Callable[[int, list[TraceStep]], float],
     branch_aux: dict[str, float],
 ) -> ObservabilityCertificate:
-    """Run the pipeline at n_base..n_base+search with the branch's radius
-    rule (n -> r, appending its radius-choice step) and keep the smallest
-    sound constant; the run at n_base is the prescribed one.  The degrees
-    whose radius and exponent pass share one staged geometry run."""
+    """Measure at n_base..n_base+search and keep the smallest sound
+    constant; the degree n_base is the prescribed one.  Every record goes
+    through the plan without a list; the winner's goes through it once more
+    to build its trace."""
     if search < 0:
         raise ConfigError(f"search must be nonnegative, got {search}")
     if n_base + search > _DEGREE_CAP:
         raise InfeasibleError(
             f"degree {n_base + search} is beyond desk scale; the cap is {_DEGREE_CAP}"
         )
-
-    def radius(g: _GeometryRun) -> None:
-        g.r = radius_rule(g.n, g.steps)
-        if dc.log2_kappa / (g.n + 1) >= 1.0:
-            raise InfeasibleError(f"degree {g.n} too small for doubling constant {dc.kappa}")
-
-    best: ObservabilityCertificate | None = None
-    prescribed: ObservabilityCertificate | None = None
+    best: tuple[float, _Record] | None = None
+    prescribed: tuple[float, _Record] | None = None
     failures: list[tuple[int, str]] = []
     last = n_base + search
     for first in range(n_base, last + 1, _STAGE_DEGREES):
-        runs = [_GeometryRun(n) for n in range(first, min(first + _STAGE_DEGREES, last + 1))]
-        _run_geometry(p, _each(runs, radius), dc)
-        certs: list[ObservabilityCertificate] = []
-        _each(runs, lambda g: certs.append(_doubling_run(branch, p, dc, g)))
-        failures += [(g.n, str(g.error)) for g in runs if g.error]
-        for res in certs:
-            if res.n == n_base:
-                prescribed = res
-            if best is None or res.log_constant < best.log_constant - 1e-12:
-                best = res
+        window = range(first, min(first + _STAGE_DEGREES, last + 1))
+        for rec in _measure(p, window, lambda n: _radius(branch, p, dc, n), dc):
+            try:
+                if rec.error is not None:
+                    raise rec.error
+                log_c = max(_doubling_plan(branch, p, dc, rec)[0], 0.0)
+            except (InfeasibleError, ResolutionError) as exc:
+                failures.append((rec.n, str(exc)))
+                continue
+            if rec.n == n_base:
+                prescribed = log_c, rec
+            if best is None or log_c < best[0] - 1e-12:
+                best = log_c, rec
     if best is None:
         raise InfeasibleError(_search_failure(failures))
-    best.aux |= branch_aux | {"n_base": float(n_base)}
-    search_outputs = {"log_C_best": best.log_constant}
+    log_c, rec = best
+    steps: list[TraceStep] = []
+    aux = _aux(p, rec, _doubling_plan(branch, p, dc, rec, steps)[1])
+    aux |= branch_aux | {"n_base": float(n_base)}
+    search_outputs = {"log_C_best": log_c}
     if prescribed is not None:
-        best.aux["prescribed_n"] = float(prescribed.n)
-        best.aux["prescribed_log_C"] = prescribed.log_constant
-        best.aux["prescribed_r"] = prescribed.r
-        search_outputs["log_C_prescribed"] = prescribed.log_constant
-    _put(best.trace, "degree-search", {"n_best": float(best.n)}, search_outputs)
-    return best
+        aux |= {"prescribed_n": float(prescribed[1].n), "prescribed_log_C": prescribed[0],
+                "prescribed_r": prescribed[1].r}
+        search_outputs["log_C_prescribed"] = prescribed[0]
+    _put(steps, "degree-search", {"n_best": float(rec.n)}, search_outputs)
+    return ObservabilityCertificate(branch, log_c, rec.n, rec.r, aux, steps)
 
 
 def _search_failure(failures: list[tuple[int, str]]) -> str:
@@ -891,17 +875,8 @@ def certify_sigma1(
         raise ConfigError("sigma-1 branch requires a sigma = 1 certificate")
     p = _Problem(f, mset, gc, dc.r0)
     n_base = 2 * math.floor(dc.log2_kappa) + 2 if n_override is None else n_override
-
-    def radius_rule(n: int, steps: list[TraceStep]) -> float:
-        r = choose_r_sigma1(n, p.sup_set, p.sup_domain, gc.M, p.r0_eff)
-        return _put(
-            steps, "radius-choice/sigma1",
-            {"n": float(n), "r0_eff": p.r0_eff, "log_X": p.log_x},
-            {"r": r},
-        )["r"]
-
     gamma = dc.log2_kappa / (2 * math.floor(dc.log2_kappa) + 3)
-    return _certify_doubling(BRANCH_SIGMA1, p, dc, n_base, search, radius_rule, {"gamma": gamma})
+    return _certify_doubling(BRANCH_SIGMA1, p, dc, n_base, search, {"gamma": gamma})
 
 
 def certify_sigma_gt1(
@@ -930,15 +905,6 @@ def certify_sigma_gt1(
     b_const = (gc.delta / p.r0_eff) ** (1.0 / (gc.sigma - 1.0))
     floor_n = 2 * math.floor(max(dc.log2_kappa, b_const)) + 1
     n_base = floor_n if n_override is None else max(n_override, floor_n)
-
-    def radius_rule(n: int, steps: list[TraceStep]) -> float:
-        r = choose_r_sigma_gt1(n, p.sup_set, p.sup_domain, gc.M, gc.delta, gc.sigma)
-        return _put(
-            steps, "radius-choice/sigma-gt1",
-            {"n": float(n), "delta": gc.delta, "sigma": gc.sigma, "log_X": p.log_x},
-            {"r": r, "rhs_log": math.log(p.r0_eff)},
-        )["r"]
-
     branch_aux = {
         "B": b_const,
         "eta": dc.log2_kappa / (floor_n + 1),
@@ -946,12 +912,64 @@ def certify_sigma_gt1(
             (gc.sigma - 1.0) * dc.log2_kappa * math.log(max(dc.log2_kappa, b_const))
         ),
     }
-    return _certify_doubling(BRANCH_SIGMA_GT1, p, dc, n_base, search, radius_rule, branch_aux)
+    return _certify_doubling(BRANCH_SIGMA_GT1, p, dc, n_base, search, branch_aux)
 
 
 # ---------------------------------------------------------------------------
 # Unique-continuation branch
 # ---------------------------------------------------------------------------
+
+def _ucp_degree(p: _Problem, uc: UcpCertificate, c0: float,
+                steps: list[TraceStep] | None = None) -> tuple[Values, float]:
+    """The ucp-threshold and radius-choice steps at the base constant c0:
+    the threshold's outputs and the radius."""
+    threshold = _put(steps, "ucp-threshold", {
+        "a": uc.a, "b": uc.b, "C0": c0, "vol_domain": p.vol_domain,
+        "set_measure": p.mset.measure, "log_X": p.log_x, "r0_eff": p.r0_eff,
+        "delta": p.gc.delta, "sigma": p.gc.sigma,
+    })
+    return threshold, _put(steps, "radius-choice/ucp", {"b": uc.b, "n0": threshold["n0"]},
+                           {"rhs_log": math.log(p.r0_eff)})["r"]
+
+
+def _ucp_plan(
+    p: _Problem, uc: UcpCertificate, c0: float, rec: _Record,
+    steps: list[TraceStep] | None = None,
+) -> tuple[float, Values]:
+    """The proof at the record of the threshold degree for base constant c0:
+    log C, and the values a report's aux keeps.  Given a list, the steps are
+    appended to it."""
+    a, b, gc, n0 = uc.a, uc.b, p.gc, rec.n
+    threshold, _ = _ucp_degree(p, uc, c0, steps)
+    log_poly, log_remainder_coeff = _geometry_steps(p, rec, steps)
+    log_t = _put(
+        steps, "ucp-propagation", {"a": a, "b": b, "rho": rec.rho},
+        {"lhs_log": p.log_sup_domain, "rhs_log": _ucp_exponent(a, b, rec.rho) + rec.log_sup_rho},
+    )["log_factor"]
+    _put(steps, "near-max-point", {"rho": rec.rho},
+         {"lhs_log": rec.log_sup_rho, "rhs_log": LOG2 + rec.log_w})
+    _proof_tail(p, rec, log_poly, log_remainder_coeff, log_t, steps)
+
+    # Rewrite both master terms in the threshold form the degree rule needs.
+    log_d, m_star = threshold["log_D"], threshold["m_star"]
+    _put(steps, "shape-poly-term", {"C0": c0, "a": a, "b": b, "log_D": log_d, "n0": float(n0)},
+         {"lhs_log": log_t + log_poly,
+          "rhs_log": math.log(c0) + a / b + n0 * log_d + p.log_sup_set})
+    at_n0 = {"C0": c0, "a": a, "b": b, "delta": gc.delta, "sigma": gc.sigma, "n0": float(n0)}
+    log_cf = _contraction_log(at_n0)
+    _put(steps, "shape-remainder-term", at_n0, {
+        "lhs_log": log_t + log_remainder_coeff + p.log_sup_domain,
+        "rhs_log": math.log(c0) + a / b + math.log(gc.M) + (n0 + 1) * log_cf + p.log_sup_domain,
+    })
+    _put(steps, "contraction", at_n0)
+
+    algebra = _put(
+        steps, "ucp-assembly",
+        {"C0": c0, "a": a, "b": b, "log_M": math.log(gc.M), "log_D": log_d, "m_star": m_star},
+    )
+    log_c = _put(steps, "resolution/ucp", algebra)["log_C"]
+    return log_c, threshold | algebra | {"C0": c0, "contraction_factor": math.exp(log_cf)}
+
 
 def certify_ucp(
     f: FunctionModel,
@@ -972,32 +990,17 @@ def certify_ucp(
             f"{1.0 + 1.0 / uc.b}"
         )
     p = _Problem(f, mset, gc, uc.r0)
-    vol_domain = p.grid.n_interior * p.grid.h ** p.grid.dimension
-    a, b = uc.a, uc.b
-    log_spread = math.log(vol_domain / mset.measure)
+    log_spread = math.log(p.vol_domain / mset.measure)
 
     c0 = UCP_BASE_CONSTANT
     for _ in range(40):
-        steps: list[TraceStep] = []
-        threshold = _put(
-            steps, "ucp-threshold",
-            {
-                "a": a, "b": b, "C0": c0, "vol_domain": vol_domain, "set_measure": mset.measure,
-                "log_X": p.log_x, "r0_eff": p.r0_eff, "delta": gc.delta, "sigma": gc.sigma,
-            },
-        )
+        threshold, r = _ucp_degree(p, uc, c0)
         n0 = int(threshold["n0"])
-        r = _put(
-            steps, "radius-choice/ucp",
-            {"b": b, "n0": threshold["n0"]},
-            {"rhs_log": math.log(p.r0_eff)},
-        )["r"]
-        geo = _GeometryRun(n0, r, steps)
-        _run_geometry(p, [geo])
-        if geo.error is not None:
-            raise geo.error
+        (rec,) = _measure(p, [n0], lambda n: r)
+        if rec.error is not None:
+            raise rec.error
         # polynomial-term conversion: 2 * PB <= C0^(n+1) (|O|/|E|)^n supE
-        lhs1 = LOG2 + geo.log_poly
+        lhs1 = LOG2 + _geometry_steps(p, rec, None)[0]
         rhs1 = (n0 + 1) * math.log(c0) + n0 * log_spread + p.log_sup_set
         if lhs1 <= rhs1 + 1e-12:
             break
@@ -1006,46 +1009,10 @@ def certify_ucp(
     else:
         raise InfeasibleError("threshold-form constant did not converge")
 
-    log_t = _put(
-        steps, "ucp-propagation",
-        {"a": a, "b": b, "rho": geo.rho},
-        {
-            "lhs_log": p.log_sup_domain,
-            "rhs_log": _ucp_exponent(a, b, geo.rho) + to_log(geo.sup_ball_rho),
-        },
-    )["log_factor"]
-    _proof_tail(p, geo, steps, log_t)
-
-    # Rewrite both master terms in the threshold form the degree rule needs.
-    log_d, m_star = threshold["log_D"], threshold["m_star"]
-    _put(
-        steps, "shape-poly-term",
-        {"C0": c0, "a": a, "b": b, "log_D": log_d, "n0": float(n0)},
-        {
-            "lhs_log": log_t + geo.log_poly,
-            "rhs_log": math.log(c0) + a / b + n0 * log_d + p.log_sup_set,
-        },
-    )
-    at_n0 = {"C0": c0, "a": a, "b": b, "delta": gc.delta, "sigma": gc.sigma, "n0": float(n0)}
-    log_cf = _contraction_log(at_n0)
-    _put(
-        steps, "shape-remainder-term", at_n0,
-        {
-            "lhs_log": log_t + geo.log_remainder_coeff + p.log_sup_domain,
-            "rhs_log": math.log(c0) + a / b + math.log(gc.M) + (n0 + 1) * log_cf
-            + p.log_sup_domain,
-        },
-    )
-    _put(steps, "contraction", at_n0)
-
-    algebra = _put(
-        steps, "ucp-assembly",
-        {"C0": c0, "a": a, "b": b, "log_M": math.log(gc.M), "log_D": log_d, "m_star": m_star},
-    )
-    log_c = _put(steps, "resolution/ucp", algebra)["log_C"]
-
-    aux = geo.aux | threshold | algebra | {"C0": c0, "contraction_factor": math.exp(log_cf)}
-    return ObservabilityCertificate(BRANCH_UCP, max(log_c, 0.0), n0, geo.r, aux, steps)
+    steps: list[TraceStep] = []
+    log_c, proved = _ucp_plan(p, uc, c0, rec, steps)
+    return ObservabilityCertificate(BRANCH_UCP, max(log_c, 0.0), n0, rec.r,
+                                    _aux(p, rec, proved), steps)
 
 
 # ---------------------------------------------------------------------------

@@ -226,8 +226,8 @@ def build_set(cfg: RunConfig, grid: Grid, rng: np.random.Generator) -> Measurabl
         bounds = []
         for axis_part in sec.get("bounds", "").split(";"):
             vals = _floats(axis_part)
-            if len(vals) != 2:
-                raise ConfigError("box bounds need lo, hi per axis")
+            if len(vals) != 2 or vals[0] > vals[1]:
+                raise ConfigError(f"box bounds need lo <= hi per axis, got {axis_part.strip()!r}")
             bounds.append((vals[0], vals[1]))
         return MeasurableSet.from_box(grid, bounds)
     if kind == "ball":

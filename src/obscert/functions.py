@@ -475,6 +475,8 @@ class Polynomial1D(FunctionModel):
     dimension = 1
 
     def __post_init__(self):
+        if not self.coeffs:
+            raise ConfigError("a polynomial needs at least one coefficient")
         if not all(math.isfinite(c) for c in self.coeffs):
             raise ConfigError("polynomial coefficients must be finite")
 

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import re
 import time
@@ -239,6 +241,95 @@ def test_trace_has_complete_step_chain():
         assert [s.inputs["n_directions"] for s in rays] == [fan]
 
 
+# ---------------------------------------------------------------------------
+# Measuring, then proving: records and the step plans
+# ---------------------------------------------------------------------------
+
+PLAN_MODES = {1: [([1], 1.0, 0.3), ([3], 0.4, 1.1)], 2: [([1, 0], 1.0, 0.3), ([0, 1], 0.5, 0.1)]}
+
+
+def _plan_runs(cells):
+    """Branch -> (a certifier call on a random quarter of a box, and the
+    plan that replays its record into a list of steps)."""
+    d = len(cells)
+    grid = Grid(Domain.box([1.0] * d), cells)
+    f = TrigSum.of(PLAN_MODES[d], d)
+    mset = MeasurableSet.random(grid, 0.25, np.random.default_rng(3))
+    dc, _ = estimate_doubling(f, grid.domain, grid)
+    gc = derive_gevrey(f, grid.domain, grid)
+    gc_gt1 = GevreyCertificate(gc.M, gc.delta, 1.5)
+    probe = verify_ucp(f, UcpCertificate(10.0, 1.0, 0.5), grid.domain, grid)
+    uc = UcpCertificate(max(1.5 * probe.min_sufficient_a, 0.05), 1.0, 0.5)
+
+    def doubling_plan(branch, gc):
+        p = certify_module._Problem(f, mset, gc, dc.r0)
+        return lambda rec, c0, steps: certify_module._doubling_plan(branch, p, dc, rec, steps)
+
+    ucp_problem = certify_module._Problem(f, mset, gc, uc.r0)
+    return {
+        "sigma1": (lambda: certify_sigma1(f, mset, dc, gc, search=8),
+                   doubling_plan("sigma1", gc)),
+        "sigma-gt1": (lambda: certify_sigma_gt1(f, mset, dc, gc_gt1),
+                      doubling_plan("sigma-gt1", gc_gt1)),
+        "ucp": (lambda: certify_ucp(f, mset, uc, gc),
+                lambda rec, c0, steps: certify_module._ucp_plan(ucp_problem, uc, c0, rec, steps)),
+    }
+
+
+@pytest.mark.parametrize("cells", [(256,), (128, 128)], ids=["1d", "2d"])
+def test_only_the_reported_trace_steps_are_built(monkeypatch, cells):
+    real, built = certify_module.TraceStep, []
+
+    def counting(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(certify_module, "TraceStep", counting)
+    for branch, (run, _) in _plan_runs(cells).items():
+        built.clear()
+        cert = run()
+        assert len(built) == len(cert.trace), branch
+
+
+def _record_of(trace):
+    """The record a plan reads, rebuilt from a written trace's step inputs
+    and measured outputs."""
+    step = {s["step"]: s for s in trace}
+    cover, ray, nodes = step["cover"], step["ray-selection"]["outputs"], step["point-separation"]
+    near_max = step["near-max-point"]
+    record = {
+        "n": int(nodes["inputs"]["n"]), "r": cover["inputs"]["r"],
+        "rho": near_max["inputs"]["rho"], "count": int(cover["outputs"]["count"]),
+        "count_bound": int(cover["outputs"]["count_bound"]),
+        "intersection_measure": step["pigeonhole-ball"]["outputs"]["intersection_measure"],
+        "trace_length": ray["trace_length"], "t_max": ray["t_max"],
+        "gap": nodes["outputs"]["gap"], "data_sup": nodes["outputs"]["data_sup"],
+        "log_sup_rho": near_max["outputs"]["lhs_log"],
+        "log_w": step["interpolation-split"]["outputs"]["lhs_log"],
+    }
+    if "chain-propagation" in step:
+        chain, concentric = step["chain-propagation"]["inputs"], step["concentric-reduction"]
+        record |= {
+            "r_hat": chain["r_hat"], "chain_steps": int(chain["chain_steps"]),
+            "concentric_steps": int(concentric["inputs"]["concentric_steps"]),
+            "log_sup_rhat": concentric["outputs"]["lhs_log"],
+        }
+    return certify_module._Record(**record)
+
+
+@pytest.mark.parametrize("cells", [(256,), (128, 128)], ids=["1d", "2d"])
+@pytest.mark.parametrize("branch", ["sigma1", "sigma-gt1", "ucp"])
+def test_a_record_rebuilt_from_a_written_trace_gives_that_trace(branch, cells):
+    run, plan = _plan_runs(cells)[branch]
+    trace = json.loads(json.dumps(run().to_dict()))["trace"]
+    if branch != "ucp":  # the degree search adds its step after the plan's
+        trace, search = trace[:-1], trace[-1]
+        assert search["step"] == "degree-search"
+    steps = []
+    plan(_record_of(trace), trace[0]["inputs"].get("C0"), steps)
+    assert [s.to_dict() for s in steps] == trace
+
+
 def test_aux_key_sets_per_branch():
     sigma1, sigma_gt1, ucp = _three_branch_certs()
     shared = {
@@ -258,19 +349,19 @@ def test_aux_key_sets_per_branch():
 
 
 def _break_step(monkeypatch, name, times=None):
-    """Build trace step `name` with rhs_log one below lhs_log, the first
-    `times` times it is built (every time when None)."""
-    real = certify_module.TraceStep
+    """Derive step `name` with rhs_log one below lhs_log, the first `times`
+    times it is derived (every time when None)."""
+    real = STEP_KINDS[name]
     broken = []
 
-    def make(step, detail, inputs=None, outputs=None):
-        built = real(step, detail, dict(inputs or {}), dict(outputs or {}))
-        if step == name and (times is None or len(broken) < times):
-            built.outputs["rhs_log"] = built.outputs["lhs_log"] - 1.0
-            broken.append(built)
-        return built
+    def derive(inputs, outputs):
+        derived = real.derive(inputs, outputs)
+        if times is None or len(broken) < times:
+            broken.append(derived)
+            derived = derived | {"rhs_log": (outputs | derived)["lhs_log"] - 1.0}
+        return derived
 
-    monkeypatch.setattr(certify_module, "TraceStep", make)
+    monkeypatch.setitem(STEP_KINDS, name, dataclasses.replace(real, derive=derive))
     return broken
 
 

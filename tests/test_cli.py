@@ -139,6 +139,28 @@ def test_a_non_finite_mode_is_a_config_error(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["certify", "verify"])
+def test_a_polynomial_without_coefficients_is_a_config_error(tmp_path, capsys, command):
+    bad = BASE_CONFIG.replace("kind = trig\nmodes = 1:1.0:0.0; 2:0.4:0.9",
+                              "kind = polynomial\ncoeffs =")
+    cfg = write_config(tmp_path, bad)
+    assert main([command, str(cfg), "--output-dir", str(tmp_path)]) == EXIT_CONFIG
+    assert "at least one coefficient" in capsys.readouterr().err
+
+
+BOX_SET = BASE_CONFIG.replace("kind = random\nfraction = 0.2", "kind = box\nbounds = {}")
+
+
+def test_a_reversed_box_is_a_config_error_and_an_empty_one_is_infeasible(tmp_path, capsys):
+    cfg = write_config(tmp_path, BOX_SET.format("0.8, 0.2"))
+    assert main(["certify", str(cfg), "--output-dir", str(tmp_path)]) == EXIT_CONFIG
+    assert "lo <= hi" in capsys.readouterr().err
+    # well ordered, between the first two cell centres (1/1024 and 3/1024)
+    cfg = write_config(tmp_path, BOX_SET.format("0.0011, 0.0012"))
+    assert main(["certify", str(cfg), "--output-dir", str(tmp_path)]) == EXIT_INFEASIBLE
+    assert "no grid sample points" in capsys.readouterr().err
+
+
 BALL_SET_2D = (BASE_CONFIG
                .replace("extent = 1.0", "extent = 1.0, 1.0")
                .replace("cells = 512", "cells = 128, 128")

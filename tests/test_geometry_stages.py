@@ -1,11 +1,11 @@
-"""The staged geometry run of the certifiers against a per-degree oracle.
+"""The staged measuring pass of the certifiers against a per-degree oracle.
 
-`_loop_run_geometry`, `_loop_doubling_run` and `_loop_certify_doubling` are
-the per-degree loop the doubling branches ran before their geometry was
-staged: every degree makes its own cover, densest-ball, ball-sup and
-fan-trace calls, one after another, each call of the batched entry points
-taking that one degree.  Put in place of the staged path, they
-give the certificate, or the error, that a staged run must give exactly.
+`_loop_measure` is the measuring pass the certifiers ran before it was
+staged: every degree makes its own cover, densest-ball, ball-sup, fan-trace
+and chain calls, one after another, each call of the batched entry points
+taking that one degree.  Put in place of the staged pass, it hands the
+certifier's plan a record per degree, and so gives the certificate, or the
+error, that the staged pass must give exactly.
 """
 
 import json
@@ -17,10 +17,6 @@ import pytest
 import obscert.certify as certify
 from obscert import geometry
 from obscert.certify import (
-    _DEGREE_CAP,
-    _GeometryRun,
-    _proof_tail,
-    _put,
     certify_sigma1,
     certify_sigma_gt1,
     certify_ucp,
@@ -53,14 +49,14 @@ from obscert.interp import separate_points
 # The per-degree oracle
 # ---------------------------------------------------------------------------
 
-# the failures of the oracle's last degree window, in degree order
+# the degrees whose measuring failed in the oracle's last search, in degree order
 LOOP_FAILURES: list[tuple[int, str]] = []
 
 
-def _loop_run_geometry(p, n, r, steps):
-    """The cover, pigeonhole, ray, node and interpolation-bound steps at one
-    (n, r), each geometric call made for this point alone."""
-    f, mset, gc, domain = p.f, p.mset, p.gc, p.grid.domain
+def _loop_record(p, n, r, dc):
+    """The record at one (n, r), each geometric call made for this point
+    alone; the chain and the r_hat ball sup given `dc`."""
+    f, mset, domain = p.f, p.mset, p.grid.domain
     if r < 2.0 * p.grid.h:
         raise InfeasibleError(
             f"radius {r:.3e} below twice the grid resolution, 2h = {2.0 * p.grid.h:.3e} "
@@ -68,17 +64,6 @@ def _loop_run_geometry(p, n, r, steps):
         )
 
     ((count, x, inter),) = densest_cover_balls(mset, [r])
-    _put(
-        steps, "cover",
-        {"r": r, "diameter": domain.diameter, "dimension": float(domain.dimension)},
-        {"count": float(count), "count_bound": float(cover_count_bound(domain, r))},
-    )
-    _put(
-        steps, "pigeonhole-ball",
-        {"set_measure": mset.measure, "cover_count": float(count)},
-        {"intersection_measure": inter},
-    )
-
     rho = r / 10.0
     ((sup_rho, w),), _ = p.field.sup_balls([x], [rho])
     x_val = float(np.abs(f.evaluate(x)))
@@ -91,165 +76,40 @@ def _loop_run_geometry(p, n, r, steps):
     if isinstance(ray, ResolutionError):
         raise ray
     seg, trace_set = ray
-    ell = trace_set.total
-    ray = _put(
-        steps, "ray-selection",
-        {
-            "r": r,
-            "n_directions": float(len(ray_directions(domain.dimension))),
-            "intersection_measure": inter,
-        },
-        {"trace_length": ell, "t_max": seg.t_max},
-    )
-
     nodes = separate_points(trace_set, n)
     node_vals = np.abs(f.evaluate(seg.points(nodes.nodes)))
-    data_sup = max(p.sup_set, float(np.max(node_vals)))
-    nodes_out = _put(
-        steps, "point-separation",
-        {"trace_length": ell, "n": float(n)},
-        {"gap": nodes.gap, "data_sup": data_sup},
-    )
-    log_poly = _put(
-        steps, "polynomial-sup-bound",
-        {"n": float(n), "t_max": seg.t_max, "gap": nodes.gap, "data_sup": data_sup},
-    )["log_bound"]
-    log_rem_coeff = _put(
-        steps, "remainder-bound",
-        {"n": float(n), "t_max": seg.t_max, "M": gc.M, "delta": gc.delta, "sigma": gc.sigma},
-    )["log_coeff"]
-    aux = ray | nodes_out | {
-        "cover_count": float(count),
-        "intersection_measure": inter,
-        "r0_eff": p.r0_eff,
-        "sup_domain": p.sup_domain,
-        "sup_set": p.sup_set,
-        "M": gc.M,
-        "delta": gc.delta,
-        "sigma": gc.sigma,
+    record = {
+        "n": n, "r": r, "rho": rho, "count": count,
+        "count_bound": cover_count_bound(domain, r), "intersection_measure": inter,
+        "trace_length": trace_set.total, "t_max": seg.t_max, "gap": nodes.gap,
+        "data_sup": max(p.sup_set, float(np.max(node_vals))),
+        "log_sup_rho": certify.to_log(sup_rho),
+        "log_w": certify.to_log(float(np.abs(f.evaluate(w)))),
     }
-    return _GeometryRun(n, r, steps, rho=rho, center=x, w=w, sup_ball_rho=sup_rho,
-                        log_poly=log_poly, log_remainder_coeff=log_rem_coeff, aux=aux)
+    if dc is not None:
+        chain = chain_of_balls(domain, p.x_bar, x, hat_radius(dc, rho)[0])
+        prop = propagate_doubling(dc, rho, chain)
+        sup_rhat = float(p.field.ball_maxima([x], [prop.r_hat])[0, 0])
+        if sup_rhat < 0.0:
+            raise InfeasibleError("ball contains no sample points")
+        record |= {
+            "r_hat": prop.r_hat, "log_sup_rhat": certify.to_log(sup_rhat),
+            "chain_steps": prop.chain_steps, "concentric_steps": prop.concentric_steps,
+        }
+    return certify._Record(**record)
 
 
-def _loop_doubling_run(branch, p, dc, n, r, steps):
-    """The certificate at degree n and radius r, after the radius-choice step."""
-    exponent = dc.log2_kappa / (n + 1)
-    if exponent >= 1.0:
-        raise InfeasibleError(f"degree {n} too small for doubling constant {dc.kappa}")
-
-    geo = _loop_run_geometry(p, n, r, steps)
-    chain = chain_of_balls(
-        p.grid.domain, p.x_bar, geo.center, hat_radius(dc, geo.rho)[0]
-    )
-    prop = propagate_doubling(dc, geo.rho, chain)
-
-    sup_rhat = float(p.field.ball_maxima([geo.center], [prop.r_hat])[0, 0])
-    if sup_rhat < 0.0:
-        raise InfeasibleError("ball contains no sample points")
-    _put(steps, "global-max-slack", {}, {"lhs_log": p.log_sup_domain})
-    _put(
-        steps, "chain-propagation",
-        {"kappa": dc.kappa, "r_hat": prop.r_hat, "chain_steps": float(prop.chain_steps)},
-        {
-            "lhs_log": p.log_sup_domain,
-            "rhs_log": prop.chain_steps * math.log(dc.kappa) + certify.to_log(sup_rhat),
-        },
-    )
-    _put(
-        steps, "concentric-reduction",
-        {"kappa": dc.kappa, "concentric_steps": float(prop.concentric_steps)},
-        {
-            "lhs_log": certify.to_log(sup_rhat),
-            "rhs_log": prop.concentric_steps * math.log(dc.kappa)
-            + certify.to_log(geo.sup_ball_rho),
-        },
-    )
-    factor = {
-        "kappa": dc.kappa,
-        "chain_steps": float(prop.chain_steps),
-        "concentric_steps": float(prop.concentric_steps),
-    }
-    log_t, log_master = _proof_tail(p, geo, steps, factor=factor)
-    log_t_base = _put(
-        steps, "prefactor-split",
-        {"log_total_factor": log_t, "exponent": exponent, "log_X": p.log_x},
-    )["log_T_base"]
-    log_a = _put(
-        steps, "assembly",
-        {
-            "log_T_base": log_t_base,
-            "exponent": exponent,
-            "log_M": math.log(p.gc.M),
-            "log_poly": geo.log_poly,
-            "log_remainder_coeff": geo.log_remainder_coeff,
-            "log_sup_domain": p.log_sup_domain,
-            "log_sup_set": p.log_sup_set,
-        },
-        {"identity_rhs": log_master},
-    )["log_A"]
-    log_c = _put(steps, "resolution", {"log_A": log_a, "exponent": exponent})["log_C"]
-    aux = geo.aux | factor | {
-        "r_hat": prop.r_hat,
-        "exponent": exponent,
-        "log_X": p.log_x,
-        "log_A": log_a,
-        "log_total_factor": log_t,
-    }
-    return certify.ObservabilityCertificate(branch, max(log_c, 0.0), n, r, aux, steps)
-
-
-def _loop_certify_doubling(branch, p, dc, n_base, search, radius_rule, branch_aux):
-    """The degree search, one whole run per degree in turn."""
-    if n_base + search > _DEGREE_CAP:
-        raise InfeasibleError(
-            f"degree {n_base + search} is beyond desk scale; the cap is {_DEGREE_CAP}"
-        )
-    LOOP_FAILURES.clear()
-    best = prescribed = None
-    failures = []
-    for n in range(n_base, n_base + search + 1):
-        steps = []
+def _loop_measure(p, degrees, radius, dc=None):
+    """The staged pass's interface over the per-point records: each degree
+    alone, its error kept as the staged pass keeps it."""
+    records = []
+    for n in degrees:
         try:
-            res = _loop_doubling_run(branch, p, dc, n, radius_rule(n, steps), steps)
+            records.append(_loop_record(p, n, radius(n), dc))
         except (InfeasibleError, ResolutionError) as exc:
-            failures.append((n, str(exc)))
             LOOP_FAILURES.append((n, str(exc)))
-            continue
-        if n == n_base:
-            prescribed = res
-        if best is None or res.log_constant < best.log_constant - 1e-12:
-            best = res
-    if best is None:
-        (first, why), (last, last_why) = failures[0], failures[-1]
-        raise InfeasibleError(
-            "certification infeasible at every degree in the search range: "
-            f"{len(failures)} attempts; first n = {first}: {why}; last n = {last}: {last_why}"
-        )
-    best.aux |= branch_aux | {"n_base": float(n_base)}
-    search_outputs = {"log_C_best": best.log_constant}
-    if prescribed is not None:
-        best.aux["prescribed_n"] = float(prescribed.n)
-        best.aux["prescribed_log_C"] = prescribed.log_constant
-        best.aux["prescribed_r"] = prescribed.r
-        search_outputs["log_C_prescribed"] = prescribed.log_constant
-    _put(best.trace, "degree-search", {"n_best": float(best.n)}, search_outputs)
-    return best
-
-
-def _loop_geometry(p, runs, dc=None):
-    """The staged run's interface over the per-point geometry, for the UCP
-    branch: each run alone, its error kept as the staged run keeps it."""
-    LOOP_FAILURES.clear()
-    for g in runs:
-        try:
-            geo = _loop_run_geometry(p, g.n, g.r, g.steps)
-        except (InfeasibleError, ResolutionError) as exc:
-            g.error = exc
-            LOOP_FAILURES.append((g.n, str(exc)))
-            continue
-        g.rho, g.center, g.w, g.sup_ball_rho = geo.rho, geo.center, geo.w, geo.sup_ball_rho
-        g.log_poly, g.log_remainder_coeff, g.aux = geo.log_poly, geo.log_remainder_coeff, geo.aux
+            records.append(certify._Record(n, error=exc))
+    return records
 
 
 def _outcome(run):
@@ -270,9 +130,9 @@ def _search_failure(failures):
 
 def _staged_and_loop(monkeypatch, run):
     staged = _outcome(run)
+    LOOP_FAILURES.clear()
     with monkeypatch.context() as m:
-        m.setattr(certify, "_certify_doubling", _loop_certify_doubling)
-        m.setattr(certify, "_run_geometry", _loop_geometry)
+        m.setattr(certify, "_measure", _loop_measure)
         loop = _outcome(run)
     return staged, loop
 
